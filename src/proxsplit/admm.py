@@ -17,6 +17,7 @@ measured on z.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -266,8 +267,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
 
     Stops when the primal residual ||A x + B y - c|| <= tol and the change
     in z = gamma*(u - B y) satisfies ||z+ - z|| <= tol * max(1, ||z||).
-    Non-convergence shows up as ``converged=False`` on the trace, never as
-    an exception.
+    Non-convergence, including a non-finite change in z, shows up as
+    ``converged=False`` on the trace, never as an exception.
 
     Parameters
     ----------
@@ -307,9 +308,11 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
                 num / den if den > 1e-300 else float("nan"))
         if keep_history:
             trace.z_history.append(z_next.copy())
+        z = z_next
+        if not math.isfinite(res):
+            break
         primal = float(np.linalg.norm(
             problem.A @ x + problem.B @ y - problem.c))
-        z = z_next
         if (primal <= tol
                 and res <= tol * max(1.0, float(np.linalg.norm(z)))):
             trace.converged = True

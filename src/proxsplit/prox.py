@@ -4,8 +4,8 @@ Every member exposes evaluation, ``prox``, the reflected prox
 ``2*prox - id``, and the conjugate prox through the Moreau identity.  The
 catalog covers quadratics (optionally restricted to an affine set), the zero
 function, indicators of {0} and of affine sets, box indicators, weighted l1
-norms, per-coordinate piecewise-linear penalties, and separable
-compositions.
+norms, piecewise-linear band penalties (band and slope shared or given per
+coordinate), and separable compositions.
 
 All instances are immutable and safe to share between threads; the
 quadratic kinds cache one matrix factorization per step size behind a lock.
@@ -393,31 +393,40 @@ class WeightedL1(ProxFn):
 
 
 class PwlPenalty(ProxFn):
-    """Per-coordinate penalty s * max(0, x - hi, lo - x) (soft band [lo, hi]).
+    """Penalty sum_i s_i * max(0, x_i - hi_i, lo_i - x_i) (soft band [lo, hi]).
 
-    The prox shrinks toward the band: with t = gamma*s, points beyond the
-    band by more than t move in by t, points within t of the band land on
-    the nearest edge, and points inside the band stay put.
+    ``lo``, ``hi`` and ``slope`` are each a scalar shared by every coordinate
+    or a length-``dim`` array giving one value per coordinate; ``dim`` is
+    inferred from the array parameters when omitted.  The prox shrinks toward
+    the band: with t = gamma*s, points beyond the band by more than t move in
+    by t, points within t of the band land on the nearest edge, and points
+    inside the band stay put.
     """
 
     kind = "pwl_penalty"
 
-    def __init__(self, lo: float, hi: float, slope: float,
-                 dim: int | None = None):
-        if not lo <= hi:
-            raise ValueError("need lo <= hi")
-        if slope < 0:
-            raise ValueError("slope must be nonnegative")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.slope = float(slope)
-        self.dim = dim
+    def __init__(self, lo, hi, slope, dim: int | None = None):
+        lo, hi, slope = (float(v) if np.ndim(v) == 0
+                         else np.asarray(v, dtype=float).ravel()
+                         for v in (lo, hi, slope))
+        sizes = {np.size(v) for v in (lo, hi, slope) if np.ndim(v)}
+        if dim is not None:
+            sizes.add(dim)
+        if len(sizes) > 1:
+            raise DimensionMismatchError(
+                f"lo, hi, slope and dim disagree on the dimension: {sizes}")
+        if not np.all(lo <= hi):
+            raise ValueError("need lo <= hi elementwise")
+        if np.any(slope < 0):
+            raise ValueError("slope must be nonnegative elementwise")
+        self.lo, self.hi, self.slope = lo, hi, slope
+        self.dim = sizes.pop() if sizes else None
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
         over = np.maximum(x - self.hi, 0.0)
         under = np.maximum(self.lo - x, 0.0)
-        return float(self.slope * np.sum(over + under))
+        return float(np.sum(self.slope * (over + under)))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         if gamma <= 0:
@@ -432,8 +441,11 @@ class PwlPenalty(ProxFn):
         return out
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi,
-                "slope": self.slope, "dim": self.dim}
+        # tolist() gives back a plain float for the scalar form
+        lo, hi, slope = (np.asarray(v).tolist()
+                         for v in (self.lo, self.hi, self.slope))
+        return {"kind": self.kind, "lo": lo, "hi": hi, "slope": slope,
+                "dim": self.dim}
 
 
 class Separable(ProxFn):
@@ -565,15 +577,9 @@ def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
             return Box(f.lo * d, f.hi * d)
         return Box(-f.hi * d, -f.lo * d)
     if isinstance(f, PwlPenalty):
-        if not np.all(d == d[0]):
-            members = [(i, i + 1, diag_scale(
-                PwlPenalty(f.lo, f.hi, f.slope, 1), d[i:i + 1], sign))
-                for i in range(d.shape[0])]
-            return Separable(members)
-        di = float(d[0])
         if s > 0:
-            return PwlPenalty(f.lo * di, f.hi * di, f.slope / di, d.shape[0])
-        return PwlPenalty(-f.hi * di, -f.lo * di, f.slope / di, d.shape[0])
+            return PwlPenalty(f.lo * d, f.hi * d, f.slope / d, d.shape[0])
+        return PwlPenalty(-f.hi * d, -f.lo * d, f.slope / d, d.shape[0])
     if isinstance(f, Quadratic):
         dinv = 1.0 / d
         return Quadratic(f.Q * np.outer(dinv, dinv), s * f.q * dinv)
@@ -588,19 +594,6 @@ def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
                           for a, b, fn in f.members])
     raise CapabilityError(
         f"no diagonal scaling rule for catalog kind {f.kind!r}")
-
-
-_KINDS = {}
-
-
-def _register(cls):
-    _KINDS[cls.kind] = cls
-    return cls
-
-
-for _cls in (Quadratic, QuadraticAffine, Zero, IndicatorZero,
-             IndicatorAffine, Box, WeightedL1, PwlPenalty, Separable):
-    _register(_cls)
 
 
 def proxfn_from_json(obj: dict) -> ProxFn:

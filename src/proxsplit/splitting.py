@@ -14,6 +14,7 @@ applies prox_g first.  The unaveraged case alpha = 1 is Peaceman-Rachford.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -119,10 +120,10 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
              reference: np.ndarray | None = None) -> SolveTrace:
     """Iterate the relaxed splitting map from z0 until the residual is small.
 
-    Stops when ||z^{k+1} - z^k|| <= tol * max(1, ||z^k||) or after
-    ``max_iters`` steps (then ``converged`` is False; no exception).  The
-    solution candidate ``x_final`` is the prox of the first-applied operator
-    at the final iterate.
+    Stops when ||z^{k+1} - z^k|| <= tol * max(1, ||z^k||), else after
+    ``max_iters`` steps or at a non-finite residual with ``converged`` False
+    (no exception).  ``x_final`` is the prox of the first-applied operator at
+    the final iterate, or after a non-finite residual the last step's one.
 
     Parameters
     ----------
@@ -142,7 +143,6 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
     trace = SolveTrace()
     if keep_history:
         trace.z_history.append(z.copy())
-    x = None
     for _ in range(cfg.max_iters):
         z_next, x, y = dr_step(f, g, cfg, z)
         trace.iterations += 1
@@ -156,11 +156,15 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
         if keep_history:
             trace.z_history.append(z_next.copy())
         z = z_next
+        if not math.isfinite(res):
+            break
         if res <= cfg.tol * max(1.0, float(np.linalg.norm(z))):
             trace.converged = True
             break
     trace.z_final = z
-    if cfg.order == "f_first":
+    if not math.isfinite(res):
+        trace.x_final = x if cfg.order == "f_first" else y
+    elif cfg.order == "f_first":
         trace.x_final = f.prox(cfg.gamma, z)
     else:
         trace.x_final = g.prox(cfg.gamma, z)

@@ -114,9 +114,11 @@ def sample_catalog_fn(rng: np.random.Generator, dim: int) -> ProxFn:
     if kind == 4:
         return WeightedL1(rng.uniform(0.0, 3.0, size=dim))
     if kind == 5:
-        lo = float(rng.normal())
-        return PwlPenalty(lo, lo + float(rng.uniform(0.1, 2.0)),
-                          float(rng.uniform(0.0, 10.0)), dim)
+        # half the draws give every coordinate its own band and slope
+        size = dim if rng.integers(0, 2) else None
+        lo = rng.normal(size=size)
+        return PwlPenalty(lo, lo + rng.uniform(0.1, 2.0, size=size),
+                          rng.uniform(0.0, 10.0, size=size), dim)
     if kind == 6:
         p = int(rng.integers(0, dim))
         lm = rng.normal(size=(p, dim))

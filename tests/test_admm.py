@@ -19,7 +19,8 @@ from proxsplit.prox import (
     WeightedL1,
     Zero,
 )
-from proxsplit.rates import contraction_factor, rate_bound
+from proxsplit.rates import Regularity, contraction_factor, rate_bound
+from proxsplit.worstcase import adversarial_case, build, dual_constants
 from proxsplit.bench import problem_dual_regularity
 
 
@@ -141,6 +142,22 @@ class TestAdmmSolve:
                                     tol=1e-14, max_iters=3)
         assert not trace.converged
         assert trace.iterations == 3
+
+    def test_divergence_stops_without_raising(self):
+        # Dual extremal instance (kappa 100, theta = zeta = 1) at the dual
+        # gamma* with alpha 5: z grows ~8x per step and overflows.  Another
+        # step would hand infs to the Cholesky solve of the x-update.
+        reg = Regularity(sigma=1.0, beta=100.0)
+        dual = dual_constants(reg, 1.0, 1.0).as_regularity()
+        gamma = 1.0 / np.sqrt(dual.sigma * dual.beta)
+        variant, _, coordinate = adversarial_case(5.0, gamma, dual)
+        inst = build(reg, variant, "dual", theta=1.0, zeta=1.0,
+                     coordinate=coordinate)
+        _, _, _, trace = admm_solve(inst.problem, gamma, 5.0, z0=inst.z0)
+        assert not trace.converged
+        assert not np.isfinite(trace.residuals[-1])
+        assert np.all(np.isfinite(trace.residuals[:-1]))
+        assert trace.iterations == len(trace.residuals) < 10_000
 
     def test_rate_certified_runs_respect_bound(self, rng):
         for g_kind in ("l1", "box", "zero"):

@@ -1,5 +1,7 @@
 """Prox catalog against brute-force oracles and operator-theoretic laws."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,11 @@ from conftest import (
     sample_catalog_fn,
     sample_quadratic_affine,
 )
-from proxsplit.errors import CapabilityError, InfeasibleConstraintError
+from proxsplit.errors import (
+    CapabilityError,
+    DimensionMismatchError,
+    InfeasibleConstraintError,
+)
 from proxsplit.prox import (
     Box,
     ConjugateOf,
@@ -77,6 +83,28 @@ class TestProxValues:
             got = prox(f, ProxQuery(gamma, np.array([z])))[0]
             assert got == pytest.approx(golden_prox_1d(f, gamma, z),
                                         abs=1e-8)
+
+    def test_pwl_penalty_per_coordinate_parameters(self):
+        f = PwlPenalty([-1.0, 0.0, 2.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0])
+        assert f.dim == 3
+        # gamma * slope = 0.5, 1.0, 0.0 per coordinate
+        got = f.prox(0.5, np.array([3.0, -0.5, 9.0]))
+        assert np.array_equal(got, [2.5, 0.0, 9.0])
+        assert f(np.array([3.0, -0.5, 9.0])) == pytest.approx(2.0 + 1.0)
+        with pytest.raises(DimensionMismatchError):
+            f.prox(0.5, np.zeros(2))
+
+    def test_pwl_penalty_validation_is_elementwise(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            PwlPenalty([0.0, 1.0], [1.0, 0.5], 1.0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            PwlPenalty(0.0, [1.0, -1.0], 1.0)
+        with pytest.raises(ValueError, match="slope"):
+            PwlPenalty(0.0, 1.0, [1.0, -1e-9, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            PwlPenalty([0.0, 0.0], [1.0, 1.0, 1.0], 1.0)
+        with pytest.raises(DimensionMismatchError):
+            PwlPenalty([0.0, 0.0], 1.0, 1.0, dim=3)
 
     def test_box_clips(self):
         f = Box([-1.0, 0.0], [1.0, 2.0])
@@ -318,6 +346,36 @@ class TestDiagScale:
         t = rng.normal(size=2)
         assert scaled(t) == pytest.approx(f(-t / d), abs=1e-12)
 
+    def test_pwl_penalty_stays_one_vectorized_member(self, rng):
+        # Reference: a Separable of one-coordinate scalar members, each
+        # scaled by its own d_i; the single array member must match it bit
+        # for bit.
+        for _ in range(40):
+            dim = int(rng.integers(2, 9))
+            lo = float(rng.normal())
+            f = PwlPenalty(lo, lo + float(rng.uniform(0.1, 2.0)),
+                           float(rng.uniform(0.1, 10.0)), dim)
+            d = rng.uniform(0.2, 3.0, size=dim)
+            assert not np.all(d == d[0])
+            for sign in (1, -1):
+                scaled = diag_scale(f, d, sign)
+                assert type(scaled) is PwlPenalty and scaled.dim == dim
+                members = []
+                for i, di in enumerate(map(float, d)):
+                    if sign > 0:
+                        fi = PwlPenalty(f.lo * di, f.hi * di, f.slope / di, 1)
+                    else:
+                        fi = PwlPenalty(-f.hi * di, -f.lo * di,
+                                        f.slope / di, 1)
+                    members.append((i, i + 1, fi))
+                reference = Separable(members)
+                for gamma in (0.01, 0.3, 1.0, 7.0, 100.0):
+                    t = 4.0 * rng.normal(size=dim)
+                    assert np.array_equal(scaled.prox(gamma, t),
+                                          reference.prox(gamma, t))
+                    assert scaled(t) == pytest.approx(reference(t),
+                                                      rel=1e-14, abs=1e-14)
+
     def test_box_scaling(self):
         f = Box([-1.0, 0.0], [2.0, 3.0])
         d = np.array([2.0, 0.5])
@@ -362,6 +420,8 @@ class TestJsonRoundtrip:
             Box([-1.0], [1.0]),
             WeightedL1([0.5, 1.5]),
             PwlPenalty(-0.5, 0.5, 1e6, 4),
+            PwlPenalty([-0.5, 0.0, 1.0], [0.5, 0.0, 3.0], [2.0, 0.0, 1e3]),
+            PwlPenalty(-1.0, [0.0, 2.0], 4.0),
             Separable([(0, 2, WeightedL1([1.0, 1.0])), (2, 3, Zero(1))]),
         ]
         for f in candidates:
@@ -372,6 +432,18 @@ class TestJsonRoundtrip:
             gamma = 0.9
             assert np.allclose(back.prox(gamma, z), f.prox(gamma, z),
                                atol=1e-12)
+
+    def test_pwl_penalty_encoding(self):
+        # the scalar form encodes exactly as before: plain floats
+        assert json.dumps(PwlPenalty(-1, 2, 3, 4).to_json()) == (
+            '{"kind": "pwl_penalty", "lo": -1.0, "hi": 2.0, "slope": 3.0, '
+            '"dim": 4}')
+        assert json.dumps(PwlPenalty(-0.5, 0.5, 1e6).to_json()) == (
+            '{"kind": "pwl_penalty", "lo": -0.5, "hi": 0.5, '
+            '"slope": 1000000.0, "dim": null}')
+        f = PwlPenalty([-1.0, 0.0], 2.0, [3.0, 0.5])
+        assert f.to_json() == {"kind": "pwl_penalty", "lo": [-1.0, 0.0],
+                               "hi": 2.0, "slope": [3.0, 0.5], "dim": 2}
 
     def test_conjugate_wrapper_prox(self, rng):
         f = WeightedL1([1.0, 1.0])

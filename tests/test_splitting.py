@@ -95,6 +95,18 @@ class TestDrSolve:
         res = np.array(trace.residuals)
         assert np.all(res[1:] >= res[:-1] * (1 - 1e-12))
 
+    def test_non_finite_residual_is_not_convergence(self):
+        # alpha = 3 is far beyond the cap 2/(1+delta): the iterate overflows
+        # after ~220 steps and the stop test once read inf <= tol*inf as met.
+        cfg = DrConfig(gamma=1.0, alpha=3.0)
+        trace = dr_solve(worst_quadratic(100.0, 1.0), Zero(2), cfg,
+                         np.ones(2))
+        assert not trace.converged
+        assert not np.isfinite(trace.residuals[-1])
+        assert np.all(np.isfinite(trace.residuals[:-1]))
+        assert trace.iterations == len(trace.residuals) < cfg.max_iters
+        assert np.all(np.isfinite(trace.x_final))
+
     def test_rate_bound_holds_on_alpha_grid(self, rng):
         reg = Regularity(0.5, 8.0)
         f = worst_quadratic(reg.beta, reg.sigma)

@@ -157,6 +157,13 @@ class TestVerification:
         assert row["measured_rate"] == pytest.approx(5.0 / 7.0, abs=1e-8)
         assert row["max_abs_diff"] <= 1e-8
 
+    def test_dual_point_beyond_cap_reports_instead_of_raising(self):
+        # alpha 5 at the dual gamma* of kappa 100 overflows within 400 steps
+        row = dual_verify_point(100.0, 1.0, 1.0, 1.0, 10.0, 5.0, iters=400)
+        assert row["bound"] > 1.0
+        assert row["measured_rate"] == pytest.approx(row["exact_rate"],
+                                                     rel=1e-12)
+
     def test_dual_grid_tightness(self):
         # constrained instances measured through the primal iteration
         for kappa in (4.0, 25.0):
