@@ -9,10 +9,8 @@ benchmark generators reproducing the reference experiments at desk scale.
 
 from .admm import (
     AdmmEngine,
-    AdmmState,
     EqConstrainedProblem,
     admm_solve,
-    admm_step,
     verify_dual_equivalence,
 )
 from .bench import (

@@ -17,9 +17,7 @@ measured on z.
 
 from __future__ import annotations
 
-import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,12 +33,7 @@ from .prox import (
     dual_quadratic,
     proxfn_from_json,
 )
-from .splitting import (
-    HISTORY_SCALAR_BUDGET,
-    DrConfig,
-    SolveTrace,
-    dr_step,
-)
+from .splitting import DrConfig, SolveTrace, _fixed_point, dr_step
 
 
 @dataclass(eq=False)
@@ -52,9 +45,6 @@ class EqConstrainedProblem:
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     def __post_init__(self):
         self.A = _as_dense(self.A)
@@ -104,16 +94,6 @@ class EqConstrainedProblem:
                    np.asarray(obj["c"], dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class AdmmState:
-    """Primal pair, scaled dual, and the dual splitting iterate z = gamma(u - By)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    z_equiv: np.ndarray
-
-
 def _diagonal_signature(m: np.ndarray) -> tuple[int, np.ndarray] | None:
     """(sign, d) when m = sign * diag(d) with d > 0, else None."""
     if m.shape[0] != m.shape[1]:
@@ -138,28 +118,15 @@ class _XUpdate:
         diag = _diagonal_signature(a)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
-            key = ("x-quad", gamma)
-            with problem._lock:
-                fac = problem._cache.get(key)
-                if fac is None:
-                    fac = scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
-                    problem._cache[key] = fac
-            self.fac = fac
+            self.fac = scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
             self.q = f.q
         elif isinstance(f, QuadraticAffine):
             self.mode = "quadratic_affine"
-            key = ("x-quadaff", gamma)
             n, p = f.dim, f.L.shape[0]
-            with problem._lock:
-                fac = problem._cache.get(key)
-                if fac is None:
-                    kkt = np.block([
-                        [f.Q + gamma * (a.T @ a), f.L.T],
-                        [f.L, np.zeros((p, p))],
-                    ])
-                    fac = scipy.linalg.lu_factor(kkt)
-                    problem._cache[key] = fac
-            self.fac = fac
+            self.fac = scipy.linalg.lu_factor(np.block([
+                [f.Q + gamma * (a.T @ a), f.L.T],
+                [f.L, np.zeros((p, p))],
+            ]))
             self.q, self.b, self.n = f.q, f.b, n
         elif diag is not None:
             # A = sign*diag(d): substitute t = A x and prox the rescaled f.
@@ -249,14 +216,6 @@ class AdmmEngine:
         return y0, u0
 
 
-def admm_step(problem: EqConstrainedProblem, gamma: float, alpha: float,
-              state: AdmmState) -> AdmmState:
-    """One relaxed ADMM iteration from an explicit state."""
-    engine = AdmmEngine(problem, gamma, alpha)
-    x, y, u = engine.step(state.y, state.u)
-    return AdmmState(x=x, y=y, u=u, z_equiv=engine.z_equiv(y, u))
-
-
 def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
                tol: float = 1e-8, max_iters: int = 10_000, *,
                y0: np.ndarray | None = None, u0: np.ndarray | None = None,
@@ -265,10 +224,12 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveTrace]:
     """Run relaxed ADMM; the trace lives in the dual splitting coordinate.
 
-    Stops when the primal residual ||A x + B y - c|| <= tol and the change
-    in z = gamma*(u - B y) satisfies ||z+ - z|| <= tol * max(1, ||z||).
-    Non-convergence, including a non-finite change in z, shows up as
-    ``converged=False`` on the trace, never as an exception.
+    Runs :meth:`AdmmEngine.step` under the fixed-point driver shared with
+    :func:`~proxsplit.splitting.dr_solve`, on z = gamma*(u - B y).  Stops
+    when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
+    ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
+    change in z, shows up as ``converged=False`` on the trace, never as an
+    exception; ``max_iters < 1`` or ``tol <= 0`` raise ``ValueError``.
 
     Parameters
     ----------
@@ -278,46 +239,28 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
         Start specified in the dual coordinate; overrides y0/u0 with the
         consistent initialization.
     reference : array, optional
-        Known dual fixed point for contraction-ratio measurement.
+        Known dual fixed point; when given, ``trace.distances`` records
+        ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     engine = AdmmEngine(problem, gamma, alpha)
     if z0 is not None:
         y, u = engine.consistent_init(z0)
     else:
         y = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
         u = np.zeros(problem.p) if u0 is None else np.asarray(u0, dtype=float)
-    ref = None if reference is None else np.asarray(reference, dtype=float)
-    z = engine.z_equiv(y, u)
-    keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
-    trace = SolveTrace()
-    if keep_history:
-        trace.z_history.append(z.copy())
     x = np.zeros(problem.n)
-    for _ in range(max_iters):
+
+    def step(_z):
+        nonlocal x, y, u
         x, y, u = engine.step(y, u)
-        z_next = engine.z_equiv(y, u)
-        trace.iterations += 1
-        res = float(np.linalg.norm(z_next - z))
-        trace.residuals.append(res)
-        if ref is not None:
-            den = float(np.linalg.norm(z - ref))
-            num = float(np.linalg.norm(z_next - ref))
-            trace.contraction_ratios.append(
-                num / den if den > 1e-300 else float("nan"))
-        if keep_history:
-            trace.z_history.append(z_next.copy())
-        z = z_next
-        if not math.isfinite(res):
-            break
-        primal = float(np.linalg.norm(
-            problem.A @ x + problem.B @ y - problem.c))
-        if (primal <= tol
-                and res <= tol * max(1.0, float(np.linalg.norm(z)))):
-            trace.converged = True
-            break
-    trace.z_final = z
+        return engine.z_equiv(y, u)
+
+    def primal_small():
+        return float(np.linalg.norm(
+            problem.A @ x + problem.B @ y - problem.c)) <= tol
+
+    trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
+                         reference, primal_small)
     trace.x_final = x
     return x, y, u, trace
 

@@ -328,6 +328,9 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
     iteration bound speaks about.  The bound column is populated whenever
     the (scaled) problem admits a rate certificate and the bound rate is
     below one.  Capability errors are recorded per point, never raised.
+    The run keeps its z-history, so ``max_iters`` is lowered to
+    ``HISTORY_SCALAR_BUDGET // p - 1``; a point stopped by that lower cap
+    says so in its ``note``.
     """
     scaled = problem.scaled(metric) if metric is not None else problem
     try:
@@ -355,6 +358,11 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                 iterations_bound=bound, converged=False, note=str(exc)))
             continue
         actual = None
+        note = ""
+        if (not trace.converged
+                and trace.iterations == max_iters_eff < max_iters):
+            note = (f"stopped at {max_iters_eff} iterations, the z-history "
+                    f"cap below max_iters={max_iters}")
         if trace.converged and trace.z_history:
             distances = trace.distances_to(trace.z_final)
             d0 = distances[0]
@@ -365,7 +373,7 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                 actual = int(crossed[0]) if crossed.size else None
         result.entries.append(SweepEntry(
             gamma=float(gamma), iterations_actual=actual,
-            iterations_bound=bound, converged=trace.converged))
+            iterations_bound=bound, converged=trace.converged, note=note))
     return result
 
 

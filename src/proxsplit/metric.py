@@ -28,6 +28,7 @@ from .linmetric import (
     kkt_p11,
     spectral_summary,
 )
+from .rates import dual_regularity
 
 PSEUDO_ZERO_TOL = 1e-9
 
@@ -67,21 +68,16 @@ def gamma_from_metric(obj: MetricObjective) -> float:
 
 
 def dual_condition_number(metric: DiagonalMetric, a, h, l) -> MetricObjective:
-    """Exact objective lambda_max(EAH^-1A^TE^T)/lambda_min(EAL^-1A^TE^T)."""
-    a = _as_dense(a)
-    h = _as_dense(h)
-    l = _as_dense(l)
-    ah = a @ np.linalg.solve(h, a.T)
-    al = a @ np.linalg.solve(l, a.T)
-    num = spectral_summary(
-        metric.scale_spectrum_matrix(0.5 * (ah + ah.T))).lambda_max
-    den = spectral_summary(
-        metric.scale_spectrum_matrix(0.5 * (al + al.T))).lambda_min
-    if den <= 0:
-        raise RankDeficiencyError(
-            "scaled A L^-1 A^T is singular; A must have full row rank")
-    return MetricObjective(mode="exact", numerator=num, denominator=den,
-                           value=num / den, metric=metric)
+    """Exact objective lambda_max(EAH^-1A^TE^T)/lambda_min(EAL^-1A^TE^T).
+
+    The two eigenvalues are the metric-form dual constants of
+    :func:`~proxsplit.rates.dual_regularity`.
+    """
+    dual = dual_regularity(None, a, metric=metric, h=h, l=l)
+    return MetricObjective(mode="exact", numerator=dual.beta_hat,
+                           denominator=dual.sigma_hat,
+                           value=dual.beta_hat / dual.sigma_hat,
+                           metric=metric)
 
 
 def pseudo_condition_number(metric: DiagonalMetric, a,

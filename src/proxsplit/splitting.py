@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -59,19 +59,28 @@ class DrConfig:
 class SolveTrace:
     """Per-iteration record of a fixed-point solve.
 
-    ``residuals[k]`` is ||z^{k+1} - z^k||; ``contraction_ratios[k]`` is
-    ||z^{k+1} - ref|| / ||z^k - ref|| when a reference was supplied (NaN
-    where the denominator underflows).  ``z_history`` holds [z^0, ..., z^K]
-    unless thinned for memory, in which case it is empty.
+    ``dr_solve`` and ``admm_solve`` fill it through one shared driver.
+    ``residuals[k]`` is ||z^{k+1} - z^k||.  ``distances[k]`` is
+    ||z^k - ref|| for k = 0..K when a reference was supplied, else empty;
+    ``contraction_ratios`` derives from it.  ``z_history`` holds
+    [z^0, ..., z^K] unless thinned for memory, in which case it is empty.
     """
 
     residuals: list[float] = field(default_factory=list)
-    contraction_ratios: list[float] = field(default_factory=list)
+    distances: list[float] = field(default_factory=list)
     z_history: list[np.ndarray] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     z_final: np.ndarray | None = None
     x_final: np.ndarray | None = None
+
+    @property
+    def contraction_ratios(self) -> list[float]:
+        """||z^{k+1} - ref|| / ||z^k - ref||, NaN where the denominator
+        underflows; empty without a reference."""
+        d = self.distances
+        return [num / den if den > 1e-300 else float("nan")
+                for den, num in zip(d, d[1:])]
 
     def distances_to(self, ref: np.ndarray) -> np.ndarray:
         """||z^k - ref|| over the stored history (needs full history)."""
@@ -86,10 +95,10 @@ def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
     """Emit iter,residual,contraction_ratio rows; ratio empty when unmeasured."""
     fileobj.write(CSV_SCHEMA_TAG + "\n")
     fileobj.write("iter,residual,contraction_ratio\n")
-    have_ratio = bool(trace.contraction_ratios)
+    ratios = trace.contraction_ratios
     for k, res in enumerate(trace.residuals):
-        if have_ratio:
-            ratio = trace.contraction_ratios[k]
+        if ratios:
+            ratio = ratios[k]
             ratio_txt = "" if np.isnan(ratio) else f"{ratio:.17g}"
         else:
             ratio_txt = ""
@@ -116,11 +125,56 @@ def dr_step(f: ProxFn, g: ProxFn, cfg: DrConfig,
     return z_next, x, y
 
 
+def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
+                 max_iters: int, tol: float,
+                 reference: np.ndarray | None = None,
+                 extra_check: Callable[[], bool] | None = None) -> SolveTrace:
+    """Iterate z+ = step(z) from z0; the one loop behind both solvers.
+
+    Stops when ||z+ - z|| <= tol * max(1, ||z+||) and ``extra_check()``
+    (evaluated only once the first test passes) holds, else after
+    ``max_iters`` steps or at the first non-finite residual, both with
+    ``converged`` False.  Records residuals, the distances to ``reference``
+    when given, and the z-history within ``HISTORY_SCALAR_BUDGET``.
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    z = np.asarray(z0, dtype=float)
+    ref = None if reference is None else np.asarray(reference, dtype=float)
+    keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
+    trace = SolveTrace()
+    if keep_history:
+        trace.z_history.append(z.copy())
+    if ref is not None:
+        trace.distances.append(float(np.linalg.norm(z - ref)))
+    for _ in range(max_iters):
+        z_next = step(z)
+        trace.iterations += 1
+        res = float(np.linalg.norm(z_next - z))
+        trace.residuals.append(res)
+        if ref is not None:
+            trace.distances.append(float(np.linalg.norm(z_next - ref)))
+        if keep_history:
+            trace.z_history.append(z_next.copy())
+        z = z_next
+        if not math.isfinite(res):
+            break
+        if (res <= tol * max(1.0, float(np.linalg.norm(z)))
+                and (extra_check is None or extra_check())):
+            trace.converged = True
+            break
+    trace.z_final = z
+    return trace
+
+
 def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
              reference: np.ndarray | None = None) -> SolveTrace:
     """Iterate the relaxed splitting map from z0 until the residual is small.
 
-    Stops when ||z^{k+1} - z^k|| <= tol * max(1, ||z^k||), else after
+    Runs :func:`dr_step` under the shared fixed-point driver: stops when
+    ||z^{k+1} - z^k|| <= tol * max(1, ||z^{k+1}||), else after
     ``max_iters`` steps or at a non-finite residual with ``converged`` False
     (no exception).  ``x_final`` is the prox of the first-applied operator at
     the final iterate, or after a non-finite residual the last step's one.
@@ -134,38 +188,21 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
     z0 : array
         Starting iterate.
     reference : array, optional
-        Known fixed point; when given, per-iteration contraction ratios
-        ||z^{k+1} - ref|| / ||z^k - ref|| are recorded.
+        Known fixed point; when given, ``trace.distances`` records
+        ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    ref = None if reference is None else np.asarray(reference, dtype=float)
-    keep_history = z.size * (cfg.max_iters + 1) <= HISTORY_SCALAR_BUDGET
-    trace = SolveTrace()
-    if keep_history:
-        trace.z_history.append(z.copy())
-    for _ in range(cfg.max_iters):
+    f_first = cfg.order == "f_first"
+    last_first = None
+
+    def step(z):
+        nonlocal last_first
         z_next, x, y = dr_step(f, g, cfg, z)
-        trace.iterations += 1
-        res = float(np.linalg.norm(z_next - z))
-        trace.residuals.append(res)
-        if ref is not None:
-            den = float(np.linalg.norm(z - ref))
-            num = float(np.linalg.norm(z_next - ref))
-            trace.contraction_ratios.append(
-                num / den if den > 1e-300 else float("nan"))
-        if keep_history:
-            trace.z_history.append(z_next.copy())
-        z = z_next
-        if not math.isfinite(res):
-            break
-        if res <= cfg.tol * max(1.0, float(np.linalg.norm(z))):
-            trace.converged = True
-            break
-    trace.z_final = z
-    if not math.isfinite(res):
-        trace.x_final = x if cfg.order == "f_first" else y
-    elif cfg.order == "f_first":
-        trace.x_final = f.prox(cfg.gamma, z)
+        last_first = x if f_first else y
+        return z_next
+
+    trace = _fixed_point(step, z0, cfg.max_iters, cfg.tol, reference)
+    if not math.isfinite(trace.residuals[-1]):
+        trace.x_final = last_first
     else:
-        trace.x_final = g.prox(cfg.gamma, z)
+        trace.x_final = (f if f_first else g).prox(cfg.gamma, trace.z_final)
     return trace

@@ -30,7 +30,7 @@ from .rates import (
     contraction_factor,
     rate_bound,
 )
-from .splitting import DrConfig, dr_solve
+from .splitting import DrConfig, SolveTrace, dr_solve
 
 VARIANTS = ("g1", "g2")
 
@@ -175,7 +175,7 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     return variant, z0, coordinate
 
 
-def _valid_ratios(ratios: list[float], distances: np.ndarray,
+def _valid_ratios(ratios: list[float], distances: list[float],
                   floor: float = 1e-250) -> list[float]:
     """Ratios whose denominators are numerically meaningful."""
     out = []
@@ -188,14 +188,33 @@ def _valid_ratios(ratios: list[float], distances: np.ndarray,
     return out
 
 
+def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,
+                      gamma: float, alpha: float, coordinate: int) -> dict:
+    """bound, exact_rate, measured_rate, max_abs_diff of one verified run.
+
+    Ratios are taken from iteration 1 onward; the first transition is kept
+    only when it is the sole available one (single-step convergence).
+    """
+    ratios_all, dist = trace.contraction_ratios, trace.distances
+    ratios = _valid_ratios(ratios_all[1:], dist[1:])
+    if not ratios:
+        ratios = _valid_ratios(ratios_all[:1], dist[:1])
+    rate = exact_rate(reg, variant, gamma, alpha, coordinate)
+    return {
+        "bound": rate_bound(contraction_factor(reg, gamma), alpha),
+        "exact_rate": rate,
+        "measured_rate": float(np.median(ratios)) if ratios else float("nan"),
+        "max_abs_diff": max((abs(r - rate) for r in ratios),
+                            default=float("nan")),
+    }
+
+
 def verify_point(beta: float, sigma: float, gamma: float, alpha: float, *,
                  iters: int = 120) -> dict:
     """Run the adversarial primal instance and compare measured vs exact.
 
     Returns a row dict with keys beta, sigma, gamma, alpha, variant, bound,
-    exact_rate, measured_rate, max_abs_diff.  Ratios are taken from
-    iteration 1 onward; the first transition is kept only when it is the
-    sole available one (single-step convergence).
+    exact_rate, measured_rate, max_abs_diff.
     """
     reg = Regularity(sigma=sigma, beta=beta)
     variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
@@ -203,22 +222,10 @@ def verify_point(beta: float, sigma: float, gamma: float, alpha: float, *,
     cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=iters, tol=1e-13)
     trace = dr_solve(inst.f, inst.g, cfg, inst.z0,
                      reference=inst.fixed_point)
-    dist = trace.distances_to(inst.fixed_point)
-    ratios = _valid_ratios(trace.contraction_ratios[1:], dist[1:])
-    if not ratios:
-        ratios = _valid_ratios(trace.contraction_ratios[:1], dist[:1])
-    rate = exact_rate(reg, variant, gamma, alpha, coordinate)
-    delta = contraction_factor(reg, gamma)
-    row = {
-        "beta": beta, "sigma": sigma, "gamma": gamma, "alpha": alpha,
-        "variant": variant,
-        "bound": rate_bound(delta, alpha),
-        "exact_rate": rate,
-        "measured_rate": float(np.median(ratios)) if ratios else float("nan"),
-        "max_abs_diff": max((abs(r - rate) for r in ratios),
-                            default=float("nan")),
-    }
-    return row
+    return {"beta": beta, "sigma": sigma, "gamma": gamma, "alpha": alpha,
+            "variant": variant,
+            **_measured_columns(trace, reg, variant, gamma, alpha,
+                                coordinate)}
 
 
 def acceptance_alphas(delta: float) -> tuple[float, float, float]:
@@ -255,7 +262,7 @@ def divergence_distances(beta: float, sigma: float, gamma: float, *,
     cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=iters, tol=1e-300)
     trace = dr_solve(inst.f, inst.g, cfg, inst.z0,
                      reference=inst.fixed_point)
-    return trace.distances_to(inst.fixed_point)
+    return np.array(trace.distances)
 
 
 def dual_verify_point(beta: float, sigma: float, theta: float, zeta: float,
@@ -275,18 +282,7 @@ def dual_verify_point(beta: float, sigma: float, theta: float, zeta: float,
     _, _, _, trace = admm_solve(inst.problem, gamma, alpha, tol=1e-13,
                                 max_iters=iters, z0=inst.z0,
                                 reference=np.zeros(2))
-    dist = trace.distances_to(np.zeros(2))
-    ratios = _valid_ratios(trace.contraction_ratios[1:], dist[1:])
-    if not ratios:
-        ratios = _valid_ratios(trace.contraction_ratios[:1], dist[:1])
-    rate = exact_rate(dreg, variant, gamma, alpha, coordinate)
-    delta = contraction_factor(dreg, gamma)
-    return {
-        "beta": beta, "sigma": sigma, "theta": theta, "zeta": zeta,
-        "gamma": gamma, "alpha": alpha, "variant": variant,
-        "bound": rate_bound(delta, alpha),
-        "exact_rate": rate,
-        "measured_rate": float(np.median(ratios)) if ratios else float("nan"),
-        "max_abs_diff": max((abs(r - rate) for r in ratios),
-                            default=float("nan")),
-    }
+    return {"beta": beta, "sigma": sigma, "theta": theta, "zeta": zeta,
+            "gamma": gamma, "alpha": alpha, "variant": variant,
+            **_measured_columns(trace, dreg, variant, gamma, alpha,
+                                coordinate)}

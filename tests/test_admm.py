@@ -5,10 +5,8 @@ import pytest
 
 from proxsplit.admm import (
     AdmmEngine,
-    AdmmState,
     EqConstrainedProblem,
     admm_solve,
-    admm_step,
     verify_dual_equivalence,
 )
 from proxsplit.errors import CapabilityError
@@ -85,23 +83,22 @@ class TestAdmmStep:
         f = Quadratic(np.array([[1.0]]))
         problem = EqConstrainedProblem(f=f, g=Zero(1), A=np.eye(1),
                                        B=np.eye(1), c=np.zeros(1))
-        state = AdmmState(x=np.zeros(1), y=np.zeros(1), u=np.zeros(1),
-                          z_equiv=np.zeros(1))
-        out = admm_step(problem, gamma=1.0, alpha=0.5, state=state)
-        assert np.allclose(out.x, 0.0)
-        assert np.allclose(out.y, 0.0)
-        assert np.allclose(out.u, 0.0)
-        assert np.allclose(out.z_equiv, 0.0)
+        engine = AdmmEngine(problem, gamma=1.0, alpha=0.5)
+        x, y, u = engine.step(np.zeros(1), np.zeros(1))
+        assert np.allclose(x, 0.0)
+        assert np.allclose(y, 0.0)
+        assert np.allclose(u, 0.0)
+        assert np.allclose(engine.z_equiv(y, u), 0.0)
 
     def test_state_invariant_z_equals_gamma_u_minus_by(self, rng):
         problem = random_qp(rng, g_kind="box")
         gamma = 1.7
-        state = AdmmState(x=np.zeros(problem.n), y=np.zeros(problem.m),
-                          u=np.zeros(problem.p), z_equiv=np.zeros(problem.p))
+        engine = AdmmEngine(problem, gamma, 0.9)
+        y, u = np.zeros(problem.m), np.zeros(problem.p)
         for _ in range(5):
-            state = admm_step(problem, gamma, 0.9, state)
-            expect = gamma * (state.u - problem.B @ state.y)
-            assert np.linalg.norm(state.z_equiv - expect) <= 1e-12
+            _, y, u = engine.step(y, u)
+            expect = gamma * (u - problem.B @ y)
+            assert np.linalg.norm(engine.z_equiv(y, u) - expect) <= 1e-12
 
 
 class TestAdmmSolve:
@@ -142,6 +139,27 @@ class TestAdmmSolve:
                                     tol=1e-14, max_iters=3)
         assert not trace.converged
         assert trace.iterations == 3
+
+    def test_rejects_max_iters_below_one(self, rng):
+        problem = random_qp(rng)
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                admm_solve(problem, gamma=1.0, alpha=0.5, max_iters=bad)
+
+    def test_contraction_ratios_match_z_history(self, rng):
+        problem = random_qp(rng)
+        _, _, _, pre = admm_solve(problem, 1.0, 0.5, tol=1e-13,
+                                  max_iters=60000)
+        ref = pre.z_final
+        _, _, _, trace = admm_solve(problem, 1.0, 0.5, tol=1e-13,
+                                    max_iters=60000,
+                                    z0=ref + rng.normal(size=problem.p),
+                                    reference=ref)
+        dist = [float(np.linalg.norm(z - ref)) for z in trace.z_history]
+        expect = [b / a if a > 1e-300 else float("nan")
+                  for a, b in zip(dist, dist[1:])]
+        assert len(expect) == trace.iterations
+        np.testing.assert_array_equal(trace.contraction_ratios, expect)
 
     def test_divergence_stops_without_raising(self):
         # Dual extremal instance (kappa 100, theta = zeta = 1) at the dual

@@ -21,6 +21,7 @@ from proxsplit.bench import (
     run_sweep,
     sweep_gamma_star,
 )
+from proxsplit import bench
 from proxsplit.admm import admm_solve
 from proxsplit.errors import CapabilityError
 from proxsplit.prox import QuadraticAffine, Separable
@@ -133,6 +134,18 @@ class TestGenMpc:
 
 
 class TestSweep:
+    def test_history_cap_is_reported_in_note(self, monkeypatch):
+        # 85 iterations at gamma*; the patched budget caps the run at
+        # 220 // 20 - 1 = 10
+        problem = gen_lasso(LassoSpec(n=20, m=30, nnz_per_row=3, seed=0))
+        gamma = sweep_gamma_star(problem)
+        assert run_sweep(problem, 1.0, [gamma]).entries[0].note == ""
+        monkeypatch.setattr(bench, "HISTORY_SCALAR_BUDGET", 220)
+        entry = run_sweep(problem, 1.0, [gamma]).entries[0]
+        assert not entry.converged
+        assert entry.iterations_actual is None
+        assert "10 iterations" in entry.note
+
     def test_log_grid(self):
         grid = log_gamma_grid(0.01, 100.0, 5)
         assert np.allclose(grid, [0.01, 0.1, 1.0, 10.0, 100.0])

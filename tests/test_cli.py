@@ -98,6 +98,23 @@ def test_mpc_csv(tmp_path):
     assert fields[3] == "1"
 
 
+def _iterations_column(path):
+    lines = path.read_text().strip().splitlines()
+    return [int(row.split(",")[1]) for row in lines[3:]]
+
+
+@pytest.mark.parametrize("args, expect", [
+    (["lasso"], [1819, 807, 304, 99, 30, 75, 241, 763, 2413]),
+    (["lasso", "--metric", "auto"],
+     [1638, 570, 215, 73, 24, 56, 179, 566, 1791]),
+    (["mpc"], [862]),
+])
+def test_desk_iteration_counts_pinned(tmp_path, args, expect):
+    out = tmp_path / "desk.csv"
+    assert cli_main(args + ["--out", str(out)]) == EXIT_OK
+    assert _iterations_column(out) == expect
+
+
 def test_metric_report_json(tmp_path):
     out = tmp_path / "metric.json"
     code = cli_main(["metric-report", "--seed", "1", "--out", str(out)])

@@ -193,6 +193,19 @@ class TestTrace:
         assert float(first[1]) > 0
         assert float(first[2]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_contraction_ratios_match_z_history(self, rng):
+        cfg = DrConfig(gamma=0.3, alpha=0.9, max_iters=400, tol=1e-13)
+        f = Quadratic(np.diag([5.0, 0.5]), np.array([0.2, -0.4]))
+        g = sample_catalog_fn(rng, 2)
+        ref = dr_solve(f, g, cfg, np.zeros(2)).z_final
+        trace = dr_solve(f, g, cfg, rng.normal(size=2), reference=ref)
+        dist = [float(np.linalg.norm(z - ref)) for z in trace.z_history]
+        expect = [b / a if a > 1e-300 else float("nan")
+                  for a, b in zip(dist, dist[1:])]
+        assert len(expect) == trace.iterations
+        assert trace.distances == dist
+        np.testing.assert_array_equal(trace.contraction_ratios, expect)
+
     def test_csv_ratio_column_empty_without_reference(self):
         cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=5, tol=1e-15)
         trace = dr_solve(worst_quadratic(), Zero(2), cfg,
