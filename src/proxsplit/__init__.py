@@ -36,7 +36,6 @@ from .linmetric import (
     DiagonalMetric,
     Matrix,
     SpectralSummary,
-    apply_pseudo_inverse,
     kkt_p11,
     smallest_singular_value,
     spectral_summary,
@@ -54,17 +53,12 @@ from .prox import (
     IndicatorAffine,
     IndicatorZero,
     ProxFn,
-    ProxQuery,
     PwlPenalty,
     Quadratic,
     QuadraticAffine,
     Separable,
     WeightedL1,
     Zero,
-    dual_prox_d1,
-    prox,
-    prox_conjugate,
-    reflected_prox,
 )
 from .rates import (
     DualRegularity,

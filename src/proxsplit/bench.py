@@ -23,7 +23,6 @@ from .metric import (
     MetricObjective,
     dual_condition_number,
     gamma_from_metric,
-    heuristic_affine_case,
     pseudo_condition_of,
     select_diagonal_metric,
 )
@@ -37,8 +36,8 @@ from .prox import (
 )
 from .rates import (
     DualRegularity,
-    Regularity,
     contraction_factor,
+    dual_curvature,
     dual_regularity,
     iteration_bound,
     optimal_parameters,
@@ -226,12 +225,11 @@ def mpc_metric_objective(problem: EqConstrainedProblem,
     f = problem.f
     if not isinstance(f, QuadraticAffine):
         raise CapabilityError("expected a quadratic-on-affine smooth term")
-    if identity:
-        p11 = kkt_p11(f.Q, f.L)
-        s = problem.A @ p11 @ problem.A.T
-        return pseudo_condition_of(DiagonalMetric.identity(problem.p),
-                                   0.5 * (s + s.T), mode="heuristic_p11")
-    return heuristic_affine_case(f.Q, f.L, problem.A)
+    s = problem.A @ kkt_p11(f.Q, f.L) @ problem.A.T
+    s = 0.5 * (s + s.T)
+    e = (DiagonalMetric.identity(problem.p) if identity
+         else select_diagonal_metric(s, mode="heuristic"))
+    return pseudo_condition_of(e, s, mode="heuristic_p11")
 
 
 # -------------------------------------------------------------------- sweep
@@ -280,21 +278,18 @@ class SweepResult:
 def problem_dual_regularity(problem: EqConstrainedProblem,
                             metric: DiagonalMetric | None = None
                             ) -> DualRegularity:
-    """Dual regularity of a problem, exact for quadratic smooth terms.
+    """Exact dual regularity of a problem with a strongly convex quadratic.
 
-    Raises CapabilityError when the smooth term carries no strong
-    convexity, and RankDeficiencyError when the constraint operator is not
+    Raises CapabilityError when the smooth term is not a positive definite
+    quadratic, and RankDeficiencyError when the constraint operator is not
     surjective; in both cases no rate certificate exists.
     """
     f = problem.f
+    if not isinstance(f, Quadratic) or not f.is_positive_definite:
+        raise CapabilityError(
+            "no rate certificate: smooth term is not strongly convex")
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    if isinstance(f, Quadratic) and f.is_positive_definite:
-        return dual_regularity(None, problem.A, metric=e, h=f.Q, l=f.Q)
-    if f.regularity is not None and f.regularity[0] > 0:
-        reg = Regularity(sigma=f.regularity[0], beta=f.regularity[1])
-        return dual_regularity(reg, problem.A, metric=e)
-    raise CapabilityError(
-        "no rate certificate: smooth term is not strongly convex")
+    return dual_regularity(None, problem.A, metric=e, h=f.Q)
 
 
 def sweep_gamma_star(problem: EqConstrainedProblem,
@@ -330,8 +325,10 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
     below one.  Capability errors are recorded per point, never raised.
     The run keeps its z-history, so ``max_iters`` is lowered to
     ``HISTORY_SCALAR_BUDGET // p - 1``; a point stopped by that lower cap
-    says so in its ``note``.
+    says so in its ``note``.  ``tol`` must lie in (0, 1).
     """
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     scaled = problem.scaled(metric) if metric is not None else problem
     try:
         dual = problem_dual_regularity(problem, metric)
@@ -467,10 +464,8 @@ def lasso_metric(problem: EqConstrainedProblem,
     if not isinstance(f, Quadratic) or not f.is_positive_definite:
         raise CapabilityError("metric selection needs a strongly convex "
                               "quadratic smooth term")
-    hinv = np.linalg.inv(f.Q)
-    s = problem.A @ hinv @ problem.A.T
-    return select_diagonal_metric(0.5 * (s + s.T), mode="exact",
-                                  sweeps=sweeps)
+    return select_diagonal_metric(dual_curvature(problem.A, f.Q),
+                                  mode="exact", sweeps=sweeps)
 
 
 def lasso_condition_report(problem: EqConstrainedProblem,
@@ -482,4 +477,4 @@ def lasso_condition_report(problem: EqConstrainedProblem,
         raise CapabilityError("condition report needs a strongly convex "
                               "quadratic smooth term")
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_condition_number(e, problem.A, f.Q, f.Q)
+    return dual_condition_number(e, problem.A, f.Q)

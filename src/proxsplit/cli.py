@@ -172,8 +172,8 @@ def _cmd_rates_table(args) -> int:
     except ValueError:
         print("invalid --kappa-grid", file=sys.stderr)
         return EXIT_USAGE
-    if not kappas or any(k < 1 for k in kappas):
-        print("--kappa-grid needs values >= 1", file=sys.stderr)
+    if not kappas or not all(1 <= k < float("inf") for k in kappas):
+        print("--kappa-grid needs finite values >= 1", file=sys.stderr)
         return EXIT_USAGE
     curves: dict[str, list[float]] = {}
     for kappa in kappas:
@@ -229,8 +229,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except ProxsplitError as exc:
+    except (ProxsplitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

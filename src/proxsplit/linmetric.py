@@ -263,24 +263,6 @@ def kkt_p11(q, l) -> np.ndarray:
     return sol[:n, :]
 
 
-def apply_pseudo_inverse(q, v: np.ndarray,
-                         zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse of symmetric psd ``q`` to ``v``.
-
-    Eigenvalues below ``zero_tol * lambda_max`` are treated as exact zeros,
-    so components of ``v`` outside the range of ``q`` are annihilated.
-    """
-    q = _check_symmetric(_as_dense(q))
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != q.shape[0]:
-        raise DimensionMismatchError("vector length does not match Q")
-    eigvals, eigvecs = scipy.linalg.eigh(q)
-    tol_abs = zero_tol * max(float(eigvals[-1]), 0.0)
-    inv = np.where(eigvals > tol_abs, 1.0 / np.where(eigvals > tol_abs,
-                                                     eigvals, 1.0), 0.0)
-    return eigvecs @ (inv * (eigvecs.T @ v))
-
-
 def pseudo_inverse(q, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """Dense Moore-Penrose pseudo-inverse of a symmetric psd matrix."""
     q = _check_symmetric(_as_dense(q))
@@ -291,10 +273,9 @@ def pseudo_inverse(q, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     return (eigvecs * inv) @ eigvecs.T
 
 
-def smallest_singular_value(a, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
-    """Smallest singular value of a full-row-rank m x n matrix (m <= n).
+def _row_rank_svdvals(a, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Descending singular values of a full-row-rank m x n matrix (m <= n).
 
-    This is the largest constant t with ||A^T mu|| >= t ||mu|| for all mu.
     Raises RankDeficiencyError when the matrix does not have full row rank.
     """
     a = _as_dense(a)
@@ -304,9 +285,17 @@ def smallest_singular_value(a, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
         raise DimensionMismatchError(
             "expected at least as many columns as rows (m <= n)")
     svals = scipy.linalg.svdvals(a)
-    smallest = float(svals[-1])
-    if smallest <= zero_tol * float(svals[0]):
+    if svals[-1] <= zero_tol * svals[0]:
         raise RankDeficiencyError(
             f"matrix of shape {a.shape} is row-rank deficient "
-            f"(smallest singular value {smallest:.3e})")
-    return smallest
+            f"(smallest singular value {svals[-1]:.3e})")
+    return svals
+
+
+def smallest_singular_value(a, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
+    """Smallest singular value of a full-row-rank m x n matrix (m <= n).
+
+    This is the largest constant t with ||A^T mu|| >= t ||mu|| for all mu.
+    Raises RankDeficiencyError when the matrix does not have full row rank.
+    """
+    return float(_row_rank_svdvals(a, zero_tol)[-1])

@@ -1,11 +1,12 @@
 """Diagonal metric (preconditioner) selection for the dual splitting.
 
-The step-size theory says the dual condition number
-lambda_max(E A H^-1 A^T E^T) / lambda_min(E A L^-1 A^T E^T) governs the
-certified rate, so a diagonal E is chosen to shrink it.  When the
-regularity assumptions fail, the same recipe runs on a pseudo condition
-number (smallest nonzero eigenvalue in the denominator) of A Q^+ A^T or of
-A P11 A^T with P11 the top-left block of the inverse KKT matrix.
+The step-size theory says the dual condition number, the ratio of the
+extreme eigenvalues of E S E^T for the dual curvature S = A H^-1 A^T,
+governs the certified rate, so a diagonal E is chosen to shrink it.  When
+the regularity assumptions fail, the same recipe runs on a pseudo condition
+number (smallest nonzero eigenvalue in the denominator) with A Q^+ A^T or
+A P11 A^T in place of S, P11 the top-left block of the inverse KKT matrix.
+Every objective is one eigendecomposition of one scaled matrix.
 
 The minimizer used here is iterated symmetric row-norm equilibration with a
 guaranteed fallback to the identity, so the selected metric never makes the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .errors import RankDeficiencyError
 from .linmetric import (
     DiagonalMetric,
     _as_dense,
-    apply_pseudo_inverse,
     kkt_p11,
+    pseudo_inverse,
     spectral_summary,
 )
 from .rates import dual_regularity
@@ -67,32 +68,30 @@ def gamma_from_metric(obj: MetricObjective) -> float:
     return 1.0 / math.sqrt(obj.numerator * obj.denominator)
 
 
-def dual_condition_number(metric: DiagonalMetric, a, h, l) -> MetricObjective:
-    """Exact objective lambda_max(EAH^-1A^TE^T)/lambda_min(EAL^-1A^TE^T).
+def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
+    """Exact objective lambda_max / lambda_min of E S E^T, S = A H^-1 A^T.
 
     The two eigenvalues are the metric-form dual constants of
     :func:`~proxsplit.rates.dual_regularity`.
     """
-    dual = dual_regularity(None, a, metric=metric, h=h, l=l)
+    dual = dual_regularity(None, a, metric=metric, h=h)
     return MetricObjective(mode="exact", numerator=dual.beta_hat,
                            denominator=dual.sigma_hat,
                            value=dual.beta_hat / dual.sigma_hat,
                            metric=metric)
 
 
-def pseudo_condition_number(metric: DiagonalMetric, a,
-                            qdag_apply: Callable[[np.ndarray], np.ndarray],
+def pseudo_condition_number(metric: DiagonalMetric, a, q,
                             zero_tol: float = PSEUDO_ZERO_TOL,
                             mode: Mode = "heuristic_pinv") -> MetricObjective:
     """Pseudo condition number lambda_max / lambda_min>0 of E A Q^+ A^T E^T.
 
-    ``qdag_apply`` applies the pseudo-inverse of the curvature matrix to a
-    vector (or to the columns of a matrix one at a time).
+    ``q`` is the symmetric psd curvature matrix; its pseudo-inverse is
+    formed once, treating eigenvalues below ``zero_tol * lambda_max`` as
+    zero.
     """
     a = _as_dense(a)
-    cols = np.column_stack([qdag_apply(a.T[:, j])
-                            for j in range(a.shape[0])])
-    s = a @ cols
+    s = a @ pseudo_inverse(q, zero_tol) @ a.T
     return pseudo_condition_of(metric, 0.5 * (s + s.T), zero_tol, mode)
 
 
@@ -100,27 +99,25 @@ def pseudo_condition_of(metric: DiagonalMetric, s,
                         zero_tol: float = PSEUDO_ZERO_TOL,
                         mode: Mode = "heuristic_pinv") -> MetricObjective:
     """Pseudo condition number of an already-formed symmetric psd S."""
-    scaled = metric.scale_spectrum_matrix(_as_dense(s))
-    summary = spectral_summary(scaled, zero_tol=zero_tol)
-    if summary.lambda_max <= 0:
+    obj = _objective_value(metric, s, mode, zero_tol)
+    if obj.numerator <= 0:
         raise RankDeficiencyError("matrix has no nonzero eigenvalues")
-    return MetricObjective(mode=mode, numerator=summary.lambda_max,
-                           denominator=summary.lambda_min_pos,
-                           value=summary.lambda_max / summary.lambda_min_pos,
-                           metric=metric)
+    return obj
 
 
-def _objective_value(metric: DiagonalMetric, s: np.ndarray, mode: str,
-                     zero_tol: float) -> float:
+def _objective_value(metric: DiagonalMetric, s, mode: Mode,
+                     zero_tol: float) -> MetricObjective:
+    """Condition objective of symmetric psd S at ``metric``.
+
+    The denominator is lambda_min in exact mode and the smallest nonzero
+    eigenvalue otherwise; the value is infinite when it is zero.
+    """
     summary = spectral_summary(metric.scale_spectrum_matrix(s),
                                zero_tol=zero_tol)
-    if mode == "exact":
-        if summary.lambda_min <= 0:
-            return math.inf
-        return summary.lambda_max / summary.lambda_min
-    if summary.lambda_min_pos <= 0:
-        return math.inf
-    return summary.lambda_max / summary.lambda_min_pos
+    den = summary.lambda_min if mode == "exact" else summary.lambda_min_pos
+    value = summary.lambda_max / den if den > 0 else math.inf
+    return MetricObjective(mode=mode, numerator=summary.lambda_max,
+                           denominator=den, value=value, metric=metric)
 
 
 def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact",
@@ -154,9 +151,9 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact",
         e[nonzero] /= np.sqrt(norms[nonzero])
     candidate = DiagonalMetric(e)
     identity = DiagonalMetric.identity(n)
-    obj_mode = "exact" if mode == "exact" else "heuristic"
-    if (_objective_value(candidate, s, obj_mode, zero_tol)
-            <= _objective_value(identity, s, obj_mode, zero_tol)):
+    obj_mode = "exact" if mode == "exact" else "heuristic_pinv"
+    if (_objective_value(candidate, s, obj_mode, zero_tol).value
+            <= _objective_value(identity, s, obj_mode, zero_tol).value):
         return candidate
     return identity
 
@@ -180,8 +177,3 @@ def heuristic_affine_case(q, lc, a, sweeps: int = 10,
                                     zero_tol=zero_tol)
     return pseudo_condition_of(metric, s, zero_tol, mode="heuristic_p11")
 
-
-def pinv_applier(q, zero_tol: float = PSEUDO_ZERO_TOL):
-    """Convenience: a Q^+ applier for :func:`pseudo_condition_number`."""
-    q = _as_dense(q)
-    return lambda v: apply_pseudo_inverse(q, v, zero_tol)

@@ -14,7 +14,6 @@ quadratic kinds cache one matrix factorization per step size behind a lock.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,20 +25,6 @@ from .errors import (
     SingularKktError,
 )
 from .linmetric import _as_dense, spectral_summary
-
-
-@dataclass(frozen=True, eq=False)
-class ProxQuery:
-    """A prox evaluation request: step size gamma > 0 and query point."""
-
-    gamma: float
-    point: np.ndarray
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        pt = np.asarray(self.point, dtype=float)
-        object.__setattr__(self, "point", pt)
 
 
 class ProxFn:
@@ -84,21 +69,6 @@ class ProxFn:
     def __repr__(self) -> str:
         dim = "*" if self.dim is None else self.dim
         return f"{type(self).__name__}(dim={dim})"
-
-
-def prox(f: ProxFn, query: ProxQuery) -> np.ndarray:
-    """Minimizer of gamma*f(x) + 0.5*||x - z||^2 at z = query.point."""
-    return f.prox(query.gamma, query.point)
-
-
-def reflected_prox(f: ProxFn, query: ProxQuery) -> np.ndarray:
-    """2*prox - identity at the query point."""
-    return f.reflect(query.gamma, query.point)
-
-
-def prox_conjugate(f: ProxFn, query: ProxQuery) -> np.ndarray:
-    """Prox of gamma*f^* at the query point (Moreau identity)."""
-    return f.conjugate_prox(query.gamma, query.point)
 
 
 class Quadratic(ProxFn):
@@ -516,22 +486,13 @@ class ConjugateOf(ProxFn):
         return self.inner.conjugate_prox(gamma, z)
 
 
-def dual_prox_d1(f: Quadratic, a, c, query: ProxQuery) -> np.ndarray:
-    """Prox of gamma*d1 where d1(mu) = f^*(-A^T mu) + <c, mu>.
-
-    Requires a strictly convex quadratic f (positive definite Q), in which
-    case d1 is the quadratic with Hessian A Q^-1 A^T and linear term
-    A Q^-1 q + c, and the prox solves
-    (gamma A Q^-1 A^T + I) mu = z - gamma (A Q^-1 q + c).
-    """
-    return dual_quadratic(f, a, c).prox(query.gamma, query.point)
-
-
 def dual_quadratic(f: Quadratic, a, c) -> Quadratic:
     """The smooth dual term of a strictly convex quadratic, as a Quadratic.
 
-    d1(mu) = 0.5 mu^T (A Q^-1 A^T) mu + (A Q^-1 q + c)^T mu up to an
-    additive constant.
+    d1(mu) = f^*(-A^T mu) + <c, mu>
+           = 0.5 mu^T (A Q^-1 A^T) mu + (A Q^-1 q + c)^T mu up to an
+    additive constant, so ``prox(gamma, z)`` of the result is the prox of
+    gamma*d1: it solves (gamma A Q^-1 A^T + I) mu = z - gamma (A Q^-1 q + c).
     """
     if not isinstance(f, Quadratic):
         raise CapabilityError("dual term needs a quadratic smooth part")

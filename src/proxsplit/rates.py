@@ -18,7 +18,7 @@ from .errors import RankDeficiencyError, UnboundedIterationError
 from .linmetric import (
     DiagonalMetric,
     _as_dense,
-    smallest_singular_value,
+    _row_rank_svdvals,
     spectral_summary,
 )
 
@@ -163,49 +163,48 @@ def certificate(reg: Regularity, gamma: float) -> RateCertificate:
     )
 
 
+def dual_curvature(a, h) -> np.ndarray:
+    """S = A H^-1 A^T, symmetrized, formed with one solve against H."""
+    a = _as_dense(a)
+    s = a @ np.linalg.solve(_as_dense(h), a.T)
+    return 0.5 * (s + s.T)
+
+
 def dual_regularity(reg: Regularity | None, a, *,
                     metric: DiagonalMetric | None = None,
-                    h=None, l=None) -> DualRegularity:
+                    h=None) -> DualRegularity:
     """Regularity constants of the dual smooth term for constraint matrix A.
 
     Euclidean form (no metric): beta_hat = ||A||_2^2 / sigma and
     sigma_hat = theta^2 / beta with theta the smallest singular value of A
-    (requires A full row rank).
+    (requires A full row rank); both come from one set of singular values.
 
-    Metric form (metric E given): beta_hat = lambda_max(E A H^-1 A^T E^T)
-    and sigma_hat = lambda_min(E A L^-1 A^T E^T), where H is the matrix
-    making the smooth term 1-strongly convex and L the one making it
-    1-smooth.  For a quadratic with positive definite Hessian Q both are Q;
-    when omitted they default to sigma*I and beta*I built from ``reg``.
+    Metric form (metric E given): beta_hat and sigma_hat are the largest and
+    smallest eigenvalues of E S E^T for the dual curvature
+    S = A H^-1 A^T (:func:`dual_curvature`), where H makes the smooth term
+    1-strongly convex and 1-smooth; for a quadratic with positive definite
+    Hessian Q, H = Q.  Without ``h``, S = A A^T and the two eigenvalues are
+    divided by sigma and beta from ``reg``.
     """
     a = _as_dense(a)
     if metric is None:
         if reg is None:
             raise ValueError("Euclidean form needs regularity constants")
-        theta = smallest_singular_value(a)
-        norm_a = float(np.linalg.norm(a, 2))
-        return DualRegularity(sigma_hat=theta**2 / reg.beta,
-                              beta_hat=norm_a**2 / reg.sigma)
-    n = a.shape[1]
-    if h is None or l is None:
-        if reg is None:
-            raise ValueError("metric form needs H and L or regularity")
-        if h is None:
-            h = reg.sigma * np.eye(n)
-        if l is None:
-            l = reg.beta * np.eye(n)
-    h = _as_dense(h)
-    l = _as_dense(l)
-    ah = a @ np.linalg.solve(h, a.T)
-    al = a @ np.linalg.solve(l, a.T)
-    num = metric.scale_spectrum_matrix(0.5 * (ah + ah.T))
-    den = metric.scale_spectrum_matrix(0.5 * (al + al.T))
-    beta_hat = spectral_summary(num).lambda_max
-    sigma_hat = spectral_summary(den).lambda_min
-    if sigma_hat <= 0:
+        svals = _row_rank_svdvals(a)
+        return DualRegularity(sigma_hat=float(svals[-1])**2 / reg.beta,
+                              beta_hat=float(svals[0])**2 / reg.sigma)
+    if h is not None:
+        s, sigma, beta = dual_curvature(a, h), 1.0, 1.0
+    elif reg is not None:
+        s, sigma, beta = a @ a.T, reg.sigma, reg.beta
+    else:
+        raise ValueError("metric form needs H or regularity constants")
+    summary = spectral_summary(metric.scale_spectrum_matrix(s))
+    if summary.lambda_min <= 0:
         raise RankDeficiencyError(
-            "scaled A L^-1 A^T is singular; A must have full row rank")
-    return DualRegularity(sigma_hat=sigma_hat, beta_hat=beta_hat)
+            "scaled A H^-1 A^T is singular; A must have full row rank")
+    return DualRegularity(sigma_hat=summary.lambda_min / beta,
+                          beta_hat=summary.lambda_max / sigma)
 
 
 def iteration_bound(rate: float, tol: float) -> int:

@@ -20,7 +20,6 @@ from proxsplit import bench, worstcase
 from proxsplit.admm import EqConstrainedProblem, verify_dual_equivalence
 from proxsplit.prox import (
     Box,
-    ProxQuery,
     PwlPenalty,
     Quadratic,
     WeightedL1,

@@ -12,6 +12,7 @@ from proxsplit.bench import (
     MpcSpec,
     gen_lasso,
     gen_mpc,
+    lasso_condition_report,
     lasso_metric,
     log_gamma_grid,
     mpc_compare,
@@ -24,6 +25,7 @@ from proxsplit.bench import (
 from proxsplit import bench
 from proxsplit.admm import admm_solve
 from proxsplit.errors import CapabilityError
+from proxsplit.metric import gamma_from_metric
 from proxsplit.prox import QuadraticAffine, Separable
 from proxsplit.rng import RngStream
 from proxsplit.splitting import CSV_SCHEMA_TAG
@@ -220,6 +222,25 @@ class TestSweep:
         assert lines[1].startswith("# kind=sweep alpha=1 ")
         assert lines[2] == "gamma,iterations_actual,iterations_bound,converged"
         assert len(lines) == 4
+
+
+class TestDualConstantsAgree:
+    """The condition report, the dual constants and gamma* read one S."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        problem = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10, seed=0))
+        return problem, lasso_metric(problem)
+
+    def test_condition_report_equals_kappa_hat(self, desk):
+        problem, e = desk
+        assert (lasso_condition_report(problem, e).value
+                == problem_dual_regularity(problem, e).kappa_hat)
+
+    def test_gamma_star_equals_metric_step(self, desk):
+        problem, e = desk
+        assert sweep_gamma_star(problem, e) == gamma_from_metric(
+            lasso_condition_report(problem, e))
 
 
 class TestMpcBenchmark:

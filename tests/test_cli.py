@@ -144,3 +144,28 @@ def test_out_path_unwritable_is_usage_error(tmp_path):
     code = cli_main(["rates-table", "--kappa-grid", "1",
                      "--out", str(tmp_path / "nodir" / "x.json")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("args", [
+    ["rates-table", "--kappa-grid", "nan"],
+    ["rates-table", "--kappa-grid", "inf"],
+    ["lasso", "--gamma-points", "0"],
+    ["lasso", "--tol", "0"],
+    ["lasso", "--tol", "2"],
+    ["lasso", "--alpha", "-1"],
+    ["lasso", "--gamma-min", "-1"],
+    ["worstcase-verify", "--sigma", "-1"],
+    ["worstcase-verify", "--beta", "0.5"],
+    ["metric-report", "--problem", "{empty}"],
+    ["mpc", "--tol", "-1"],
+], ids=lambda args: "_".join(a.strip("-{}") for a in args))
+def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    out = tmp_path / "out.txt"
+    args = [a.format(empty=empty) for a in args]
+    assert cli_main(args + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()

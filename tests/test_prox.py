@@ -22,7 +22,6 @@ from proxsplit.prox import (
     ConjugateOf,
     IndicatorAffine,
     IndicatorZero,
-    ProxQuery,
     PwlPenalty,
     Quadratic,
     QuadraticAffine,
@@ -30,12 +29,8 @@ from proxsplit.prox import (
     WeightedL1,
     Zero,
     diag_scale,
-    dual_prox_d1,
     dual_quadratic,
-    prox,
-    prox_conjugate,
     proxfn_from_json,
-    reflected_prox,
 )
 
 
@@ -49,21 +44,20 @@ class TestProxValues:
         f = anisotropic_quadratic()
         for _ in range(5):
             y = rng.normal(size=2)
-            got = prox(f, ProxQuery(1.0, y))
+            got = f.prox(1.0, y)
             assert np.allclose(got, [y[0] / 5.0, y[1] / 2.0], atol=1e-14)
 
     def test_zero_is_identity(self, rng):
         z = rng.normal(size=4)
-        assert np.array_equal(prox(Zero(), ProxQuery(3.7, z)), z)
+        assert np.array_equal(Zero().prox(3.7, z), z)
 
     def test_indicator_zero_maps_to_origin(self, rng):
         z = rng.normal(size=4)
-        assert np.array_equal(prox(IndicatorZero(), ProxQuery(0.2, z)),
-                              np.zeros(4))
+        assert np.array_equal(IndicatorZero().prox(0.2, z), np.zeros(4))
 
     def test_weighted_l1_soft_threshold(self):
         f = WeightedL1([1.0, 1.0])
-        got = prox(f, ProxQuery(1.0, np.array([2.0, -0.5])))
+        got = f.prox(1.0, np.array([2.0, -0.5]))
         assert np.allclose(got, [1.0, 0.0], atol=1e-14)
         # grid-verified: the same point from the brute-force oracle
         for i, z in enumerate([2.0, -0.5]):
@@ -72,7 +66,7 @@ class TestProxValues:
 
     def test_pwl_penalty_band_edge(self):
         f = PwlPenalty(-1.0, 1.0, 10.0)
-        got = prox(f, ProxQuery(0.1, np.array([1.5])))
+        got = f.prox(0.1, np.array([1.5]))
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert golden_prox_1d(f, 0.1, 1.5) == pytest.approx(1.0, abs=1e-9)
 
@@ -80,7 +74,7 @@ class TestProxValues:
         f = PwlPenalty(-1.0, 2.0, 3.0)
         for z in (-9.0, -1.5, -1.05, 0.3, 2.2, 2.95, 8.0):
             gamma = float(10.0 ** rng.uniform(-1.5, 0.5))
-            got = prox(f, ProxQuery(gamma, np.array([z])))[0]
+            got = f.prox(gamma, np.array([z]))[0]
             assert got == pytest.approx(golden_prox_1d(f, gamma, z),
                                         abs=1e-8)
 
@@ -108,53 +102,53 @@ class TestProxValues:
 
     def test_box_clips(self):
         f = Box([-1.0, 0.0], [1.0, 2.0])
-        got = prox(f, ProxQuery(5.0, np.array([3.0, -1.0])))
+        got = f.prox(5.0, np.array([3.0, -1.0]))
         assert np.array_equal(got, [1.0, 0.0])
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            ProxQuery(0.0, np.zeros(2))
+            Zero().prox(0.0, np.zeros(2))
         with pytest.raises(ValueError):
-            ProxQuery(-1.0, np.zeros(2))
+            WeightedL1([1.0, 1.0]).prox(-1.0, np.zeros(2))
         with pytest.raises(ValueError):
             Zero().prox(-0.5, np.zeros(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
-            prox(WeightedL1([1.0, 2.0]), ProxQuery(1.0, np.zeros(3)))
+            WeightedL1([1.0, 2.0]).prox(1.0, np.zeros(3))
 
 
 class TestReflected:
     def test_anisotropic_closed_form(self, rng):
         f = anisotropic_quadratic()
         y = rng.normal(size=2)
-        got = reflected_prox(f, ProxQuery(1.0, y))
+        got = f.reflect(1.0, y)
         assert np.allclose(got, [-0.6 * y[0], 0.0 * y[1]], atol=1e-14)
 
     def test_zero_reflects_to_identity(self, rng):
         z = rng.normal(size=3)
-        assert np.allclose(reflected_prox(Zero(), ProxQuery(1.0, z)), z)
+        assert np.allclose(Zero().reflect(1.0, z), z)
 
     def test_indicator_zero_reflects_to_negation(self, rng):
         z = rng.normal(size=3)
-        got = reflected_prox(IndicatorZero(), ProxQuery(1.0, z))
+        got = IndicatorZero().reflect(1.0, z)
         assert np.allclose(got, -z)
 
 
 class TestConjugateProx:
     def test_indicator_zero_conjugate_is_zero_fn(self, rng):
         z = rng.normal(size=3)
-        got = prox_conjugate(IndicatorZero(), ProxQuery(1.0, z))
+        got = IndicatorZero().conjugate_prox(1.0, z)
         assert np.allclose(got, z, atol=1e-14)
 
     def test_zero_conjugate_is_origin_indicator(self, rng):
         z = rng.normal(size=3)
-        got = prox_conjugate(Zero(), ProxQuery(1.0, z))
+        got = Zero().conjugate_prox(1.0, z)
         assert np.allclose(got, np.zeros(3), atol=1e-14)
 
     def test_self_conjugate_squared_norm(self, rng):
         z = rng.normal(size=3)
-        got = prox_conjugate(Quadratic(np.eye(3)), ProxQuery(1.0, z))
+        got = Quadratic(np.eye(3)).conjugate_prox(1.0, z)
         assert np.allclose(got, z / 2.0, atol=1e-13)
 
     def test_moreau_identity_catalog(self, rng):
@@ -173,19 +167,19 @@ class TestDualProx:
         f = Quadratic(np.diag([4.0, 1.0]))
         a = np.diag([1.0, 3.0])
         z = rng.normal(size=2)
-        got = dual_prox_d1(f, a, np.zeros(2), ProxQuery(1.0, z))
+        got = dual_quadratic(f, a, np.zeros(2)).prox(1.0, z)
         assert np.allclose(got, [z[0] / 1.25, z[1] / 10.0], atol=1e-13)
 
     def test_identity_instance(self, rng):
         f = Quadratic(np.eye(2))
         z = rng.normal(size=2)
-        got = dual_prox_d1(f, np.eye(2), np.zeros(2), ProxQuery(1.0, z))
+        got = dual_quadratic(f, np.eye(2), np.zeros(2)).prox(1.0, z)
         assert np.allclose(got, z / 2.0, atol=1e-13)
 
     def test_linear_shift(self):
         f = Quadratic(np.eye(2))
-        got = dual_prox_d1(f, np.eye(2), np.array([1.0, 0.0]),
-                           ProxQuery(1.0, np.array([1.0, 0.0])))
+        got = dual_quadratic(f, np.eye(2), np.array([1.0, 0.0])).prox(
+            1.0, np.array([1.0, 0.0]))
         assert np.allclose(got, np.zeros(2), atol=1e-13)
 
     def test_requires_positive_definite(self):
@@ -202,7 +196,7 @@ class TestDualProx:
         c = rng.normal(size=p)
         gamma = 0.7
         z = rng.normal(size=p)
-        got = dual_prox_d1(f, a, c, ProxQuery(gamma, z))
+        got = dual_quadratic(f, a, c).prox(gamma, z)
         qinv = np.linalg.inv(f.Q)
         hess = a @ qinv @ a.T
         lin = a @ qinv @ f.q + c

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsplit.errors import RankDeficiencyError, UnboundedIterationError
+from proxsplit import rates
 from proxsplit.linmetric import DiagonalMetric
 from proxsplit.rates import (
     DualRegularity,
@@ -150,14 +151,30 @@ class TestDualRegularity:
         gram = a @ a.T
         e = DiagonalMetric(1.0 / np.sqrt(np.diag(gram)))
         base = dual_regularity(None, a, metric=DiagonalMetric.identity(3),
-                               h=h, l=h)
-        scaled = dual_regularity(None, a, metric=e, h=h, l=h)
+                               h=h)
+        scaled = dual_regularity(None, a, metric=e, h=h)
         assert scaled.kappa_hat <= base.kappa_hat
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficiencyError):
             dual_regularity(Regularity(1, 2),
                             np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+    def test_metric_form_is_one_eigendecomposition(self, monkeypatch, rng):
+        calls = []
+        real = rates.spectral_summary
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "spectral_summary", counting)
+        a = rng.normal(size=(3, 5))
+        m = rng.normal(size=(5, 5))
+        q = m @ m.T + np.eye(5)
+        e = DiagonalMetric(rng.uniform(0.5, 2.0, size=3))
+        dual_regularity(None, a, metric=e, h=q)
+        assert len(calls) == 1
 
 
 class TestIterationBound:
