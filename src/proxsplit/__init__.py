@@ -34,7 +34,6 @@ from .errors import (
 )
 from .linmetric import (
     DiagonalMetric,
-    Matrix,
     SpectralSummary,
     kkt_p11,
     smallest_singular_value,

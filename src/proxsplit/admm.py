@@ -23,7 +23,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapabilityError, DimensionMismatchError
-from .linmetric import DiagonalMetric, Matrix, _as_dense
+from .linmetric import (
+    DiagonalMetric,
+    _as_dense,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .prox import (
     ConjugateOf,
     ProxFn,
@@ -83,14 +88,14 @@ class EqConstrainedProblem:
 
     def to_json(self) -> dict:
         return {"f": self.f.to_json(), "g": self.g.to_json(),
-                "A": Matrix(self.A).to_json(), "B": Matrix(self.B).to_json(),
+                "A": matrix_to_json(self.A), "B": matrix_to_json(self.B),
                 "c": self.c.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EqConstrainedProblem":
         return cls(proxfn_from_json(obj["f"]), proxfn_from_json(obj["g"]),
-                   Matrix.from_json(obj["A"]).toarray(),
-                   Matrix.from_json(obj["B"]).toarray(),
+                   matrix_from_json(obj["A"]),
+                   matrix_from_json(obj["B"]),
                    np.asarray(obj["c"], dtype=float))
 
 

@@ -254,13 +254,6 @@ class SweepResult:
     def gamma_grid(self) -> list[float]:
         return [e.gamma for e in self.entries]
 
-    def best_gamma(self) -> float:
-        """Grid point with the fewest measured iterations."""
-        usable = [e for e in self.entries if e.iterations_actual is not None]
-        if not usable:
-            raise ValueError("no converged grid point")
-        return min(usable, key=lambda e: e.iterations_actual).gamma
-
     def to_csv(self, fileobj: io.TextIOBase) -> None:
         fileobj.write(CSV_SCHEMA_TAG + "\n")
         metric_txt = ("identity" if self.metric is None
@@ -426,17 +419,13 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
     x = np.zeros(N_STATES)
     counts: list[int] = []
     states = [x.copy()]
-    metric_obj = None
+    obj = None
     for t in range(n_samples):
         problem = gen_mpc(spec, x, references[t])
-        if metric:
-            if metric_obj is None:
-                metric_obj = mpc_metric_objective(problem)
-            obj = metric_obj
-            used = obj.metric
-        else:
-            obj = mpc_metric_objective(problem, identity=True)
-            used = None
+        if obj is None:
+            # Q, L and A are the same for every sample: only b and q move
+            obj = mpc_metric_objective(problem, identity=not metric)
+        used = obj.metric if metric else None
         gamma = gamma_from_metric(obj)
         scaled = problem.scaled(used) if used is not None else problem
         _, _, _, trace = admm_solve(scaled, gamma, alpha, tol=tol,

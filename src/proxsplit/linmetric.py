@@ -1,17 +1,16 @@
-"""Dense/sparse matrix layer and the spectral quantities the rate theory needs.
+"""JSON matrix format and the spectral quantities the rate theory needs.
 
 Everything here targets desk-scale problems: spectral computations densify
-their input and use LAPACK's symmetric eigensolver, while sparse storage is
-only exploited in matrix-vector products.
+their input and use LAPACK's symmetric eigensolver.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import (
     DimensionMismatchError,
@@ -25,120 +24,65 @@ DEFAULT_ZERO_TOL = 1e-10
 
 
 def _as_dense(a) -> np.ndarray:
-    """Coerce Matrix, scipy sparse, or array_like to a dense float ndarray."""
-    if isinstance(a, Matrix):
-        return a.toarray()
-    if scipy.sparse.issparse(a):
-        return np.asarray(a.todense(), dtype=float)
+    """Coerce array_like to a dense float ndarray."""
     return np.asarray(a, dtype=float)
 
 
-class Matrix:
-    """Immutable real matrix with dense or triplet-sparse storage.
+def _json_index(v, what: str) -> int:
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v or i < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {v!r}")
+    return i
 
-    Entries must be finite.  Duplicate triplets are canonicalized by
-    summation.  The JSON wire format is
-    ``{"rows": r, "cols": c, "triplets": [[i, j, v], ...]}`` with 0-based
-    indices.
+
+def matrix_to_json(a) -> dict:
+    """JSON wire format of a finite real matrix.
+
+    ``{"rows": r, "cols": c, "triplets": [[i, j, v], ...]}`` lists the
+    nonzeros in row-major order with 0-based indices.
     """
+    a = _as_dense(a)
+    if a.ndim != 2:
+        raise DimensionMismatchError("expected a 2-d matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    ii, jj = np.nonzero(a)
+    return {"rows": a.shape[0], "cols": a.shape[1],
+            "triplets": [[i, j, v] for i, j, v in zip(
+                ii.tolist(), jj.tolist(), a[ii, jj].tolist())]}
 
-    __slots__ = ("_data", "_sparse")
 
-    def __init__(self, data, sparse: bool = False):
-        if sparse or scipy.sparse.issparse(data):
-            mat = scipy.sparse.csr_matrix(data, dtype=float)
-            mat.sum_duplicates()
-            if not np.all(np.isfinite(mat.data)):
-                raise ValueError("matrix entries must be finite")
-            self._data = mat
-            self._sparse = True
-        else:
-            arr = np.array(data, dtype=float)
-            if arr.ndim != 2:
-                raise DimensionMismatchError("Matrix needs a 2-d array")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("matrix entries must be finite")
-            arr.flags.writeable = False
-            self._data = arr
-            self._sparse = False
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Dense matrix from the :func:`matrix_to_json` format.
 
-    @classmethod
-    def from_triplets(cls, rows: int, cols: int, triplets) -> "Matrix":
-        triplets = list(triplets)
-        if triplets:
-            ii, jj, vv = (np.array(col) for col in zip(*triplets))
-        else:
-            ii = jj = vv = np.zeros(0)
-        ii = ii.astype(int)
-        jj = jj.astype(int)
-        if len(ii) and (ii.min() < 0 or ii.max() >= rows
-                        or jj.min() < 0 or jj.max() >= cols):
+    Duplicate triplets are summed.  Raises ValueError on malformed input:
+    a non-object, non-integral or out-of-range indices or sizes, or
+    non-finite entries.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a matrix must be a JSON object")
+    rows = _json_index(obj["rows"], "rows")
+    cols = _json_index(obj["cols"], "cols")
+    triplets = obj["triplets"]
+    if not isinstance(triplets, list):
+        raise ValueError("triplets must be a list")
+    out = np.zeros((rows, cols))
+    for t in triplets:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
+            raise ValueError("each triplet must be [i, j, value]")
+        i = _json_index(t[0], "triplet index")
+        j = _json_index(t[1], "triplet index")
+        if i >= rows or j >= cols:
             raise ValueError("triplet indices out of range")
-        coo = scipy.sparse.coo_matrix((vv.astype(float), (ii, jj)),
-                                      shape=(rows, cols))
-        coo.sum_duplicates()
-        return cls(coo, sparse=True)
-
-    @property
-    def rows(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._data.shape
-
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse
-
-    def toarray(self) -> np.ndarray:
-        if self._sparse:
-            return self._data.toarray()
-        return np.array(self._data)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.cols,):
-            raise DimensionMismatchError(
-                f"matvec expects length {self.cols}, got {v.shape}")
-        return self._data @ v
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.rows,):
-            raise DimensionMismatchError(
-                f"rmatvec expects length {self.rows}, got {v.shape}")
-        return self._data.T @ v
-
-    def nnz(self) -> int:
-        if self._sparse:
-            return int(self._data.nnz)
-        return int(np.count_nonzero(self._data))
-
-    def to_json(self) -> dict:
-        if self._sparse:
-            coo = self._data.tocoo()
-            trip = sorted(zip(coo.row.tolist(), coo.col.tolist(),
-                              coo.data.tolist()))
-        else:
-            ii, jj = np.nonzero(self._data)
-            trip = [(int(i), int(j), float(self._data[i, j]))
-                    for i, j in zip(ii, jj)]
-        return {"rows": self.rows, "cols": self.cols,
-                "triplets": [[i, j, v] for i, j, v in trip]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Matrix":
-        return cls.from_triplets(int(obj["rows"]), int(obj["cols"]),
-                                 obj["triplets"])
-
-    def __repr__(self) -> str:
-        kind = "sparse" if self._sparse else "dense"
-        return f"Matrix({self.rows}x{self.cols}, {kind}, nnz={self.nnz()})"
+        if not isinstance(t[2], numbers.Real):
+            raise ValueError("matrix entries must be numbers")
+        out[i, j] += t[2]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +101,6 @@ class DiagonalMetric:
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-    def metric_matrix(self) -> np.ndarray:
-        """K = E^T E (diagonal with squared entries)."""
-        return np.diag(self.diag**2)
 
     def scale_spectrum_matrix(self, s) -> np.ndarray:
         """E S E^T for symmetric S (diagonal E, so E^T = E)."""

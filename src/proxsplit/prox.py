@@ -24,7 +24,14 @@ from .errors import (
     InfeasibleConstraintError,
     SingularKktError,
 )
-from .linmetric import _as_dense, spectral_summary
+from .linmetric import (
+    _as_dense,
+    _check_symmetric,
+    matrix_from_json,
+    matrix_to_json,
+    spectral_summary,
+)
+from .rates import dual_curvature
 
 
 class ProxFn:
@@ -82,13 +89,7 @@ class Quadratic(ProxFn):
     kind = "quadratic"
 
     def __init__(self, q_matrix, q_vector=None):
-        qm = _as_dense(q_matrix)
-        if qm.ndim != 2 or qm.shape[0] != qm.shape[1]:
-            raise DimensionMismatchError("Q must be square")
-        if np.abs(qm - qm.T).max(initial=0.0) > 1e-10 * max(
-                1.0, np.abs(qm).max(initial=0.0)):
-            raise ValueError("Q must be symmetric")
-        qm = 0.5 * (qm + qm.T)
+        qm = _check_symmetric(_as_dense(q_matrix))
         n = qm.shape[0]
         qv = np.zeros(n) if q_vector is None else np.asarray(q_vector,
                                                              dtype=float)
@@ -128,16 +129,8 @@ class Quadratic(ProxFn):
         return scipy.linalg.cho_solve(self._factor(gamma),
                                       z - gamma * self.q)
 
-    def solve_shifted(self, rho: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (Q + rho*I) x = rhs (used by dual constructions)."""
-        if rho < 0:
-            raise ValueError("rho must be >= 0")
-        return scipy.linalg.solve(self.Q + rho * np.eye(self.dim), rhs,
-                                  assume_a="pos")
-
     def to_json(self) -> dict:
-        from .linmetric import Matrix
-        return {"kind": self.kind, "Q": Matrix(self.Q).to_json(),
+        return {"kind": self.kind, "Q": matrix_to_json(self.Q),
                 "q": self.q.tolist()}
 
 
@@ -152,7 +145,7 @@ class QuadraticAffine(ProxFn):
     kind = "quadratic_affine"
 
     def __init__(self, q_matrix, q_vector, l_matrix, b_vector):
-        qm = _as_dense(q_matrix)
+        qm = _check_symmetric(_as_dense(q_matrix))
         n = qm.shape[0]
         qv = (np.zeros(n) if q_vector is None
               else np.asarray(q_vector, dtype=float))
@@ -162,10 +155,7 @@ class QuadraticAffine(ProxFn):
         bv = np.asarray(b_vector, dtype=float).ravel()
         if lm.shape[1] != n or bv.shape[0] != lm.shape[0]:
             raise DimensionMismatchError("L, b shapes inconsistent with Q")
-        if np.abs(qm - qm.T).max(initial=0.0) > 1e-10 * max(
-                1.0, np.abs(qm).max(initial=0.0)):
-            raise ValueError("Q must be symmetric")
-        self.Q = 0.5 * (qm + qm.T)
+        self.Q = qm
         self.q = qv
         self.L = lm
         self.b = bv
@@ -213,9 +203,8 @@ class QuadraticAffine(ProxFn):
         return x
 
     def to_json(self) -> dict:
-        from .linmetric import Matrix
-        return {"kind": self.kind, "Q": Matrix(self.Q).to_json(),
-                "q": self.q.tolist(), "L": Matrix(self.L).to_json(),
+        return {"kind": self.kind, "Q": matrix_to_json(self.Q),
+                "q": self.q.tolist(), "L": matrix_to_json(self.L),
                 "b": self.b.tolist()}
 
 
@@ -301,8 +290,7 @@ class IndicatorAffine(ProxFn):
         return z - self._pinv @ (self.L @ z - self.b)
 
     def to_json(self) -> dict:
-        from .linmetric import Matrix
-        return {"kind": self.kind, "L": Matrix(self.L).to_json(),
+        return {"kind": self.kind, "L": matrix_to_json(self.L),
                 "b": self.b.tolist()}
 
 
@@ -506,10 +494,8 @@ def dual_quadratic(f: Quadratic, a, c) -> Quadratic:
          else np.asarray(c, dtype=float).ravel())
     if c.shape[0] != a.shape[0]:
         raise DimensionMismatchError("c must match A's row count")
-    qinv_at = f.solve_shifted(0.0, a.T)
-    hess = a @ qinv_at
     lin = a @ scipy.linalg.solve(f.Q, f.q, assume_a="pos") + c
-    return Quadratic(0.5 * (hess + hess.T), lin)
+    return Quadratic(dual_curvature(a, f.Q), lin)
 
 
 def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
@@ -559,22 +545,21 @@ def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
 
 def proxfn_from_json(obj: dict) -> ProxFn:
     """Rebuild a catalog member from its tagged-union JSON encoding."""
-    from .linmetric import Matrix
     kind = obj.get("kind")
     if kind == "quadratic":
-        return Quadratic(Matrix.from_json(obj["Q"]).toarray(),
+        return Quadratic(matrix_from_json(obj["Q"]),
                          np.asarray(obj["q"], dtype=float))
     if kind == "quadratic_affine":
-        return QuadraticAffine(Matrix.from_json(obj["Q"]).toarray(),
+        return QuadraticAffine(matrix_from_json(obj["Q"]),
                                np.asarray(obj["q"], dtype=float),
-                               Matrix.from_json(obj["L"]).toarray(),
+                               matrix_from_json(obj["L"]),
                                np.asarray(obj["b"], dtype=float))
     if kind == "zero":
         return Zero(obj.get("dim"))
     if kind == "indicator_zero":
         return IndicatorZero(obj.get("dim"))
     if kind == "indicator_affine":
-        return IndicatorAffine(Matrix.from_json(obj["L"]).toarray(),
+        return IndicatorAffine(matrix_from_json(obj["L"]),
                                np.asarray(obj["b"], dtype=float))
     if kind == "box":
         return Box(obj["lo"], obj["hi"])

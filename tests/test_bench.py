@@ -15,6 +15,7 @@ from proxsplit.bench import (
     lasso_condition_report,
     lasso_metric,
     log_gamma_grid,
+    mpc_closed_loop,
     mpc_compare,
     mpc_metric_objective,
     pitch_reference,
@@ -25,6 +26,7 @@ from proxsplit.bench import (
 from proxsplit import bench
 from proxsplit.admm import admm_solve
 from proxsplit.errors import CapabilityError
+from proxsplit.linmetric import kkt_p11
 from proxsplit.metric import gamma_from_metric
 from proxsplit.prox import QuadraticAffine, Separable
 from proxsplit.rng import RngStream
@@ -265,3 +267,16 @@ class TestMpcBenchmark:
         problem = gen_mpc(MpcSpec(horizon=1), np.zeros(4), np.zeros(4))
         with pytest.raises(CapabilityError):
             lasso_metric(problem)
+
+    def test_closed_loop_forms_the_objective_once(self, monkeypatch):
+        calls = []
+
+        def counting_kkt_p11(q, l):
+            calls.append(1)
+            return kkt_p11(q, l)
+
+        monkeypatch.setattr(bench, "kkt_p11", counting_kkt_p11)
+        out = mpc_closed_loop(MpcSpec(), pitch_reference(3), tol=1e-4,
+                              metric=False)
+        assert len(out["iterations"]) == 3
+        assert len(calls) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from proxsplit.admm import EqConstrainedProblem
 from proxsplit.cli import EXIT_CAPABILITY, EXIT_OK, EXIT_USAGE, cli_main
-from proxsplit.prox import WeightedL1, Zero
+from proxsplit.prox import Quadratic, WeightedL1, Zero
 from proxsplit.splitting import CSV_SCHEMA_TAG
 
 
@@ -146,6 +146,18 @@ def test_out_path_unwritable_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+_EYE2 = {"rows": 2, "cols": 2, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]}
+# each is read as A of an otherwise valid problem file
+_MALFORMED_A = {
+    "triplets_not_list": {**_EYE2, "triplets": 5},
+    "triplet_of_two": {**_EYE2, "triplets": [[0, 0], [1, 1, 1.0]]},
+    "index_fraction": {**_EYE2, "triplets": [[0.5, 0, 1.0], [1, 1, 1.0]]},
+    "rows_fraction": {**_EYE2, "rows": 2.7},
+    "cols_negative": {**_EYE2, "cols": -1},
+    "matrix_not_object": 5,
+}
+
+
 @pytest.mark.parametrize("args", [
     ["rates-table", "--kappa-grid", "nan"],
     ["rates-table", "--kappa-grid", "inf"],
@@ -157,13 +169,25 @@ def test_out_path_unwritable_is_usage_error(tmp_path):
     ["worstcase-verify", "--sigma", "-1"],
     ["worstcase-verify", "--beta", "0.5"],
     ["metric-report", "--problem", "{empty}"],
+    ["metric-report", "--problem", "{triplets_not_list}"],
+    ["metric-report", "--problem", "{triplet_of_two}"],
+    ["metric-report", "--problem", "{index_fraction}"],
+    ["metric-report", "--problem", "{rows_fraction}"],
+    ["metric-report", "--problem", "{cols_negative}"],
+    ["metric-report", "--problem", "{matrix_not_object}"],
     ["mpc", "--tol", "-1"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
+    paths = {"empty": tmp_path / "empty.json"}
+    paths["empty"].write_text("{}")
+    problem = EqConstrainedProblem(
+        f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
+        B=-np.eye(2), c=np.zeros(2)).to_json()
+    for name, bad_a in _MALFORMED_A.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**problem, "A": bad_a}))
     out = tmp_path / "out.txt"
-    args = [a.format(empty=empty) for a in args]
+    args = [a.format(**paths) for a in args]
     assert cli_main(args + ["--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1

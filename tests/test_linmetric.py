@@ -1,8 +1,12 @@
-"""Spectral layer: summaries, KKT block inverse, pseudo-inverse, SVD floor."""
+"""JSON matrix format, spectral summaries, KKT block, pseudo-inverse."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from proxsplit.bench import LassoSpec, MpcSpec, gen_lasso, gen_mpc
 from proxsplit.errors import (
     NonSymmetricError,
     RankDeficiencyError,
@@ -10,8 +14,9 @@ from proxsplit.errors import (
 )
 from proxsplit.linmetric import (
     DiagonalMetric,
-    Matrix,
     kkt_p11,
+    matrix_from_json,
+    matrix_to_json,
     pseudo_inverse,
     smallest_singular_value,
     spectral_summary,
@@ -169,37 +174,39 @@ class TestSmallestSingularValue:
 
 class TestMatrix:
     def test_triplet_roundtrip_and_canonicalization(self):
-        m = Matrix.from_triplets(2, 3, [(0, 1, 2.0), (1, 2, -1.0),
-                                        (0, 1, 3.0)])
-        dense = m.toarray()
+        dense = matrix_from_json({"rows": 2, "cols": 3, "triplets": [
+            [0, 1, 2.0], [1, 2, -1.0], [0, 1, 3.0]]})
         assert dense[0, 1] == 5.0  # duplicates summed
-        again = Matrix.from_json(m.to_json())
-        assert np.array_equal(again.toarray(), dense)
+        again = matrix_from_json(matrix_to_json(dense))
+        assert np.array_equal(again, dense)
 
     def test_dense_json_roundtrip(self):
-        m = Matrix(np.array([[1.0, 0.0], [0.5, 2.0]]))
-        again = Matrix.from_json(m.to_json())
-        assert np.array_equal(again.toarray(), m.toarray())
+        m = np.array([[1.0, 0.0], [0.5, 2.0]])
+        assert matrix_to_json(m) == {"rows": 2, "cols": 2, "triplets": [
+            [0, 0, 1.0], [1, 0, 0.5], [1, 1, 2.0]]}
+        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):
-            Matrix.from_triplets(2, 2, [(2, 0, 1.0)])
+            matrix_from_json({"rows": 2, "cols": 2,
+                              "triplets": [[2, 0, 1.0]]})
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            Matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            matrix_to_json(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 2, "cols": 2,
+                              "triplets": [[0, 0, float("nan")]]})
 
-    def test_matvec_sparse_equals_dense(self, rng):
-        dense = rng.normal(size=(4, 6))
-        dense[dense < 0.5] = 0.0
-        m = Matrix(dense)
-        ii, jj = np.nonzero(dense)
-        ms = Matrix.from_triplets(4, 6, [(i, j, dense[i, j])
-                                         for i, j in zip(ii, jj)])
-        v = rng.normal(size=6)
-        assert np.allclose(m.matvec(v), ms.matvec(v), atol=1e-12)
-        w = rng.normal(size=4)
-        assert np.allclose(m.rmatvec(w), ms.rmatvec(w), atol=1e-12)
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: gen_lasso(LassoSpec(50, 75, 10, 0)),
+         "c9b16b77c25916016d26fbfe9caafecdf2cbabf59e38f50f51bb4f91f2d85042"),
+        (lambda: gen_mpc(MpcSpec(), np.zeros(4), np.array([0, 0, 0, 10.0])),
+         "2060fecae5cf36fab61ad8867e08527aff619bcefd2b77ecdc0516cb2598e703"),
+    ], ids=["desk_lasso", "mpc"])
+    def test_wire_format_pinned(self, make, digest):
+        text = json.dumps(make().to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDiagonalMetric:
@@ -209,13 +216,9 @@ class TestDiagonalMetric:
         with pytest.raises(ValueError):
             DiagonalMetric(np.array([1.0, -2.0]))
 
-    def test_metric_matrix_is_squared_diag(self):
-        e = DiagonalMetric(np.array([2.0, 3.0]))
-        assert np.array_equal(e.metric_matrix(), np.diag([4.0, 9.0]))
-
     def test_scale_spectrum(self, rng):
         e = DiagonalMetric(np.array([2.0, 0.5, 1.5]))
         s = rng.normal(size=(3, 3))
         s = s + s.T
-        expect = e.as_matrix() @ s @ e.as_matrix()
+        expect = np.diag(e.diag) @ s @ np.diag(e.diag)
         assert np.allclose(e.scale_spectrum_matrix(s), expect, atol=1e-14)

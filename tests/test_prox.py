@@ -16,6 +16,7 @@ from proxsplit.errors import (
     CapabilityError,
     DimensionMismatchError,
     InfeasibleConstraintError,
+    NonSymmetricError,
 )
 from proxsplit.prox import (
     Box,
@@ -116,6 +117,16 @@ class TestProxValues:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             WeightedL1([1.0, 2.0]).prox(1.0, np.zeros(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda q: Quadratic(q),
+        lambda q: QuadraticAffine(q, None, np.zeros((0, 2)), np.zeros(0)),
+    ], ids=["quadratic", "quadratic_affine"])
+    def test_q_must_be_square_and_symmetric(self, make):
+        with pytest.raises(DimensionMismatchError):
+            make(np.ones((2, 3)))
+        with pytest.raises(NonSymmetricError):
+            make(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestReflected:
