@@ -26,6 +26,8 @@ from .errors import CapabilityError, DimensionMismatchError
 from .linmetric import (
     DiagonalMetric,
     _as_dense,
+    _json_object,
+    _json_vector,
     matrix_from_json,
     matrix_to_json,
 )
@@ -34,6 +36,7 @@ from .prox import (
     ProxFn,
     Quadratic,
     QuadraticAffine,
+    _finite,
     diag_scale,
     dual_quadratic,
     proxfn_from_json,
@@ -93,10 +96,10 @@ class EqConstrainedProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EqConstrainedProblem":
+        obj = _json_object(obj, "a problem")
         return cls(proxfn_from_json(obj["f"]), proxfn_from_json(obj["g"]),
-                   matrix_from_json(obj["A"]),
-                   matrix_from_json(obj["B"]),
-                   np.asarray(obj["c"], dtype=float))
+                   matrix_from_json(obj["A"]), matrix_from_json(obj["B"]),
+                   _json_vector(obj["c"], "c"))
 
 
 def _diagonal_signature(m: np.ndarray) -> tuple[int, np.ndarray] | None:
@@ -113,14 +116,18 @@ def _diagonal_signature(m: np.ndarray) -> tuple[int, np.ndarray] | None:
     return None
 
 
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v, where a 1-d m stands for diag(m)."""
+    return m * v if m.ndim == 1 else m @ v
+
+
 class _XUpdate:
     """Closed-form solver for argmin_x f(x) + (gamma/2)||A x - v||^2."""
 
-    def __init__(self, problem: EqConstrainedProblem, gamma: float):
+    def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         f, a = problem.f, problem.A
         self.gamma = gamma
-        self.a = a
-        diag = _diagonal_signature(a)
+        self.at = a.T if sig is None else sig[0] * sig[1]  # A^T, or diag(A)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
             self.fac = scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
@@ -133,12 +140,10 @@ class _XUpdate:
                 [f.L, np.zeros((p, p))],
             ]))
             self.q, self.b, self.n = f.q, f.b, n
-        elif diag is not None:
+        elif sig is not None:
             # A = sign*diag(d): substitute t = A x and prox the rescaled f.
             self.mode = "prox"
-            sign, d = diag
-            self.sign, self.d = sign, d
-            self.scaled_f = diag_scale(f, d, sign)
+            self.scaled_f = diag_scale(f, sig[1], sig[0])
         else:
             raise CapabilityError(
                 "x-update has no closed form: f must be quadratic (optionally "
@@ -147,37 +152,38 @@ class _XUpdate:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.mode == "quadratic":
-            return scipy.linalg.cho_solve(
-                self.fac, self.gamma * (self.a.T @ v) - self.q)
+            return scipy.linalg.cho_solve(self.fac, _finite(
+                self.gamma * _apply(self.at, v) - self.q), check_finite=False)
         if self.mode == "quadratic_affine":
-            rhs = np.concatenate([self.gamma * (self.a.T @ v) - self.q,
+            rhs = np.concatenate([self.gamma * _apply(self.at, v) - self.q,
                                   self.b])
-            return scipy.linalg.lu_solve(self.fac, rhs)[:self.n]
-        t = self.scaled_f.prox(1.0 / self.gamma, v)
-        return self.sign * t / self.d
+            return scipy.linalg.lu_solve(self.fac, _finite(rhs),
+                                         check_finite=False)[:self.n]
+        return self.scaled_f.prox(1.0 / self.gamma, v) / self.at
 
 
 class _YUpdate:
     """Closed-form solver for argmin_y g(y) + (gamma/2)||B y - v||^2."""
 
-    def __init__(self, problem: EqConstrainedProblem, gamma: float):
-        g, b = problem.g, problem.B
+    def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         self.gamma = gamma
-        diag = _diagonal_signature(b)
-        if diag is None:
+        if sig is None:
             raise CapabilityError(
                 "y-update has no closed form: B must be +/- identity or "
                 "+/- a positive diagonal so the update reduces to a prox")
-        self.sign, self.d = diag
-        self.scaled_g = diag_scale(g, self.d, self.sign)
+        self.scaled_g = diag_scale(problem.g, sig[1], sig[0])
+        self.s = sig[0] * sig[1]
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        t = self.scaled_g.prox(1.0 / self.gamma, v)
-        return self.sign * t / self.d
+        return self.scaled_g.prox(1.0 / self.gamma, v) / self.s
 
 
 class AdmmEngine:
-    """Reusable per-(problem, gamma, alpha) iteration with cached factorizations."""
+    """Reusable per-(problem, gamma, alpha) iteration with cached factorizations.
+
+    A diagonal A or B is kept as its diagonal (``a``, ``b``) and multiplies
+    elementwise, with the same bits as the matvec, which only adds zeros.
+    """
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
                  alpha: float):
@@ -188,23 +194,26 @@ class AdmmEngine:
         self.problem = problem
         self.gamma = gamma
         self.alpha = alpha
-        self.x_update = _XUpdate(problem, gamma)
-        self.y_update = _YUpdate(problem, gamma)
+        sig_a, sig_b = map(_diagonal_signature, (problem.A, problem.B))
+        self.x_update = _XUpdate(problem, gamma, sig_a)
+        self.y_update = _YUpdate(problem, gamma, sig_b)
+        self.a = problem.A if sig_a is None else self.x_update.at
+        self.b = self.y_update.s
 
     def step(self, y: np.ndarray, u: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One full iteration; returns (x+, y+, u+)."""
-        prob, alpha = self.problem, self.alpha
-        by = prob.B @ y
-        x_new = self.x_update.solve(prob.c - by - u)
-        xa = 2.0 * alpha * (prob.A @ x_new) - (1.0 - 2.0 * alpha) * (
-            by - prob.c)
-        y_new = self.y_update.solve(prob.c - xa - u)
-        u_new = u + xa + prob.B @ y_new - prob.c
+        c, alpha = self.problem.c, self.alpha
+        by = self.b * y
+        x_new = self.x_update.solve(c - by - u)
+        xa = 2.0 * alpha * _apply(self.a, x_new) - (1.0 - 2.0 * alpha) * (
+            by - c)
+        y_new = self.y_update.solve(c - xa - u)
+        u_new = u + xa + self.b * y_new - c
         return x_new, y_new, u_new
 
     def z_equiv(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.gamma * (u - self.problem.B @ y)
+        return self.gamma * (u - self.b * y)
 
     def consistent_init(self, z0: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +226,7 @@ class AdmmEngine:
         """
         z0 = np.asarray(z0, dtype=float)
         y0 = self.y_update.solve(-z0 / self.gamma)
-        u0 = z0 / self.gamma + self.problem.B @ y0
+        u0 = z0 / self.gamma + self.b * y0
         return y0, u0
 
 
@@ -234,7 +243,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
     ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
     change in z, shows up as ``converged=False`` on the trace, never as an
-    exception; ``max_iters < 1`` or ``tol <= 0`` raise ``ValueError``.
+    exception; ``max_iters < 1``, ``tol <= 0`` or a misshapen start raise
+    ``ValueError``.
 
     Parameters
     ----------
@@ -253,6 +263,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     else:
         y = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
         u = np.zeros(problem.p) if u0 is None else np.asarray(u0, dtype=float)
+    if y.shape != (problem.m,) or u.shape != (problem.p,):
+        raise DimensionMismatchError("the start must match B's columns/rows")
     x = np.zeros(problem.n)
 
     def step(_z):
@@ -262,7 +274,7 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
 
     def primal_small():
         return float(np.linalg.norm(
-            problem.A @ x + problem.B @ y - problem.c)) <= tol
+            _apply(engine.a, x) + engine.b * y - problem.c)) <= tol
 
     trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
                          reference, primal_small)

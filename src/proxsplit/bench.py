@@ -317,8 +317,9 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
     the (scaled) problem admits a rate certificate and the bound rate is
     below one.  Capability errors are recorded per point, never raised.
     The run keeps its z-history, so ``max_iters`` is lowered to
-    ``HISTORY_SCALAR_BUDGET // p - 1``; a point stopped by that lower cap
-    says so in its ``note``.  ``tol`` must lie in (0, 1).
+    ``HISTORY_SCALAR_BUDGET // p - 1``.  A point that did not converge says
+    why in its ``note``: a non-finite residual, ``max_iters``, or that lower
+    cap.  ``tol`` must lie in (0, 1).
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -349,10 +350,13 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
             continue
         actual = None
         note = ""
-        if (not trace.converged
-                and trace.iterations == max_iters_eff < max_iters):
+        if not math.isfinite(trace.residuals[-1]):
+            note = f"non-finite residual at iteration {trace.iterations}"
+        elif not trace.converged:
             note = (f"stopped at {max_iters_eff} iterations, the z-history "
-                    f"cap below max_iters={max_iters}")
+                    f"cap below max_iters={max_iters}"
+                    if max_iters_eff < max_iters else
+                    f"stopped at the max_iters={max_iters} cap")
         if trace.converged and trace.z_history:
             distances = trace.distances_to(trace.z_final)
             d0 = distances[0]

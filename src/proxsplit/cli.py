@@ -129,12 +129,8 @@ def _cmd_mpc(args) -> int:
                 fh.write(f"{t},{count}\n")
         return EXIT_OK
     problem = bench.gen_mpc(spec, x0, ref)
-    if args.metric == "auto":
-        obj = bench.mpc_metric_objective(problem)
-        metric = obj.metric
-    else:
-        obj = bench.mpc_metric_objective(problem, identity=True)
-        metric = None
+    obj = bench.mpc_metric_objective(problem, identity=args.metric != "auto")
+    metric = obj.metric if args.metric == "auto" else None
     gamma_star = gamma_from_metric(obj)
     gmin = args.gamma_min if args.gamma_min is not None else gamma_star
     gmax = args.gamma_max if args.gamma_max is not None else gamma_star

@@ -6,6 +6,7 @@ their input and use LAPACK's symmetric eigensolver.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -38,6 +39,20 @@ def _json_index(v, what: str) -> int:
     return i
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
+def _json_vector(v, what: str) -> np.ndarray:
+    """Float vector from a JSON list of finite numbers, else ValueError."""
+    if not isinstance(v, list) or not all(
+            isinstance(t, numbers.Real) and math.isfinite(t) for t in v):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return np.asarray(v, dtype=float)
+
+
 def matrix_to_json(a) -> dict:
     """JSON wire format of a finite real matrix.
 
@@ -62,9 +77,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     a non-object, non-integral or out-of-range indices or sizes, or
     non-finite entries.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("a matrix must be a JSON object")
-    rows = _json_index(obj["rows"], "rows")
+    rows = _json_index(_json_object(obj, "a matrix")["rows"], "rows")
     cols = _json_index(obj["cols"], "cols")
     triplets = obj["triplets"]
     if not isinstance(triplets, list):

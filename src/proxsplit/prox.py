@@ -27,11 +27,20 @@ from .errors import (
 from .linmetric import (
     _as_dense,
     _check_symmetric,
+    _json_object,
+    _json_vector,
     matrix_from_json,
     matrix_to_json,
     spectral_summary,
 )
 from .rates import dual_curvature
+
+
+def _finite(rhs: np.ndarray) -> np.ndarray:
+    """rhs after the NaN/inf check; the factor was checked when it was made."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return rhs
 
 
 class ProxFn:
@@ -126,8 +135,8 @@ class Quadratic(ProxFn):
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         z = self._check_point(z)
-        return scipy.linalg.cho_solve(self._factor(gamma),
-                                      z - gamma * self.q)
+        return scipy.linalg.cho_solve(self._factor(gamma), _finite(
+            z - gamma * self.q), check_finite=False)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "Q": matrix_to_json(self.Q),
@@ -545,22 +554,22 @@ def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
 
 def proxfn_from_json(obj: dict) -> ProxFn:
     """Rebuild a catalog member from its tagged-union JSON encoding."""
-    kind = obj.get("kind")
+    kind = _json_object(obj, "a ProxFn").get("kind")
     if kind == "quadratic":
         return Quadratic(matrix_from_json(obj["Q"]),
-                         np.asarray(obj["q"], dtype=float))
+                         _json_vector(obj["q"], "q"))
     if kind == "quadratic_affine":
         return QuadraticAffine(matrix_from_json(obj["Q"]),
-                               np.asarray(obj["q"], dtype=float),
+                               _json_vector(obj["q"], "q"),
                                matrix_from_json(obj["L"]),
-                               np.asarray(obj["b"], dtype=float))
+                               _json_vector(obj["b"], "b"))
     if kind == "zero":
         return Zero(obj.get("dim"))
     if kind == "indicator_zero":
         return IndicatorZero(obj.get("dim"))
     if kind == "indicator_affine":
         return IndicatorAffine(matrix_from_json(obj["L"]),
-                               np.asarray(obj["b"], dtype=float))
+                               _json_vector(obj["b"], "b"))
     if kind == "box":
         return Box(obj["lo"], obj["hi"])
     if kind == "weighted_l1":
@@ -568,6 +577,7 @@ def proxfn_from_json(obj: dict) -> ProxFn:
     if kind == "pwl_penalty":
         return PwlPenalty(obj["lo"], obj["hi"], obj["slope"], obj.get("dim"))
     if kind == "separable":
+        members = [_json_object(m, "a member") for m in obj["members"]]
         return Separable([(m["start"], m["stop"], proxfn_from_json(m["fn"]))
-                          for m in obj["members"]])
+                          for m in members])
     raise ValueError(f"unknown ProxFn kind {kind!r}")

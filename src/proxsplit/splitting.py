@@ -97,11 +97,8 @@ def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
     fileobj.write("iter,residual,contraction_ratio\n")
     ratios = trace.contraction_ratios
     for k, res in enumerate(trace.residuals):
-        if ratios:
-            ratio = ratios[k]
-            ratio_txt = "" if np.isnan(ratio) else f"{ratio:.17g}"
-        else:
-            ratio_txt = ""
+        ratio = ratios[k] if ratios else math.nan
+        ratio_txt = "" if math.isnan(ratio) else f"{ratio:.17g}"
         fileobj.write(f"{k},{res:.17g},{ratio_txt}\n")
 
 

@@ -56,10 +56,6 @@ class WorstCaseInstance:
     def fixed_point(self) -> np.ndarray:
         return np.zeros_like(self.z0)
 
-    @property
-    def solution(self) -> np.ndarray:
-        return np.zeros_like(self.z0)
-
 
 def _nonsmooth(variant: str, dim: int = 2) -> ProxFn:
     if variant == "g1":
@@ -88,8 +84,7 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
     if setting == "primal":
         f = Quadratic(np.diag([reg.beta, reg.sigma]))
         g = _nonsmooth(variant)
-        z0 = np.array([1.0, 0.0]) if coordinate == BETA_COORD \
-            else np.array([0.0, 1.0])
+        z0 = np.eye(2)[coordinate - BETA_COORD]
         return WorstCaseInstance(reg=reg, variant=variant, setting="primal",
                                  coordinate=coordinate, f=f, g=g,
                                  problem=None, z0=z0)
@@ -105,8 +100,7 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
         problem = EqConstrainedProblem(
             f=f, g=g, A=np.diag([theta, zeta]), B=-np.eye(2), c=np.zeros(2))
         # Dual layout: soft curvature first, stiff second.
-        z0 = np.array([0.0, 1.0]) if coordinate == BETA_COORD \
-            else np.array([1.0, 0.0])
+        z0 = np.eye(2)[SIGMA_COORD - coordinate]
         return WorstCaseInstance(reg=reg, variant=variant, setting="dual",
                                  coordinate=coordinate, f=f, g=g,
                                  problem=problem, z0=z0)
@@ -132,12 +126,9 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if coordinate == BETA_COORD:
-        lam = reg.beta
-    elif coordinate == SIGMA_COORD:
-        lam = reg.sigma
-    else:
+    if coordinate not in (BETA_COORD, SIGMA_COORD):
         raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
+    lam = reg.beta if coordinate == BETA_COORD else reg.sigma
     base = (1.0 - gamma * lam) / (1.0 + gamma * lam)
     if variant == "g1":
         return abs(1.0 - alpha + alpha * base)
@@ -170,22 +161,14 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
             variant, coordinate = "g1", BETA_COORD
         else:
             variant, coordinate = "g2", SIGMA_COORD
-    z0 = np.array([1.0, 0.0]) if coordinate == BETA_COORD \
-        else np.array([0.0, 1.0])
-    return variant, z0, coordinate
+    return variant, np.eye(2)[coordinate - BETA_COORD], coordinate
 
 
 def _valid_ratios(ratios: list[float], distances: list[float],
                   floor: float = 1e-250) -> list[float]:
     """Ratios whose denominators are numerically meaningful."""
-    out = []
-    for k, r in enumerate(ratios):
-        if math.isnan(r):
-            continue
-        if distances[k] <= floor:
-            continue
-        out.append(r)
-    return out
+    return [r for r, d in zip(ratios, distances)
+            if not math.isnan(r) and not d <= floor]
 
 
 def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,

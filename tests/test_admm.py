@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxsplit.admm import (
     AdmmEngine,
     EqConstrainedProblem,
+    _diagonal_signature,
     admm_solve,
     verify_dual_equivalence,
 )
-from proxsplit.errors import CapabilityError
+from proxsplit.errors import CapabilityError, DimensionMismatchError
 from proxsplit.linmetric import DiagonalMetric
 from proxsplit.prox import (
     Box,
@@ -19,7 +21,17 @@ from proxsplit.prox import (
 )
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
 from proxsplit.worstcase import adversarial_case, build, dual_constants
-from proxsplit.bench import problem_dual_regularity
+from proxsplit.bench import (
+    LassoSpec,
+    MpcSpec,
+    gen_lasso,
+    gen_mpc,
+    lasso_metric,
+    mpc_metric_objective,
+    problem_dual_regularity,
+    sweep_gamma_star,
+)
+from proxsplit.metric import gamma_from_metric
 
 
 def consensus_lasso(rng, n=6, m=9):
@@ -101,7 +113,108 @@ class TestAdmmStep:
             assert np.linalg.norm(engine.z_equiv(y, u) - expect) <= 1e-12
 
 
+def scaled_desk_lasso():
+    problem = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10, seed=0))
+    metric = lasso_metric(problem)
+    return problem.scaled(metric), sweep_gamma_star(problem, metric)
+
+
+def scaled_desk_mpc():
+    problem = gen_mpc(MpcSpec(), np.zeros(4), [0.0, 0.0, 0.0, 10.0])
+    obj = mpc_metric_objective(problem)
+    return problem.scaled(obj.metric), gamma_from_metric(obj)
+
+
+def diagonal_prox_problem():
+    # catalog f under a negative diagonal A: the x-update is a prox
+    return EqConstrainedProblem(
+        f=WeightedL1([0.5, 1.0, 2.0]), g=Box([-1.0] * 3, [1.0] * 3),
+        A=-np.diag([1.0, 2.0, 4.0]), B=np.diag([3.0, 1.0, 0.5]),
+        c=np.array([1.0, -2.0, 0.5])), 0.7
+
+
+def dense_step(engine, y, u):
+    """The module docstring's iteration with dense A and B products."""
+    prob, gamma, alpha = engine.problem, engine.gamma, engine.alpha
+    xu, yu = engine.x_update, engine.y_update
+    by = prob.B @ y
+    v = prob.c - by - u
+    if xu.mode == "quadratic":
+        x = scipy.linalg.cho_solve(xu.fac, gamma * (prob.A.T @ v) - xu.q)
+    elif xu.mode == "quadratic_affine":
+        rhs = np.concatenate([gamma * (prob.A.T @ v) - xu.q, xu.b])
+        x = scipy.linalg.lu_solve(xu.fac, rhs)[:xu.n]
+    else:
+        sign, d = _diagonal_signature(prob.A)
+        x = sign * xu.scaled_f.prox(1.0 / gamma, v) / d
+    xa = 2.0 * alpha * (prob.A @ x) - (1.0 - 2.0 * alpha) * (by - prob.c)
+    sign, d = _diagonal_signature(prob.B)
+    y_new = sign * yu.scaled_g.prox(1.0 / gamma, prob.c - xa - u) / d
+    return x, y_new, u + xa + prob.B @ y_new - prob.c
+
+
+class TestStructuredStep:
+    """Diagonal A and B act as vectors, with the dense formulas' bits."""
+
+    @pytest.mark.parametrize("make, a_is_vector", [
+        (scaled_desk_lasso, True),
+        (scaled_desk_mpc, False),
+        (diagonal_prox_problem, True),
+    ], ids=["desk_lasso", "desk_mpc", "prox_x_update"])
+    def test_step_equals_dense_formulas(self, make, a_is_vector):
+        problem, gamma = make()
+        engine = AdmmEngine(problem, gamma, alpha=0.8)
+        assert (engine.a.ndim == 1) == a_is_vector
+        assert engine.b.ndim == 1
+        rng = np.random.default_rng(0)
+        z0 = rng.normal(size=problem.p)
+        y, u = engine.consistent_init(z0)
+        y_ref = _diagonal_signature(problem.B)
+        y_ref = y_ref[0] * engine.y_update.scaled_g.prox(
+            1.0 / gamma, -z0 / gamma) / y_ref[1]
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(u, z0 / gamma + problem.B @ y_ref)
+        for _ in range(50):
+            expect = dense_step(engine, y, u)
+            got = engine.step(y, u)
+            for g, e in zip(got, expect):
+                assert np.array_equal(g, e)
+            _, y, u = got
+            assert np.array_equal(engine.z_equiv(y, u),
+                                  gamma * (u - problem.B @ y))
+
+    @pytest.mark.parametrize("make", [scaled_desk_lasso, scaled_desk_mpc],
+                             ids=["desk_lasso", "desk_mpc"])
+    def test_nan_query_raises(self, make):
+        problem, gamma = make()
+        engine = AdmmEngine(problem, gamma, alpha=1.0)
+        v = np.zeros(problem.p)
+        v[0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            engine.x_update.solve(v)
+        y0 = np.zeros(problem.m)
+        y0[0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            admm_solve(problem, gamma, 1.0, y0=y0)
+
+    def test_quadratic_prox_nan_query_raises(self):
+        f = Quadratic(np.diag([2.0, 1.0]), [1.0, 0.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                f.prox(1.0, [bad, 0.0])
+        assert np.allclose(f.prox(1.0, [3.0, 2.0]), [2.0 / 3.0, 1.0],
+                           rtol=0, atol=1e-15)
+
+
 class TestAdmmSolve:
+    def test_start_of_wrong_shape_is_rejected(self, rng):
+        # a length-1 start would broadcast through the elementwise B
+        problem, _, _ = consensus_lasso(rng)
+        for start in ({"y0": np.zeros(1)}, {"u0": np.zeros(1)},
+                      {"z0": np.zeros(problem.p + 1)}):
+            with pytest.raises(DimensionMismatchError):
+                admm_solve(problem, 1.0, 1.0, **start)
+
     def test_consensus_split_solves_the_composite_problem(self, rng):
         problem, a, b = consensus_lasso(rng)
         x, y, u, trace = admm_solve(problem, gamma=1.0, alpha=0.5,

@@ -150,6 +150,21 @@ class TestSweep:
         assert entry.iterations_actual is None
         assert "10 iterations" in entry.note
 
+    def test_stop_cause_is_reported_in_note(self):
+        # alpha 3 lies beyond 2/(1+delta) for every gamma, so each point
+        # diverges; a cap of 5 iterations stops every convergent point
+        problem = gen_lasso(LassoSpec(n=20, m=30, nnz_per_row=3, seed=0))
+        gamma = sweep_gamma_star(problem)
+        grid = log_gamma_grid(gamma / 3, 3 * gamma, 3)
+        for e in run_sweep(problem, 3.0, grid).entries:
+            assert not e.converged
+            assert e.note.startswith("non-finite residual at iteration ")
+        for e in run_sweep(problem, 1.0, grid, max_iters=5).entries:
+            assert not e.converged
+            assert e.note == "stopped at the max_iters=5 cap"
+        for e in run_sweep(problem, 1.0, grid).entries:
+            assert e.converged and e.note == ""
+
     def test_log_grid(self):
         grid = log_gamma_grid(0.01, 100.0, 5)
         assert np.allclose(grid, [0.01, 0.1, 1.0, 10.0, 100.0])

@@ -175,6 +175,11 @@ _MALFORMED_A = {
     ["metric-report", "--problem", "{rows_fraction}"],
     ["metric-report", "--problem", "{cols_negative}"],
     ["metric-report", "--problem", "{matrix_not_object}"],
+    ["metric-report", "--problem", "{problem_not_object}"],
+    ["metric-report", "--problem", "{f_not_object}"],
+    ["metric-report", "--problem", "{member_not_object}"],
+    ["metric-report", "--problem", "{q_null}"],
+    ["metric-report", "--problem", "{c_nan}"],
     ["mpc", "--tol", "-1"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
@@ -183,9 +188,19 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     problem = EqConstrainedProblem(
         f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
         B=-np.eye(2), c=np.zeros(2)).to_json()
-    for name, bad_a in _MALFORMED_A.items():
+    bad = {name: {**problem, "A": bad_a}
+           for name, bad_a in _MALFORMED_A.items()}
+    bad.update(
+        problem_not_object=[1],
+        f_not_object={**problem, "f": 5},
+        member_not_object={**problem, "g": {"kind": "separable",
+                                            "members": [5]}},
+        q_null={**problem, "f": {**problem["f"], "q": [None, 1.0]}},
+        c_nan={**problem, "c": [float("nan"), 0.0]},
+    )
+    for name, payload in bad.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps({**problem, "A": bad_a}))
+        paths[name].write_text(json.dumps(payload))
     out = tmp_path / "out.txt"
     args = [a.format(**paths) for a in args]
     assert cli_main(args + ["--out", str(out)]) == EXIT_USAGE
