@@ -44,7 +44,7 @@ print(f"\nfull tightness grid: {len(rows)} points, "
 # converging on the adversarial instance
 gamma = 0.5
 delta = contraction_factor(reg, gamma)
-dist = divergence_distances(reg.beta, reg.sigma, gamma, blowup=1.01)
+dist = divergence_distances(reg.beta, reg.sigma, gamma)
 print(f"\nalpha = 1.01 * 2/(1+delta) = {1.01 * 2 / (1 + delta):.4f}: "
       f"distance to the fixed point grows from {dist[0]:.3f} to "
       f"{dist[-1]:.3f} over {len(dist) - 1} iterations "

@@ -315,13 +315,13 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
     engine = AdmmEngine(problem, gamma, alpha)
     y, u = engine.consistent_init(z0)
 
-    # Dual splitting applies the d2 prox first: g_first with f=d1, g=d2.
+    # Dual splitting applies the d2 prox first, so d2 is the first argument.
     cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=max(iters, 1),
-                   tol=1e-300, order="g_first")
+                   tol=1e-300)
     z_dr = z0.copy()
     max_dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
     for _ in range(iters):
-        z_dr, _, _ = dr_step(d1, d2, cfg, z_dr)
+        z_dr, _, _ = dr_step(d2, d1, cfg, z_dr)
         _, y, u = engine.step(y, u)
         dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
         max_dev = max(max_dev, dev)

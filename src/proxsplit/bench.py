@@ -120,6 +120,8 @@ AIRCRAFT_C = np.array([
 N_STATES = 4
 N_INPUTS = 2
 N_OUTPUTS = 2
+#: iteration cap of every MPC solve, desk sweep and closed loop alike
+MPC_MAX_ITERS = 300_000
 
 
 @dataclass(frozen=True)
@@ -250,10 +252,6 @@ class SweepResult:
     metric: DiagonalMetric | None
     entries: list[SweepEntry] = field(default_factory=list)
 
-    @property
-    def gamma_grid(self) -> list[float]:
-        return [e.gamma for e in self.entries]
-
     def to_csv(self, fileobj: io.TextIOBase) -> None:
         fileobj.write(CSV_SCHEMA_TAG + "\n")
         metric_txt = ("identity" if self.metric is None
@@ -305,11 +303,10 @@ def log_gamma_grid(gamma_min: float, gamma_max: float,
 
 def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
               metric: DiagonalMetric | None = None, tol: float = 1e-5,
-              max_iters: int = 150_000,
-              presolve_tol: float = 1e-12) -> SweepResult:
+              max_iters: int = 150_000) -> SweepResult:
     """Measure iterations-to-accuracy over a step-size grid.
 
-    Per grid point the solver runs once to high accuracy; the measured
+    Per grid point the solver runs once to tolerance 1e-12; the measured
     count is the first iteration whose dual-coordinate iterate z satisfies
     ||z^k - z_fix|| <= tol * ||z^0 - z_fix|| against the high-accuracy
     fixed point of the same run, which is the quantity the certified
@@ -341,7 +338,7 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                 bound = iteration_bound(rate, tol)
         try:
             _, _, _, trace = admm_solve(scaled, gamma, alpha,
-                                        tol=presolve_tol,
+                                        tol=1e-12,
                                         max_iters=max_iters_eff, z0=z_start)
         except ProxsplitError as exc:
             result.entries.append(SweepEntry(
@@ -374,12 +371,12 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
 # ------------------------------------------------------------ mpc harnesses
 
 def mpc_compare(spec: MpcSpec, x0, reference, alpha: float = 0.5,
-                tol: float = 1e-5, max_iters: int = 300_000) -> dict:
+                tol: float = 1e-5) -> dict:
     """Single-sample solve with and without the selected metric at gamma*.
 
     Returns per-setting step sizes, measured iterations, and convergence
     flags; the step size in each setting is the one recommended by its own
-    pseudo condition objective.
+    pseudo condition objective.  Each solve is capped at ``MPC_MAX_ITERS``.
     """
     problem = gen_mpc(spec, x0, reference)
     obj_id = mpc_metric_objective(problem, identity=True)
@@ -390,7 +387,7 @@ def mpc_compare(spec: MpcSpec, x0, reference, alpha: float = 0.5,
             ("metric", obj_eq, obj_eq.metric)):
         gamma = gamma_from_metric(obj)
         sweep = run_sweep(problem, alpha, [gamma], metric=metric, tol=tol,
-                          max_iters=max_iters)
+                          max_iters=MPC_MAX_ITERS)
         entry = sweep.entries[0]
         out[name] = {
             "gamma_star": gamma,
@@ -411,12 +408,11 @@ def pitch_reference(n_samples: int = 120, target_deg: float = 10.0,
 
 def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
                     alpha: float = 0.5, tol: float = 1e-5,
-                    metric: bool = True,
-                    max_iters: int = 300_000) -> dict:
+                    metric: bool = True) -> dict:
     """Closed-loop run applying the first input of each one-sample solve.
 
-    Returns the per-sample iteration counts and their mean and median, plus
-    the state trajectory.
+    Each solve is capped at ``MPC_MAX_ITERS``.  Returns the per-sample
+    iteration counts and their mean and median, plus the state trajectory.
     """
     references = np.asarray(references, dtype=float)
     n_samples = references.shape[0]
@@ -433,7 +429,7 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
         gamma = gamma_from_metric(obj)
         scaled = problem.scaled(used) if used is not None else problem
         _, _, _, trace = admm_solve(scaled, gamma, alpha, tol=tol,
-                                    max_iters=max_iters,
+                                    max_iters=MPC_MAX_ITERS,
                                     z0=np.zeros(scaled.p))
         counts.append(trace.iterations)
         u0 = trace.x_final[spec.horizon * N_STATES:
@@ -450,15 +446,15 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
 
 # ----------------------------------------------------------- lasso harness
 
-def lasso_metric(problem: EqConstrainedProblem,
-                 sweeps: int = 10) -> DiagonalMetric:
-    """Equilibrated diagonal metric for a certifiable consensus problem."""
+def lasso_metric(problem: EqConstrainedProblem) -> DiagonalMetric:
+    """Equilibrated diagonal metric (exact mode, ``EQUILIBRATION_SWEEPS``
+    sweeps) for a certifiable consensus problem."""
     f = problem.f
     if not isinstance(f, Quadratic) or not f.is_positive_definite:
         raise CapabilityError("metric selection needs a strongly convex "
                               "quadratic smooth term")
     return select_diagonal_metric(dual_curvature(problem.A, f.Q),
-                                  mode="exact", sweeps=sweeps)
+                                  mode="exact")
 
 
 def lasso_condition_report(problem: EqConstrainedProblem,

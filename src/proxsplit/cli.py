@@ -136,7 +136,7 @@ def _cmd_mpc(args) -> int:
     gmax = args.gamma_max if args.gamma_max is not None else gamma_star
     grid = bench.log_gamma_grid(gmin, gmax, args.gamma_points)
     sweep = bench.run_sweep(problem, args.alpha, grid, metric=metric,
-                            tol=args.tol, max_iters=300_000)
+                            tol=args.tol, max_iters=bench.MPC_MAX_ITERS)
     with open(args.out, "w") as fh:
         sweep.to_csv(fh)
     return EXIT_OK

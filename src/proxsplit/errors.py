@@ -32,16 +32,7 @@ class InfeasibleConstraintError(ProxsplitError, ValueError):
 
 
 class EigenConvergenceError(ProxsplitError, RuntimeError):
-    """Eigen-iteration failed to converge within the iteration cap.
-
-    ``best_estimate`` holds whatever partial result is available (may be
-    None) and ``converged`` is always False.
-    """
-
-    def __init__(self, message: str, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.converged = False
+    """The symmetric eigensolver did not converge."""
 
 
 class CapabilityError(ProxsplitError, ValueError):

@@ -53,6 +53,15 @@ def _json_vector(v, what: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _json_scalar_or_vector(v, what: str):
+    """One finite number, or a float vector from a list of them."""
+    if isinstance(v, list):
+        return _json_vector(v, what)
+    if not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{what} must be a finite number or a list of them")
+    return v
+
+
 def matrix_to_json(a) -> dict:
     """JSON wire format of a finite real matrix.
 
@@ -139,14 +148,14 @@ class SpectralSummary:
     lambda_max: float
     lambda_min: float
     lambda_min_pos: float
-    tol_used: float
 
 
-def _check_symmetric(s: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def _check_symmetric(s: np.ndarray) -> np.ndarray:
+    """Symmetrized s; asymmetry above 1e-10 * max(1, max|s_ij|) raises."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
     scale = max(1.0, float(np.abs(s).max(initial=0.0)))
-    if np.abs(s - s.T).max(initial=0.0) > rel_tol * scale:
+    if np.abs(s - s.T).max(initial=0.0) > 1e-10 * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
     return 0.5 * (s + s.T)
 
@@ -181,7 +190,6 @@ def spectral_summary(s, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
         lambda_max=lam_max,
         lambda_min=float(clamped.min()) if clamped.size else 0.0,
         lambda_min_pos=float(positive.min()) if positive.size else 0.0,
-        tol_used=tol_abs,
     )
 
 
@@ -223,10 +231,10 @@ def pseudo_inverse(q, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     return (eigvecs * inv) @ eigvecs.T
 
 
-def _row_rank_svdvals(a, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def _row_rank_svdvals(a) -> np.ndarray:
     """Descending singular values of a full-row-rank m x n matrix (m <= n).
 
-    Raises RankDeficiencyError when the matrix does not have full row rank.
+    Raises RankDeficiencyError when s_min <= ``DEFAULT_ZERO_TOL * s_max``.
     """
     a = _as_dense(a)
     if a.ndim != 2:
@@ -235,17 +243,17 @@ def _row_rank_svdvals(a, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
         raise DimensionMismatchError(
             "expected at least as many columns as rows (m <= n)")
     svals = scipy.linalg.svdvals(a)
-    if svals[-1] <= zero_tol * svals[0]:
+    if svals[-1] <= DEFAULT_ZERO_TOL * svals[0]:
         raise RankDeficiencyError(
             f"matrix of shape {a.shape} is row-rank deficient "
             f"(smallest singular value {svals[-1]:.3e})")
     return svals
 
 
-def smallest_singular_value(a, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
+def smallest_singular_value(a) -> float:
     """Smallest singular value of a full-row-rank m x n matrix (m <= n).
 
     This is the largest constant t with ||A^T mu|| >= t ||mu|| for all mu.
-    Raises RankDeficiencyError when the matrix does not have full row rank.
+    Raises RankDeficiencyError when s_min <= ``DEFAULT_ZERO_TOL * s_max``.
     """
-    return float(_row_rank_svdvals(a, zero_tol)[-1])
+    return float(_row_rank_svdvals(a)[-1])

@@ -32,6 +32,8 @@ from .linmetric import (
 from .rates import dual_regularity
 
 PSEUDO_ZERO_TOL = 1e-9
+#: row-norm equilibration sweeps of :func:`select_diagonal_metric`
+EQUILIBRATION_SWEEPS = 10
 
 Mode = Literal["exact", "heuristic_pinv", "heuristic_p11"]
 
@@ -82,61 +84,57 @@ def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
 
 
 def pseudo_condition_number(metric: DiagonalMetric, a, q,
-                            zero_tol: float = PSEUDO_ZERO_TOL,
                             mode: Mode = "heuristic_pinv") -> MetricObjective:
     """Pseudo condition number lambda_max / lambda_min>0 of E A Q^+ A^T E^T.
 
     ``q`` is the symmetric psd curvature matrix; its pseudo-inverse is
-    formed once, treating eigenvalues below ``zero_tol * lambda_max`` as
-    zero.
+    formed once, treating eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max``
+    as zero.
     """
     a = _as_dense(a)
-    s = a @ pseudo_inverse(q, zero_tol) @ a.T
-    return pseudo_condition_of(metric, 0.5 * (s + s.T), zero_tol, mode)
+    s = a @ pseudo_inverse(q, PSEUDO_ZERO_TOL) @ a.T
+    return pseudo_condition_of(metric, 0.5 * (s + s.T), mode)
 
 
 def pseudo_condition_of(metric: DiagonalMetric, s,
-                        zero_tol: float = PSEUDO_ZERO_TOL,
                         mode: Mode = "heuristic_pinv") -> MetricObjective:
-    """Pseudo condition number of an already-formed symmetric psd S."""
-    obj = _objective_value(metric, s, mode, zero_tol)
+    """Pseudo condition number of an already-formed symmetric psd S, with
+    eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max`` counted as zero."""
+    obj = _objective_value(metric, s, mode)
     if obj.numerator <= 0:
         raise RankDeficiencyError("matrix has no nonzero eigenvalues")
     return obj
 
 
-def _objective_value(metric: DiagonalMetric, s, mode: Mode,
-                     zero_tol: float) -> MetricObjective:
+def _objective_value(metric: DiagonalMetric, s, mode: Mode
+                     ) -> MetricObjective:
     """Condition objective of symmetric psd S at ``metric``.
 
-    The denominator is lambda_min in exact mode and the smallest nonzero
-    eigenvalue otherwise; the value is infinite when it is zero.
+    The denominator is lambda_min in exact mode and the smallest eigenvalue
+    above ``PSEUDO_ZERO_TOL * lambda_max`` otherwise; the value is infinite
+    when it is zero.
     """
     summary = spectral_summary(metric.scale_spectrum_matrix(s),
-                               zero_tol=zero_tol)
+                               zero_tol=PSEUDO_ZERO_TOL)
     den = summary.lambda_min if mode == "exact" else summary.lambda_min_pos
     value = summary.lambda_max / den if den > 0 else math.inf
     return MetricObjective(mode=mode, numerator=summary.lambda_max,
                            denominator=den, value=value, metric=metric)
 
 
-def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact",
-                           sweeps: int = 10,
-                           zero_tol: float = PSEUDO_ZERO_TOL
+def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
                            ) -> DiagonalMetric:
     """Diagonal E from iterated row-norm equilibration of symmetric psd S.
 
-    Each sweep divides E_ii by the square root of the max-norm of row i of
-    the current scaled matrix; rows with zero norm are skipped.  In exact
-    mode an all-zero row is an error (the exact objective would be
-    infinite); heuristic mode tolerates it.  The returned metric never has
-    a worse objective than the identity: if the sweeps degrade it, the
-    identity is returned instead.
+    Each of ``EQUILIBRATION_SWEEPS`` sweeps divides E_ii by the square root
+    of the max-norm of row i of the current scaled matrix; rows with zero
+    norm are skipped.  In exact mode an all-zero row is an error (the exact
+    objective would be infinite); heuristic mode tolerates it.  The returned
+    metric never has a worse objective (zero below ``PSEUDO_ZERO_TOL``) than
+    the identity: if the sweeps degrade it, the identity is returned instead.
     """
     s = _as_dense(s)
     s = 0.5 * (s + s.T)
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
     n = s.shape[0]
     row_norms = np.abs(s).max(axis=1)
     if mode == "exact" and np.any(row_norms == 0):
@@ -144,7 +142,7 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact",
             "S has an all-zero row; exact metric selection needs a "
             "nonsingular objective matrix")
     e = np.ones(n)
-    for _ in range(sweeps):
+    for _ in range(EQUILIBRATION_SWEEPS):
         scaled = s * np.outer(e, e)
         norms = np.abs(scaled).max(axis=1)
         nonzero = norms > 0
@@ -152,28 +150,26 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact",
     candidate = DiagonalMetric(e)
     identity = DiagonalMetric.identity(n)
     obj_mode = "exact" if mode == "exact" else "heuristic_pinv"
-    if (_objective_value(candidate, s, obj_mode, zero_tol).value
-            <= _objective_value(identity, s, obj_mode, zero_tol).value):
+    if (_objective_value(candidate, s, obj_mode).value
+            <= _objective_value(identity, s, obj_mode).value):
         return candidate
     return identity
 
 
-def heuristic_affine_case(q, lc, a, sweeps: int = 10,
-                          zero_tol: float = PSEUDO_ZERO_TOL
-                          ) -> MetricObjective:
+def heuristic_affine_case(q, lc, a) -> MetricObjective:
     """Metric for a quadratic restricted to an affine set, via the KKT block.
 
     The dual smooth term of 0.5 x^T Q x + q^T x + indicator(Lc x = b) has
     Hessian A P11 A^T with P11 the top-left block of the inverse of
-    [[Q, Lc^T], [Lc, 0]].  Selects a diagonal E minimizing the pseudo
-    condition number of E A P11 A^T E^T and returns that objective (the
-    recommended step size follows from :func:`gamma_from_metric`).
+    [[Q, Lc^T], [Lc, 0]].  Selects a diagonal E (``EQUILIBRATION_SWEEPS``
+    sweeps) minimizing the pseudo condition number of E A P11 A^T E^T, zero
+    below ``PSEUDO_ZERO_TOL``, and returns that objective (the recommended
+    step size follows from :func:`gamma_from_metric`).
     """
     a = _as_dense(a)
     p11 = kkt_p11(q, lc)
     s = a @ p11 @ a.T
     s = 0.5 * (s + s.T)
-    metric = select_diagonal_metric(s, mode="heuristic", sweeps=sweeps,
-                                    zero_tol=zero_tol)
-    return pseudo_condition_of(metric, s, zero_tol, mode="heuristic_p11")
+    metric = select_diagonal_metric(s, mode="heuristic")
+    return pseudo_condition_of(metric, s, mode="heuristic_p11")
 

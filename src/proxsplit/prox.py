@@ -27,7 +27,9 @@ from .errors import (
 from .linmetric import (
     _as_dense,
     _check_symmetric,
+    _json_index,
     _json_object,
+    _json_scalar_or_vector,
     _json_vector,
     matrix_from_json,
     matrix_to_json,
@@ -162,8 +164,8 @@ class QuadraticAffine(ProxFn):
         if lm.size == 0:
             lm = lm.reshape(0, n)
         bv = np.asarray(b_vector, dtype=float).ravel()
-        if lm.shape[1] != n or bv.shape[0] != lm.shape[0]:
-            raise DimensionMismatchError("L, b shapes inconsistent with Q")
+        if qv.shape != (n,) or lm.shape[1] != n or bv.shape != lm.shape[:1]:
+            raise DimensionMismatchError("q, L, b shapes inconsistent with Q")
         self.Q = qm
         self.q = qv
         self.L = lm
@@ -571,13 +573,16 @@ def proxfn_from_json(obj: dict) -> ProxFn:
         return IndicatorAffine(matrix_from_json(obj["L"]),
                                _json_vector(obj["b"], "b"))
     if kind == "box":
-        return Box(obj["lo"], obj["hi"])
+        return Box(_json_vector(obj["lo"], "lo"),
+                   _json_vector(obj["hi"], "hi"))
     if kind == "weighted_l1":
-        return WeightedL1(obj["w"])
+        return WeightedL1(_json_vector(obj["w"], "w"))
     if kind == "pwl_penalty":
-        return PwlPenalty(obj["lo"], obj["hi"], obj["slope"], obj.get("dim"))
+        return PwlPenalty(*(_json_scalar_or_vector(obj[k], k)
+                            for k in ("lo", "hi", "slope")), obj.get("dim"))
     if kind == "separable":
         members = [_json_object(m, "a member") for m in obj["members"]]
-        return Separable([(m["start"], m["stop"], proxfn_from_json(m["fn"]))
-                          for m in members])
+        return Separable([(_json_index(m["start"], "start"),
+                           _json_index(m["stop"], "stop"),
+                           proxfn_from_json(m["fn"])) for m in members])
     raise ValueError(f"unknown ProxFn kind {kind!r}")

@@ -3,12 +3,12 @@
 One step from iterate z applies the prox of the first operator, reflects,
 applies the prox of the second, and averages:
 
-    x  = prox_f(z)            (f applied first, the default order)
+    x  = prox_f(z)
     y  = prox_g(2x - z)
     z+ = z + 2*alpha*(y - x)
 
-which is algebraically ((1-alpha)*Id + alpha*R_g R_f) z.  The swapped order
-applies prox_g first.  The unaveraged case alpha = 1 is Peaceman-Rachford.
+which is algebraically ((1-alpha)*Id + alpha*R_g R_f) z.  Swap the arguments
+to apply prox_g first.  The unaveraged case alpha = 1 is Peaceman-Rachford.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -32,15 +32,14 @@ CSV_SCHEMA_TAG = "# proxsplit-csv v1"
 class DrConfig:
     """Parameters of the relaxed splitting iteration.
 
-    ``order`` picks which prox is applied first: "f_first" (the explicit
-    three-step form above) or "g_first" (the mirrored composition).
+    The prox of the first operator is applied first; swap the arguments to
+    apply prox_g first.
     """
 
     gamma: float
     alpha: float
     max_iters: int = 10_000
     tol: float = 1e-10
-    order: Literal["f_first", "g_first"] = "f_first"
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -51,8 +50,6 @@ class DrConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.order not in ("f_first", "g_first"):
-            raise ValueError("order must be 'f_first' or 'g_first'")
 
 
 @dataclass(eq=False)
@@ -106,20 +103,13 @@ def dr_step(f: ProxFn, g: ProxFn, cfg: DrConfig,
             z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One relaxed step; returns (z_next, x, y).
 
-    ``x`` is always the prox-of-f point and ``y`` the prox-of-g point,
-    regardless of order.  At a fixed point of the composition both coincide
-    with the solution.
+    ``x`` is the prox-of-f point and ``y`` the prox-of-g point.  At a fixed
+    point of the composition both coincide with the solution.
     """
     z = np.asarray(z, dtype=float)
-    if cfg.order == "f_first":
-        x = f.prox(cfg.gamma, z)
-        y = g.prox(cfg.gamma, 2.0 * x - z)
-        z_next = z + 2.0 * cfg.alpha * (y - x)
-    else:
-        y = g.prox(cfg.gamma, z)
-        x = f.prox(cfg.gamma, 2.0 * y - z)
-        z_next = z + 2.0 * cfg.alpha * (x - y)
-    return z_next, x, y
+    x = f.prox(cfg.gamma, z)
+    y = g.prox(cfg.gamma, 2.0 * x - z)
+    return z + 2.0 * cfg.alpha * (y - x), x, y
 
 
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
@@ -173,33 +163,30 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
     Runs :func:`dr_step` under the shared fixed-point driver: stops when
     ||z^{k+1} - z^k|| <= tol * max(1, ||z^{k+1}||), else after
     ``max_iters`` steps or at a non-finite residual with ``converged`` False
-    (no exception).  ``x_final`` is the prox of the first-applied operator at
-    the final iterate, or after a non-finite residual the last step's one.
+    (no exception).  ``x_final`` is prox_f at the final iterate, or after a
+    non-finite residual the last step's one.
 
     Parameters
     ----------
     f, g : ProxFn
-        The two operators; ``cfg.order`` picks which prox runs first.
+        The two operators; prox_f runs first.  Swap the arguments to apply
+        prox_g first.
     cfg : DrConfig
-        Step size, relaxation, stopping rule, order.
+        Step size, relaxation, stopping rule.
     z0 : array
         Starting iterate.
     reference : array, optional
         Known fixed point; when given, ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
-    f_first = cfg.order == "f_first"
-    last_first = None
+    x = None
 
     def step(z):
-        nonlocal last_first
-        z_next, x, y = dr_step(f, g, cfg, z)
-        last_first = x if f_first else y
+        nonlocal x
+        z_next, x, _ = dr_step(f, g, cfg, z)
         return z_next
 
     trace = _fixed_point(step, z0, cfg.max_iters, cfg.tol, reference)
-    if not math.isfinite(trace.residuals[-1]):
-        trace.x_final = last_first
-    else:
-        trace.x_final = (f if f_first else g).prox(cfg.gamma, trace.z_final)
+    trace.x_final = (f.prox(cfg.gamma, trace.z_final)
+                     if math.isfinite(trace.residuals[-1]) else x)
     return trace

@@ -43,10 +43,6 @@ SIGMA_COORD = 2
 class WorstCaseInstance:
     """One extremal instance ready to run, with its known fixed point."""
 
-    reg: Regularity
-    variant: str
-    setting: str
-    coordinate: int
     f: ProxFn
     g: ProxFn
     problem: EqConstrainedProblem | None
@@ -57,12 +53,9 @@ class WorstCaseInstance:
         return np.zeros_like(self.z0)
 
 
-def _nonsmooth(variant: str, dim: int = 2) -> ProxFn:
-    if variant == "g1":
-        return Zero(dim)
-    if variant == "g2":
-        return IndicatorZero(dim)
-    raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+def _nonsmooth(variant: str) -> ProxFn:
+    """g1 or g2; :func:`build` has checked the name."""
+    return Zero(2) if variant == "g1" else IndicatorZero(2)
 
 
 def build(reg: Regularity, variant: str, setting: str = "primal", *,
@@ -85,9 +78,7 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
         f = Quadratic(np.diag([reg.beta, reg.sigma]))
         g = _nonsmooth(variant)
         z0 = np.eye(2)[coordinate - BETA_COORD]
-        return WorstCaseInstance(reg=reg, variant=variant, setting="primal",
-                                 coordinate=coordinate, f=f, g=g,
-                                 problem=None, z0=z0)
+        return WorstCaseInstance(f=f, g=g, problem=None, z0=z0)
     if setting == "dual":
         if theta is None or zeta is None or not zeta >= theta > 0:
             raise ValueError("dual setting needs zeta >= theta > 0")
@@ -101,9 +92,7 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
             f=f, g=g, A=np.diag([theta, zeta]), B=-np.eye(2), c=np.zeros(2))
         # Dual layout: soft curvature first, stiff second.
         z0 = np.eye(2)[SIGMA_COORD - coordinate]
-        return WorstCaseInstance(reg=reg, variant=variant, setting="dual",
-                                 coordinate=coordinate, f=f, g=g,
-                                 problem=problem, z0=z0)
+        return WorstCaseInstance(f=f, g=g, problem=problem, z0=z0)
     raise ValueError("setting must be 'primal' or 'dual'")
 
 
@@ -164,11 +153,10 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     return variant, np.eye(2)[coordinate - BETA_COORD], coordinate
 
 
-def _valid_ratios(ratios: list[float], distances: list[float],
-                  floor: float = 1e-250) -> list[float]:
-    """Ratios whose denominators are numerically meaningful."""
+def _valid_ratios(ratios: list[float], distances: list[float]) -> list[float]:
+    """Ratios whose denominators are above 1e-250, numerically meaningful."""
     return [r for r, d in zip(ratios, distances)
-            if not math.isnan(r) and not d <= floor]
+            if not math.isnan(r) and not d <= 1e-250]
 
 
 def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,
@@ -217,32 +205,31 @@ def acceptance_alphas(delta: float) -> tuple[float, float, float]:
 
 
 def verify_grid(beta_over_sigma=(1.0, 4.0, 25.0, 100.0),
-                gamma_ratios=(0.2, 1.0, 5.0),
-                sigma: float = 1.0, iters: int = 120) -> list[dict]:
-    """Tightness sweep over condition numbers, step sizes, relaxations."""
+                sigma: float = 1.0) -> list[dict]:
+    """Tightness sweep over condition numbers, step sizes 0.2, 1 and 5 times
+    1/sqrt(beta*sigma), and relaxations; 120 iterations per point."""
     rows = []
     for kappa in beta_over_sigma:
         reg = Regularity(sigma=sigma, beta=kappa * sigma)
         gamma_star = 1.0 / math.sqrt(reg.beta * reg.sigma)
-        for ratio in gamma_ratios:
+        for ratio in (0.2, 1.0, 5.0):
             gamma = ratio * gamma_star
             delta = contraction_factor(reg, gamma)
             for alpha in acceptance_alphas(delta):
-                rows.append(verify_point(reg.beta, reg.sigma, gamma, alpha,
-                                         iters=iters))
+                rows.append(verify_point(reg.beta, reg.sigma, gamma, alpha))
     return rows
 
 
-def divergence_distances(beta: float, sigma: float, gamma: float, *,
-                         blowup: float = 1.01, iters: int = 100
-                         ) -> np.ndarray:
-    """Distances to the fixed point for alpha just beyond the feasible cap."""
+def divergence_distances(beta: float, sigma: float,
+                         gamma: float) -> np.ndarray:
+    """Distances to the fixed point over 100 iterations for alpha just beyond
+    the feasible cap, alpha = 1.01 * 2/(1+delta)."""
     reg = Regularity(sigma=sigma, beta=beta)
     delta = contraction_factor(reg, gamma)
-    alpha = blowup * 2.0 / (1.0 + delta)
+    alpha = 1.01 * 2.0 / (1.0 + delta)
     variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
     inst = build(reg, variant, "primal", coordinate=coordinate)
-    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=iters, tol=1e-300)
+    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=100, tol=1e-300)
     trace = dr_solve(inst.f, inst.g, cfg, inst.z0,
                      reference=inst.fixed_point)
     return np.array(trace.distances)

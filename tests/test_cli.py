@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from proxsplit import bench
 from proxsplit.admm import EqConstrainedProblem
 from proxsplit.cli import EXIT_CAPABILITY, EXIT_OK, EXIT_USAGE, cli_main
 from proxsplit.prox import Quadratic, WeightedL1, Zero
@@ -180,6 +181,12 @@ _MALFORMED_A = {
     ["metric-report", "--problem", "{member_not_object}"],
     ["metric-report", "--problem", "{q_null}"],
     ["metric-report", "--problem", "{c_nan}"],
+    ["metric-report", "--problem", "{box_lo_null}"],
+    ["metric-report", "--problem", "{w_null}"],
+    ["metric-report", "--problem", "{slope_null}"],
+    ["metric-report", "--problem", "{stop_fraction}"],
+    ["metric-report", "--problem", "{start_fraction}"],
+    ["metric-report", "--problem", "{mpc_short_q}"],
     ["mpc", "--tol", "-1"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
@@ -190,6 +197,15 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
         B=-np.eye(2), c=np.zeros(2)).to_json()
     bad = {name: {**problem, "A": bad_a}
            for name, bad_a in _MALFORMED_A.items()}
+    l1 = {"kind": "weighted_l1", "w": [1.0]}
+
+    def halves(stop, start):
+        return {**problem, "g": {"kind": "separable", "members": [
+            {"start": 0, "stop": stop, "fn": l1},
+            {"start": start, "stop": 2, "fn": l1}]}}
+
+    mpc = bench.gen_mpc(bench.MpcSpec(horizon=2), np.zeros(4),
+                        np.zeros(4)).to_json()
     bad.update(
         problem_not_object=[1],
         f_not_object={**problem, "f": 5},
@@ -197,6 +213,14 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
                                             "members": [5]}},
         q_null={**problem, "f": {**problem["f"], "q": [None, 1.0]}},
         c_nan={**problem, "c": [float("nan"), 0.0]},
+        box_lo_null={**problem, "g": {"kind": "box", "lo": [None, -1.0],
+                                      "hi": [1.0, 1.0]}},
+        w_null={**problem, "g": {"kind": "weighted_l1", "w": [1.0, None]}},
+        slope_null={**problem, "g": {"kind": "pwl_penalty", "lo": -1.0,
+                                     "hi": 1.0, "slope": None, "dim": 2}},
+        stop_fraction=halves(1.7, 1),
+        start_fraction=halves(1, 1.2),
+        mpc_short_q={**mpc, "f": {**mpc["f"], "q": mpc["f"]["q"][:3]}},
     )
     for name, payload in bad.items():
         paths[name] = tmp_path / f"{name}.json"

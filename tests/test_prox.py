@@ -128,6 +128,14 @@ class TestProxValues:
         with pytest.raises(NonSymmetricError):
             make(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("make", [
+        lambda q: Quadratic(np.eye(3), q),
+        lambda q: QuadraticAffine(np.eye(3), q, np.zeros((0, 3)), []),
+    ], ids=["quadratic", "quadratic_affine"])
+    def test_q_vector_must_match_dimension(self, make):
+        with pytest.raises(DimensionMismatchError):
+            make([1.0, 2.0])
+
 
 class TestReflected:
     def test_anisotropic_closed_form(self, rng):

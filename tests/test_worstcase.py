@@ -147,8 +147,7 @@ class TestVerification:
         for kappa, ratio in ((4.0, 1.0), (25.0, 0.2), (100.0, 5.0)):
             reg = Regularity(1.0, kappa)
             gamma = ratio / math.sqrt(reg.beta * reg.sigma)
-            dist = divergence_distances(reg.beta, reg.sigma, gamma,
-                                        blowup=1.01, iters=100)
+            dist = divergence_distances(reg.beta, reg.sigma, gamma)
             assert len(dist) == 101
             assert np.all(dist[1:] >= dist[:-1] * (1 - 1e-12))
 
