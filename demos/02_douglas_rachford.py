@@ -10,7 +10,7 @@ import io
 
 import numpy as np
 
-from proxsplit import DrConfig, Quadratic, WeightedL1, dr_solve
+from proxsplit import Quadratic, WeightedL1, dr_solve
 from proxsplit.splitting import write_trace_csv
 
 # minimize 0.5 x^T Q x + q^T x + ||x||_1 in 4 variables
@@ -23,9 +23,8 @@ sigma, beta = f.regularity
 print(f"smooth term: sigma={sigma:.3f}, beta={beta:.3f}, "
       f"kappa={beta / sigma:.1f}")
 
-cfg = DrConfig(gamma=1.0 / np.sqrt(sigma * beta), alpha=1.0,
-               max_iters=500, tol=1e-12)
-trace = dr_solve(f, g, cfg, z0=np.zeros(4))
+gamma = 1.0 / np.sqrt(sigma * beta)
+trace = dr_solve(f, g, gamma, 1.0, np.zeros(4), tol=1e-12, max_iters=500)
 print(f"converged: {trace.converged} after {trace.iterations} iterations")
 print("solution x* =", np.round(trace.x_final, 6))
 
@@ -37,8 +36,9 @@ print("max |grad + sign| on the support:",
           default=0.0))
 
 # measured contraction against the fixed point of a deeper run
-ref = dr_solve(f, g, DrConfig(cfg.gamma, 1.0, 2000, 1e-14), np.zeros(4))
-trace2 = dr_solve(f, g, cfg, z0=np.ones(4), reference=ref.z_final)
+ref = dr_solve(f, g, gamma, 1.0, np.zeros(4), tol=1e-14, max_iters=2000)
+trace2 = dr_solve(f, g, gamma, 1.0, np.ones(4), tol=1e-12, max_iters=500,
+                  reference=ref.z_final)
 ratios = [r for r in trace2.contraction_ratios[:10] if not np.isnan(r)]
 print("\nfirst contraction ratios:", np.round(ratios, 4))
 

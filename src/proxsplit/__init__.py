@@ -72,7 +72,7 @@ from .rates import (
     optimal_parameters,
     rate_bound,
 )
-from .splitting import DrConfig, SolveTrace, dr_solve, dr_step
+from .splitting import SolveTrace, dr_solve, dr_step
 from .worstcase import (
     WorstCaseInstance,
     adversarial_case,

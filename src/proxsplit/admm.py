@@ -28,6 +28,7 @@ from .linmetric import (
     _as_dense,
     _json_object,
     _json_vector,
+    _positive,
     matrix_from_json,
     matrix_to_json,
 )
@@ -41,7 +42,7 @@ from .prox import (
     dual_quadratic,
     proxfn_from_json,
 )
-from .splitting import DrConfig, SolveTrace, _fixed_point, dr_step
+from .splitting import SolveTrace, _fixed_point, dr_step
 
 
 @dataclass(eq=False)
@@ -102,18 +103,14 @@ class EqConstrainedProblem:
                    _json_vector(obj["c"], "c"))
 
 
-def _diagonal_signature(m: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """(sign, d) when m = sign * diag(d) with d > 0, else None."""
+def _diagonal_signature(m: np.ndarray) -> np.ndarray | None:
+    """diag(m) if m is diagonal with nonzero entries of one sign, else None."""
     if m.shape[0] != m.shape[1]:
         return None
-    d = np.diag(m).copy()
-    if np.count_nonzero(m - np.diag(d)):
+    s = np.diag(m).copy()
+    if np.count_nonzero(m - np.diag(s)):
         return None
-    if np.all(d > 0):
-        return 1, d
-    if np.all(d < 0):
-        return -1, -d
-    return None
+    return s if np.all(s > 0) or np.all(s < 0) else None
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -127,7 +124,7 @@ class _XUpdate:
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         f, a = problem.f, problem.A
         self.gamma = gamma
-        self.at = a.T if sig is None else sig[0] * sig[1]  # A^T, or diag(A)
+        self.at = a.T if sig is None else sig  # A^T, or diag(A)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
             self.fac = scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
@@ -141,9 +138,9 @@ class _XUpdate:
             ]))
             self.q, self.b, self.n = f.q, f.b, n
         elif sig is not None:
-            # A = sign*diag(d): substitute t = A x and prox the rescaled f.
+            # A = diag(s): substitute t = A x and prox the rescaled f.
             self.mode = "prox"
-            self.scaled_f = diag_scale(f, sig[1], sig[0])
+            self.scaled_f = diag_scale(f, sig)
         else:
             raise CapabilityError(
                 "x-update has no closed form: f must be quadratic (optionally "
@@ -171,8 +168,8 @@ class _YUpdate:
             raise CapabilityError(
                 "y-update has no closed form: B must be +/- identity or "
                 "+/- a positive diagonal so the update reduces to a prox")
-        self.scaled_g = diag_scale(problem.g, sig[1], sig[0])
-        self.s = sig[0] * sig[1]
+        self.scaled_g = diag_scale(problem.g, sig)
+        self.s = sig
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self.scaled_g.prox(1.0 / self.gamma, v) / self.s
@@ -187,10 +184,8 @@ class AdmmEngine:
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
                  alpha: float):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _positive(gamma, "gamma")
+        _positive(alpha, "alpha")
         self.problem = problem
         self.gamma = gamma
         self.alpha = alpha
@@ -243,8 +238,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
     ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
     change in z, shows up as ``converged=False`` on the trace, never as an
-    exception; ``max_iters < 1``, ``tol <= 0`` or a misshapen start raise
-    ``ValueError``.
+    exception; a ``gamma`` or ``alpha`` that is not > 0 (NaN included),
+    ``max_iters < 1``, ``tol <= 0`` or a misshapen start raise ValueError.
 
     Parameters
     ----------
@@ -316,12 +311,10 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
     y, u = engine.consistent_init(z0)
 
     # Dual splitting applies the d2 prox first, so d2 is the first argument.
-    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=max(iters, 1),
-                   tol=1e-300)
     z_dr = z0.copy()
     max_dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
     for _ in range(iters):
-        z_dr, _, _ = dr_step(d2, d1, cfg, z_dr)
+        z_dr, _, _ = dr_step(d2, d1, gamma, alpha, z_dr)
         _, y, u = engine.step(y, u)
         dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
         max_dev = max(max_dev, dev)

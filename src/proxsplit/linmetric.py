@@ -29,6 +29,12 @@ def _as_dense(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def _positive(value: float, what: str) -> None:
+    """Raise ValueError unless value > 0, which NaN is not."""
+    if not value > 0:
+        raise ValueError(f"{what} must be positive")
+
+
 def _json_index(v, what: str) -> int:
     try:
         i = int(v)

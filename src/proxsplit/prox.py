@@ -31,6 +31,7 @@ from .linmetric import (
     _json_object,
     _json_scalar_or_vector,
     _json_vector,
+    _positive,
     matrix_from_json,
     matrix_to_json,
     spectral_summary,
@@ -63,6 +64,11 @@ class ProxFn:
                 f"{self.kind} expects dimension {self.dim}, got {z.shape[0]}")
         return z
 
+    def _check(self, gamma: float, z: np.ndarray) -> np.ndarray:
+        """The prox query z as a checked point, after the gamma > 0 check."""
+        _positive(gamma, "gamma")
+        return self._check_point(z)
+
     def __call__(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -76,8 +82,7 @@ class ProxFn:
 
     def conjugate_prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """Prox of gamma times the convex conjugate, via Moreau's identity."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        _positive(gamma, "gamma")
         z = np.asarray(z, dtype=float)
         return z - gamma * self.prox(1.0 / gamma, z / gamma)
 
@@ -134,9 +139,7 @@ class Quadratic(ProxFn):
         return fac
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         return scipy.linalg.cho_solve(self._factor(gamma), _finite(
             z - gamma * self.q), check_finite=False)
 
@@ -201,9 +204,7 @@ class QuadraticAffine(ProxFn):
         return fac
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         p = self.L.shape[0]
         rhs = np.concatenate([z - gamma * self.q, self.b])
         sol = scipy.linalg.lu_solve(self._factor(gamma), rhs)
@@ -232,9 +233,7 @@ class Zero(ProxFn):
         return 0.0
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return self._check_point(z).copy()
+        return self._check(gamma, z).copy()
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -253,9 +252,7 @@ class IndicatorZero(ProxFn):
         return 0.0 if not x.size or np.abs(x).max() == 0.0 else np.inf
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return np.zeros_like(self._check_point(z))
+        return np.zeros_like(self._check(gamma, z))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -295,9 +292,7 @@ class IndicatorAffine(ProxFn):
             1.0, np.abs(self.b).max(initial=0.0)) else np.inf
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         return z - self._pinv @ (self.L @ z - self.b)
 
     def to_json(self) -> dict:
@@ -327,9 +322,7 @@ class Box(ProxFn):
         return 0.0 if inside else np.inf
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return np.clip(self._check_point(z), self.lo, self.hi)
+        return np.clip(self._check(gamma, z), self.lo, self.hi)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lo": self.lo.tolist(),
@@ -352,9 +345,7 @@ class WeightedL1(ProxFn):
         return float(self.w @ np.abs(self._check_point(x)))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         return np.sign(z) * np.maximum(np.abs(z) - gamma * self.w, 0.0)
 
     def to_json(self) -> dict:
@@ -398,9 +389,7 @@ class PwlPenalty(ProxFn):
         return float(np.sum(self.slope * (over + under)))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         t = gamma * self.slope
         out = z.copy()
         out = np.where(z > self.hi + t, z - t, out)
@@ -450,9 +439,7 @@ class Separable(ProxFn):
         return float(sum(fn(x[a:b]) for a, b, fn in self.members))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_point(z)
+        z = self._check(gamma, z)
         out = np.empty_like(z)
         for a, b, fn in self.members:
             out[a:b] = fn.prox(gamma, z[a:b])
@@ -509,46 +496,46 @@ def dual_quadratic(f: Quadratic, a, c) -> Quadratic:
     return Quadratic(dual_curvature(a, f.Q), lin)
 
 
-def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
-    """The function t -> f(sign * D^-1 t) for positive diagonal D.
+def _band(lo, hi, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interval {s * x : lo <= x <= hi} per coordinate, for nonzero s."""
+    up = s > 0
+    return np.where(up, lo * s, hi * s), np.where(up, hi * s, lo * s)
 
+
+def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
+    """The function t -> f(S^-1 t) for a diagonal S = diag(s), s nonzero.
+
+    ``s`` is one signed vector: each coordinate may have its own sign.
     Every catalog kind stays inside the catalog under this change of
     variables, which is what makes diagonal constraint scalings solvable in
     prox form.
     """
-    d = np.asarray(d, dtype=float).ravel()
-    if np.any(d <= 0):
-        raise ValueError("diagonal entries must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if f.dim is not None and f.dim != d.shape[0]:
+    s = np.asarray(s, dtype=float).ravel()
+    if not np.all(np.abs(s) > 0):
+        raise ValueError("diagonal entries must be nonzero")
+    if f.dim is not None and f.dim != s.shape[0]:
         raise DimensionMismatchError("diagonal length does not match f")
-    s = float(sign)
+    sinv = 1.0 / s
     if isinstance(f, Zero):
-        return Zero(d.shape[0])
+        return Zero(s.shape[0])
     if isinstance(f, IndicatorZero):
-        return IndicatorZero(d.shape[0])
+        return IndicatorZero(s.shape[0])
     if isinstance(f, WeightedL1):
-        return WeightedL1(f.w / d)
+        return WeightedL1(f.w / np.abs(s))
     if isinstance(f, Box):
-        if s > 0:
-            return Box(f.lo * d, f.hi * d)
-        return Box(-f.hi * d, -f.lo * d)
+        return Box(*_band(f.lo, f.hi, s))
     if isinstance(f, PwlPenalty):
-        if s > 0:
-            return PwlPenalty(f.lo * d, f.hi * d, f.slope / d, d.shape[0])
-        return PwlPenalty(-f.hi * d, -f.lo * d, f.slope / d, d.shape[0])
+        return PwlPenalty(*_band(f.lo, f.hi, s), f.slope / np.abs(s),
+                          s.shape[0])
     if isinstance(f, Quadratic):
-        dinv = 1.0 / d
-        return Quadratic(f.Q * np.outer(dinv, dinv), s * f.q * dinv)
+        return Quadratic(f.Q * np.outer(sinv, sinv), f.q * sinv)
     if isinstance(f, QuadraticAffine):
-        dinv = 1.0 / d
-        return QuadraticAffine(f.Q * np.outer(dinv, dinv), s * f.q * dinv,
-                               s * f.L * dinv[None, :], f.b)
+        return QuadraticAffine(f.Q * np.outer(sinv, sinv), f.q * sinv,
+                               f.L * sinv[None, :], f.b)
     if isinstance(f, IndicatorAffine):
-        return IndicatorAffine(s * f.L / d[None, :], f.b)
+        return IndicatorAffine(f.L / s[None, :], f.b)
     if isinstance(f, Separable):
-        return Separable([(a, b, diag_scale(fn, d[a:b], sign))
+        return Separable([(a, b, diag_scale(fn, s[a:b]))
                           for a, b, fn in f.members])
     raise CapabilityError(
         f"no diagonal scaling rule for catalog kind {f.kind!r}")
@@ -557,6 +544,8 @@ def diag_scale(f: ProxFn, d: np.ndarray, sign: int = 1) -> ProxFn:
 def proxfn_from_json(obj: dict) -> ProxFn:
     """Rebuild a catalog member from its tagged-union JSON encoding."""
     kind = _json_object(obj, "a ProxFn").get("kind")
+    dim = obj.get("dim")
+    dim = None if dim is None else _json_index(dim, "dim")
     if kind == "quadratic":
         return Quadratic(matrix_from_json(obj["Q"]),
                          _json_vector(obj["q"], "q"))
@@ -566,9 +555,9 @@ def proxfn_from_json(obj: dict) -> ProxFn:
                                matrix_from_json(obj["L"]),
                                _json_vector(obj["b"], "b"))
     if kind == "zero":
-        return Zero(obj.get("dim"))
+        return Zero(dim)
     if kind == "indicator_zero":
-        return IndicatorZero(obj.get("dim"))
+        return IndicatorZero(dim)
     if kind == "indicator_affine":
         return IndicatorAffine(matrix_from_json(obj["L"]),
                                _json_vector(obj["b"], "b"))
@@ -579,8 +568,10 @@ def proxfn_from_json(obj: dict) -> ProxFn:
         return WeightedL1(_json_vector(obj["w"], "w"))
     if kind == "pwl_penalty":
         return PwlPenalty(*(_json_scalar_or_vector(obj[k], k)
-                            for k in ("lo", "hi", "slope")), obj.get("dim"))
+                            for k in ("lo", "hi", "slope")), dim)
     if kind == "separable":
+        if not isinstance(obj["members"], list):
+            raise ValueError("members must be a list")
         members = [_json_object(m, "a member") for m in obj["members"]]
         return Separable([(_json_index(m["start"], "start"),
                            _json_index(m["stop"], "stop"),

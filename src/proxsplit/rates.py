@@ -18,6 +18,7 @@ from .errors import RankDeficiencyError, UnboundedIterationError
 from .linmetric import (
     DiagonalMetric,
     _as_dense,
+    _positive,
     _row_rank_svdvals,
     spectral_summary,
 )
@@ -75,8 +76,7 @@ def contraction_factor(reg: Regularity, gamma: float) -> float:
     gamma >= 1/sqrt(beta*sigma), the second below the kink; at the kink both
     agree to within one ulp and the max is returned.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _positive(gamma, "gamma")
     gb = gamma * reg.beta
     gs = gamma * reg.sigma
     value = max((gb - 1.0) / (gb + 1.0), (1.0 - gs) / (gs + 1.0))

@@ -9,6 +9,7 @@ applies the prox of the second, and averages:
 
 which is algebraically ((1-alpha)*Id + alpha*R_g R_f) z.  Swap the arguments
 to apply prox_g first.  The unaveraged case alpha = 1 is Peaceman-Rachford.
+gamma and alpha are plain positive arguments, as for ADMM's ``admm_solve``.
 """
 
 from __future__ import annotations
@@ -20,36 +21,13 @@ from typing import Callable
 
 import numpy as np
 
+from .linmetric import _positive
 from .prox import ProxFn
 
 #: scalars of full z-history kept before thinning to residuals only
 HISTORY_SCALAR_BUDGET = 10**7
 
 CSV_SCHEMA_TAG = "# proxsplit-csv v1"
-
-
-@dataclass(frozen=True)
-class DrConfig:
-    """Parameters of the relaxed splitting iteration.
-
-    The prox of the first operator is applied first; swap the arguments to
-    apply prox_g first.
-    """
-
-    gamma: float
-    alpha: float
-    max_iters: int = 10_000
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(eq=False)
@@ -99,7 +77,7 @@ def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
         fileobj.write(f"{k},{res:.17g},{ratio_txt}\n")
 
 
-def dr_step(f: ProxFn, g: ProxFn, cfg: DrConfig,
+def dr_step(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
             z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One relaxed step; returns (z_next, x, y).
 
@@ -107,9 +85,9 @@ def dr_step(f: ProxFn, g: ProxFn, cfg: DrConfig,
     point of the composition both coincide with the solution.
     """
     z = np.asarray(z, dtype=float)
-    x = f.prox(cfg.gamma, z)
-    y = g.prox(cfg.gamma, 2.0 * x - z)
-    return z + 2.0 * cfg.alpha * (y - x), x, y
+    x = f.prox(gamma, z)
+    y = g.prox(gamma, 2.0 * x - z)
+    return z + 2.0 * alpha * (y - x), x, y
 
 
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
@@ -126,8 +104,7 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _positive(tol, "tol")
     z = np.asarray(z0, dtype=float)
     ref = None if reference is None else np.asarray(reference, dtype=float)
     keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
@@ -156,7 +133,8 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     return trace
 
 
-def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
+def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
+             z0: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000,
              reference: np.ndarray | None = None) -> SolveTrace:
     """Iterate the relaxed splitting map from z0 until the residual is small.
 
@@ -164,29 +142,34 @@ def dr_solve(f: ProxFn, g: ProxFn, cfg: DrConfig, z0: np.ndarray,
     ||z^{k+1} - z^k|| <= tol * max(1, ||z^{k+1}||), else after
     ``max_iters`` steps or at a non-finite residual with ``converged`` False
     (no exception).  ``x_final`` is prox_f at the final iterate, or after a
-    non-finite residual the last step's one.
+    non-finite residual the last step's one.  Invalid parameters raise
+    ``ValueError`` before the first step.
 
     Parameters
     ----------
     f, g : ProxFn
         The two operators; prox_f runs first.  Swap the arguments to apply
         prox_g first.
-    cfg : DrConfig
-        Step size, relaxation, stopping rule.
+    gamma, alpha : float
+        Step size and relaxation; each must be > 0, which NaN is not.
     z0 : array
         Starting iterate.
+    tol, max_iters
+        Stopping rule; needs tol > 0 and max_iters >= 1.
     reference : array, optional
         Known fixed point; when given, ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
+    _positive(gamma, "gamma")
+    _positive(alpha, "alpha")
     x = None
 
     def step(z):
         nonlocal x
-        z_next, x, _ = dr_step(f, g, cfg, z)
+        z_next, x, _ = dr_step(f, g, gamma, alpha, z)
         return z_next
 
-    trace = _fixed_point(step, z0, cfg.max_iters, cfg.tol, reference)
-    trace.x_final = (f.prox(cfg.gamma, trace.z_final)
+    trace = _fixed_point(step, z0, max_iters, tol, reference)
+    trace.x_final = (f.prox(gamma, trace.z_final)
                      if math.isfinite(trace.residuals[-1]) else x)
     return trace

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import EqConstrainedProblem, admm_solve
+from .linmetric import _positive
 from .prox import IndicatorZero, ProxFn, Quadratic, Zero
 from .rates import (
     DualRegularity,
@@ -30,7 +31,7 @@ from .rates import (
     contraction_factor,
     rate_bound,
 )
-from .splitting import DrConfig, SolveTrace, dr_solve
+from .splitting import SolveTrace, dr_solve
 
 VARIANTS = ("g1", "g2")
 
@@ -113,8 +114,7 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     |1 - alpha - alpha*(1-gamma*lam)/(1+gamma*lam)| for variant g2, with
     lam = beta on coordinate 1 and lam = sigma on coordinate 2.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _positive(gamma, "gamma")
     if coordinate not in (BETA_COORD, SIGMA_COORD):
         raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
     lam = reg.beta if coordinate == BETA_COORD else reg.sigma
@@ -135,8 +135,7 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     variant is extremal; the other three quadrants follow by swapping the
     variant and/or the excited coordinate.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _positive(gamma, "gamma")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     kink = 1.0 / math.sqrt(reg.beta * reg.sigma)
@@ -190,9 +189,8 @@ def verify_point(beta: float, sigma: float, gamma: float, alpha: float, *,
     reg = Regularity(sigma=sigma, beta=beta)
     variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
     inst = build(reg, variant, "primal", coordinate=coordinate)
-    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=iters, tol=1e-13)
-    trace = dr_solve(inst.f, inst.g, cfg, inst.z0,
-                     reference=inst.fixed_point)
+    trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=1e-13,
+                     max_iters=iters, reference=inst.fixed_point)
     return {"beta": beta, "sigma": sigma, "gamma": gamma, "alpha": alpha,
             "variant": variant,
             **_measured_columns(trace, reg, variant, gamma, alpha,
@@ -229,9 +227,8 @@ def divergence_distances(beta: float, sigma: float,
     alpha = 1.01 * 2.0 / (1.0 + delta)
     variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
     inst = build(reg, variant, "primal", coordinate=coordinate)
-    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=100, tol=1e-300)
-    trace = dr_solve(inst.f, inst.g, cfg, inst.z0,
-                     reference=inst.fixed_point)
+    trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=1e-300,
+                     max_iters=100, reference=inst.fixed_point)
     return np.array(trace.distances)
 
 

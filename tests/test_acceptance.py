@@ -31,7 +31,7 @@ from proxsplit.rates import (
     competing_rates,
     contraction_factor,
 )
-from proxsplit.splitting import DrConfig, dr_solve
+from proxsplit.splitting import dr_solve
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -56,15 +56,15 @@ def test_criterion_01_tightness_grid():
 def test_criterion_02_optimal_rate():
     inst = worstcase.build(Regularity(1.0, 4.0), "g1", "primal",
                            coordinate=2)
-    cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=200, tol=1e-12)
-    trace = dr_solve(inst.f, inst.g, cfg, inst.z0, reference=np.zeros(2))
+    trace = dr_solve(inst.f, inst.g, 0.5, 1.0, inst.z0, tol=1e-12,
+                     max_iters=200, reference=np.zeros(2))
     ratios = [r for r in trace.contraction_ratios if not math.isnan(r)]
     worst = max(abs(r - 1.0 / 3.0) for r in ratios)
 
     flat = worstcase.build(Regularity(1.0, 1.0), "g1", "primal",
                            coordinate=2)
-    cfg1 = DrConfig(gamma=1.0, alpha=1.0, max_iters=5, tol=1e-15)
-    trace1 = dr_solve(flat.f, flat.g, cfg1, flat.z0, reference=np.zeros(2))
+    trace1 = dr_solve(flat.f, flat.g, 1.0, 1.0, flat.z0, tol=1e-15,
+                      max_iters=5, reference=np.zeros(2))
     one_step = trace1.distances_to(np.zeros(2))[1]
 
     ok = worst <= 1e-10 and one_step <= 1e-15

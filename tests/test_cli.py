@@ -187,7 +187,11 @@ _MALFORMED_A = {
     ["metric-report", "--problem", "{stop_fraction}"],
     ["metric-report", "--problem", "{start_fraction}"],
     ["metric-report", "--problem", "{mpc_short_q}"],
+    ["metric-report", "--problem", "{members_not_list}"],
+    ["metric-report", "--problem", "{pwl_dim_list}"],
     ["mpc", "--tol", "-1"],
+    ["lasso", "--alpha", "nan"],
+    ["mpc", "--alpha", "nan"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     paths = {"empty": tmp_path / "empty.json"}
@@ -221,6 +225,11 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
         stop_fraction=halves(1.7, 1),
         start_fraction=halves(1, 1.2),
         mpc_short_q={**mpc, "f": {**mpc["f"], "q": mpc["f"]["q"][:3]}},
+        members_not_list={**problem, "g": {"kind": "separable",
+                                           "members": 5}},
+        pwl_dim_list={**problem, "g": {"kind": "pwl_penalty", "lo": -1.0,
+                                       "hi": 1.0, "slope": 1.0,
+                                       "dim": [3]}},
     )
     for name, payload in bad.items():
         paths[name] = tmp_path / f"{name}.json"

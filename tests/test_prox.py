@@ -341,7 +341,7 @@ class TestDiagScale:
             f = sample_catalog_fn(rng, dim)
             d = rng.uniform(0.2, 3.0, size=dim)
             sign = int(rng.choice([1, -1]))
-            scaled = diag_scale(f, d, sign)
+            scaled = diag_scale(f, sign * d)
             gamma = float(10.0 ** rng.uniform(-1, 1))
             t = rng.normal(size=dim)
             direct = gamma * scaled(scaled.prox(gamma, t)) + 0.5 * np.sum(
@@ -355,7 +355,7 @@ class TestDiagScale:
     def test_scaled_evaluation_matches_original(self, rng):
         f = WeightedL1([2.0, 0.5])
         d = np.array([2.0, 4.0])
-        scaled = diag_scale(f, d, -1)
+        scaled = diag_scale(f, -d)
         t = rng.normal(size=2)
         assert scaled(t) == pytest.approx(f(-t / d), abs=1e-12)
 
@@ -371,7 +371,7 @@ class TestDiagScale:
             d = rng.uniform(0.2, 3.0, size=dim)
             assert not np.all(d == d[0])
             for sign in (1, -1):
-                scaled = diag_scale(f, d, sign)
+                scaled = diag_scale(f, sign * d)
                 assert type(scaled) is PwlPenalty and scaled.dim == dim
                 members = []
                 for i, di in enumerate(map(float, d)):
@@ -389,13 +389,49 @@ class TestDiagScale:
                     assert scaled(t) == pytest.approx(reference(t),
                                                       rel=1e-14, abs=1e-14)
 
+    def test_mixed_signs_match_one_coordinate_scalings(self, rng):
+        # Reference: a Separable of one-coordinate members, each scaled by
+        # its own signed entry; the mixed-sign scaling must match it bit
+        # for bit, and must evaluate as f(S^-1 t).
+        s = np.array([1.5, -0.5, 2.0, -3.0])
+        lo = rng.normal(size=4)
+        hi = lo + rng.uniform(0.1, 2.0, size=4)
+
+        def coordinate(f, i):
+            cut = (lambda v: v if np.ndim(v) == 0 else v[i:i + 1])
+            if isinstance(f, Box):
+                return Box(cut(f.lo), cut(f.hi))
+            if isinstance(f, WeightedL1):
+                return WeightedL1(cut(f.w))
+            if isinstance(f, PwlPenalty):
+                return PwlPenalty(cut(f.lo), cut(f.hi), cut(f.slope), 1)
+            return type(f)(1)
+
+        for f in (Box(lo, hi), WeightedL1(rng.uniform(0.0, 3.0, size=4)),
+                  PwlPenalty(lo, hi, rng.uniform(0.1, 10.0, size=4)),
+                  PwlPenalty(-1.0, 0.5, 2.0, 4), Zero(4), IndicatorZero(4)):
+            scaled = diag_scale(f, s)
+            assert type(scaled) is type(f) and scaled.dim == 4
+            reference = Separable([(i, i + 1,
+                                    diag_scale(coordinate(f, i), s[i:i + 1]))
+                                   for i in range(4)])
+            for gamma in (0.01, 0.3, 1.0, 7.0, 100.0):
+                t = 4.0 * rng.normal(size=4)
+                assert np.array_equal(scaled.prox(gamma, t),
+                                      reference.prox(gamma, t))
+                assert scaled(t) == pytest.approx(f(t / s), rel=1e-14,
+                                                  abs=1e-14)
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError, match="nonzero"):
+                diag_scale(Box(lo, hi), np.where(s > 0, s, bad))
+
     def test_box_scaling(self):
         f = Box([-1.0, 0.0], [2.0, 3.0])
         d = np.array([2.0, 0.5])
-        up = diag_scale(f, d, 1)
+        up = diag_scale(f, d)
         assert np.allclose(up.lo, [-2.0, 0.0])
         assert np.allclose(up.hi, [4.0, 1.5])
-        down = diag_scale(f, d, -1)
+        down = diag_scale(f, -d)
         assert np.allclose(down.lo, [-4.0, -1.5])
         assert np.allclose(down.hi, [2.0, 0.0])
 

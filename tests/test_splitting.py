@@ -5,16 +5,23 @@ import io
 import numpy as np
 import pytest
 
-from conftest import sample_catalog_fn
-from proxsplit.prox import IndicatorZero, Quadratic, Zero
+from conftest import sample_catalog_fn, sample_quadratic_affine
+from proxsplit.admm import EqConstrainedProblem, admm_solve
+from proxsplit.prox import (
+    ConjugateOf,
+    IndicatorZero,
+    Quadratic,
+    WeightedL1,
+    Zero,
+)
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
 from proxsplit.splitting import (
     CSV_SCHEMA_TAG,
-    DrConfig,
     dr_solve,
     dr_step,
     write_trace_csv,
 )
+from proxsplit.worstcase import adversarial_case, exact_rate
 
 
 def worst_quadratic(beta=4.0, sigma=1.0):
@@ -23,32 +30,28 @@ def worst_quadratic(beta=4.0, sigma=1.0):
 
 class TestDrStep:
     def test_one_step_kills_soft_coordinate(self):
-        cfg = DrConfig(gamma=1.0, alpha=1.0, max_iters=1, tol=1e-12)
-        z_next, x, y = dr_step(worst_quadratic(), Zero(2), cfg,
+        z_next, x, y = dr_step(worst_quadratic(), Zero(2), 1.0, 1.0,
                                np.array([0.0, 1.0]))
         assert np.allclose(z_next, [0.0, 0.0], atol=1e-15)
         assert np.allclose(x, [0.0, 0.5], atol=1e-15)
         assert np.allclose(y, [0.0, 0.0], atol=1e-15)
 
     def test_identity_when_both_zero(self, rng):
-        cfg = DrConfig(gamma=2.0, alpha=1.0, max_iters=1, tol=1e-12)
         z = rng.normal(size=3)
-        z_next, _, _ = dr_step(Zero(3), Zero(3), cfg, z)
+        z_next, _, _ = dr_step(Zero(3), Zero(3), 2.0, 1.0, z)
         assert np.allclose(z_next, z, atol=1e-15)
 
     def test_origin_indicator_flips_scaled(self):
-        cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=1, tol=1e-12)
-        z_next, _, _ = dr_step(worst_quadratic(), IndicatorZero(2), cfg,
-                               np.array([1.0, 0.0]))
+        z_next, _, _ = dr_step(worst_quadratic(), IndicatorZero(2), 0.5,
+                               1.0, np.array([1.0, 0.0]))
         assert np.allclose(z_next, [1.0 / 3.0, 0.0], atol=1e-15)
 
     def test_matches_reflection_composition(self, rng):
         f = worst_quadratic(3.0, 0.5)
         g = sample_catalog_fn(rng, 2)
         for alpha in (0.4, 1.0, 1.3):
-            cfg = DrConfig(gamma=0.8, alpha=alpha, max_iters=1, tol=1e-12)
             z = rng.normal(size=2)
-            z_next, _, _ = dr_step(f, g, cfg, z)
+            z_next, _, _ = dr_step(f, g, 0.8, alpha, z)
             composed = g.reflect(0.8, f.reflect(0.8, z))
             expect = (1 - alpha) * z + alpha * composed
             assert np.allclose(z_next, expect, atol=1e-12)
@@ -58,17 +61,15 @@ class TestDrStep:
         f = worst_quadratic()
         for g in (Zero(2), IndicatorZero(2)):
             for alpha in (0.3, 1.0, 1.4):
-                cfg = DrConfig(gamma=0.7, alpha=alpha, max_iters=1,
-                               tol=1e-12)
-                z_next, _, _ = dr_step(f, g, cfg, np.zeros(2))
+                z_next, _, _ = dr_step(f, g, 0.7, alpha, np.zeros(2))
                 assert np.allclose(z_next, np.zeros(2), atol=1e-10)
 
 
 class TestDrSolve:
     def test_exact_one_third_contraction(self):
-        cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=200, tol=1e-12)
-        trace = dr_solve(worst_quadratic(), Zero(2), cfg,
-                         np.array([0.0, 1.0]), reference=np.zeros(2))
+        trace = dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0,
+                         np.array([0.0, 1.0]), tol=1e-12, max_iters=200,
+                         reference=np.zeros(2))
         assert trace.converged
         ratios = [r for r in trace.contraction_ratios if not np.isnan(r)]
         assert ratios
@@ -77,8 +78,8 @@ class TestDrSolve:
     def test_unconstrained_quadratic_minimum(self, rng):
         f = Quadratic(np.eye(2), np.array([-1.0, -1.0]))
         for gamma in (0.3, 1.0, 5.0):
-            cfg = DrConfig(gamma=gamma, alpha=1.0, max_iters=500, tol=1e-12)
-            trace = dr_solve(f, Zero(2), cfg, rng.normal(size=2))
+            trace = dr_solve(f, Zero(2), gamma, 1.0, rng.normal(size=2),
+                             tol=1e-12, max_iters=500)
             assert trace.converged
             assert np.allclose(trace.x_final, [1.0, 1.0], atol=1e-8)
 
@@ -87,9 +88,8 @@ class TestDrSolve:
         gamma = 0.5
         delta = contraction_factor(reg, gamma)
         alpha = 1.05 * 2.0 / (1.0 + delta)
-        cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=100, tol=1e-12)
-        trace = dr_solve(worst_quadratic(), Zero(2), cfg,
-                         np.array([1.0, 0.0]))
+        trace = dr_solve(worst_quadratic(), Zero(2), gamma, alpha,
+                         np.array([1.0, 0.0]), tol=1e-12, max_iters=100)
         assert not trace.converged
         assert trace.iterations == 100
         res = np.array(trace.residuals)
@@ -98,13 +98,12 @@ class TestDrSolve:
     def test_non_finite_residual_is_not_convergence(self):
         # alpha = 3 is far beyond the cap 2/(1+delta): the iterate overflows
         # after ~220 steps and the stop test once read inf <= tol*inf as met.
-        cfg = DrConfig(gamma=1.0, alpha=3.0)
-        trace = dr_solve(worst_quadratic(100.0, 1.0), Zero(2), cfg,
+        trace = dr_solve(worst_quadratic(100.0, 1.0), Zero(2), 1.0, 3.0,
                          np.ones(2))
         assert not trace.converged
         assert not np.isfinite(trace.residuals[-1])
         assert np.all(np.isfinite(trace.residuals[:-1]))
-        assert trace.iterations == len(trace.residuals) < cfg.max_iters
+        assert trace.iterations == len(trace.residuals) < 10_000
         assert np.all(np.isfinite(trace.x_final))
 
     def test_rate_bound_holds_on_alpha_grid(self, rng):
@@ -119,12 +118,13 @@ class TestDrSolve:
                     # enough iterations for the presolve to actually reach
                     # the fixed point at this worst-case rate
                     iters = int(np.ceil(np.log(1e-13) / np.log(bound))) + 50
-                    cfg = DrConfig(gamma=gamma, alpha=float(alpha),
-                                   max_iters=iters, tol=1e-14)
-                    pre = dr_solve(f, g, cfg, rng.normal(size=2))
+                    params = (gamma, float(alpha))
+                    pre = dr_solve(f, g, *params, rng.normal(size=2),
+                                   tol=1e-14, max_iters=iters)
                     assert pre.converged
                     ref = pre.z_final
-                    trace = dr_solve(f, g, cfg, rng.normal(size=2),
+                    trace = dr_solve(f, g, *params, rng.normal(size=2),
+                                     tol=1e-14, max_iters=iters,
                                      reference=ref)
                     dist = trace.distances_to(ref)
                     # the reference itself carries ~1e-13 error, so only
@@ -145,10 +145,9 @@ class TestDrSolve:
             rate = rate_bound(delta, alpha)
             if rate >= 1:
                 continue
-            cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=100,
-                           tol=1e-14)
             z0 = np.array([0.6, -1.2])
-            trace = dr_solve(f, Zero(2), cfg, z0, reference=np.zeros(2))
+            trace = dr_solve(f, Zero(2), gamma, alpha, z0, tol=1e-14,
+                             max_iters=100, reference=np.zeros(2))
             lip = 1.0 / (1.0 + gamma * reg.sigma)
             z_norm0 = np.linalg.norm(z0)
             for k, z in enumerate(trace.z_history):
@@ -158,9 +157,10 @@ class TestDrSolve:
     def test_argument_swap_reaches_same_solution(self, rng):
         f = Quadratic(np.diag([3.0, 1.5]), np.array([0.3, -0.7]))
         g = Quadratic(np.eye(2), np.array([1.0, 0.0]))
-        cfg = DrConfig(gamma=0.9, alpha=1.0, max_iters=2000, tol=1e-13)
-        t1 = dr_solve(f, g, cfg, rng.normal(size=2))
-        t2 = dr_solve(g, f, cfg, rng.normal(size=2))
+        t1 = dr_solve(f, g, 0.9, 1.0, rng.normal(size=2), tol=1e-13,
+                      max_iters=2000)
+        t2 = dr_solve(g, f, 0.9, 1.0, rng.normal(size=2), tol=1e-13,
+                      max_iters=2000)
         assert t1.converged and t2.converged
         assert np.allclose(t1.x_final, t2.x_final, atol=1e-8)
         # direct optimality oracle: gradient of (f+g) vanishes
@@ -169,17 +169,17 @@ class TestDrSolve:
 
     def test_stopping_is_relative(self):
         f = Quadratic(np.eye(1), np.array([-1e6]))
-        cfg = DrConfig(gamma=1.0, alpha=1.0, max_iters=5000, tol=1e-10)
-        trace = dr_solve(f, Zero(1), cfg, np.zeros(1))
+        trace = dr_solve(f, Zero(1), 1.0, 1.0, np.zeros(1), tol=1e-10,
+                         max_iters=5000)
         assert trace.converged
         assert np.allclose(trace.x_final, [1e6], rtol=1e-9)
 
 
 class TestTrace:
     def test_csv_format_with_reference(self):
-        cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=5, tol=1e-15)
-        trace = dr_solve(worst_quadratic(), Zero(2), cfg,
-                         np.array([0.0, 1.0]), reference=np.zeros(2))
+        trace = dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0,
+                         np.array([0.0, 1.0]), tol=1e-15, max_iters=5,
+                         reference=np.zeros(2))
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -192,11 +192,12 @@ class TestTrace:
         assert float(first[2]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_contraction_ratios_match_z_history(self, rng):
-        cfg = DrConfig(gamma=0.3, alpha=0.9, max_iters=400, tol=1e-13)
         f = Quadratic(np.diag([5.0, 0.5]), np.array([0.2, -0.4]))
         g = sample_catalog_fn(rng, 2)
-        ref = dr_solve(f, g, cfg, np.zeros(2)).z_final
-        trace = dr_solve(f, g, cfg, rng.normal(size=2), reference=ref)
+        ref = dr_solve(f, g, 0.3, 0.9, np.zeros(2), tol=1e-13,
+                       max_iters=400).z_final
+        trace = dr_solve(f, g, 0.3, 0.9, rng.normal(size=2), tol=1e-13,
+                         max_iters=400, reference=ref)
         dist = [float(np.linalg.norm(z - ref)) for z in trace.z_history]
         expect = [b / a if a > 1e-300 else float("nan")
                   for a, b in zip(dist, dist[1:])]
@@ -205,9 +206,8 @@ class TestTrace:
         np.testing.assert_array_equal(trace.contraction_ratios, expect)
 
     def test_csv_ratio_column_empty_without_reference(self):
-        cfg = DrConfig(gamma=0.5, alpha=1.0, max_iters=5, tol=1e-15)
-        trace = dr_solve(worst_quadratic(), Zero(2), cfg,
-                         np.array([0.0, 1.0]))
+        trace = dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0,
+                         np.array([0.0, 1.0]), tol=1e-15, max_iters=5)
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         row = buf.getvalue().strip().splitlines()[2]
@@ -215,25 +215,72 @@ class TestTrace:
 
     def test_history_thinning_budget(self):
         f = Zero(2001)
-        cfg = DrConfig(gamma=1.0, alpha=0.9, max_iters=5000, tol=1e-12)
-        trace = dr_solve(f, Zero(2001), cfg, np.ones(2001))
+        trace = dr_solve(f, Zero(2001), 1.0, 0.9, np.ones(2001), tol=1e-12,
+                         max_iters=5000)
         assert trace.z_history == []  # 2001 * 5001 scalars over budget
         assert trace.converged
 
     def test_residuals_nonnegative_and_iterations_capped(self, rng):
         f = sample_catalog_fn(rng, 3)
         g = sample_catalog_fn(rng, 3)
-        cfg = DrConfig(gamma=1.0, alpha=0.8, max_iters=50, tol=1e-16)
-        trace = dr_solve(f, g, cfg, rng.normal(size=3))
+        trace = dr_solve(f, g, 1.0, 0.8, rng.normal(size=3), tol=1e-16,
+                         max_iters=50)
         assert trace.iterations <= 50
         assert all(r >= 0 for r in trace.residuals)
 
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
+        f, z0 = worst_quadratic(), np.ones(2)
         with pytest.raises(ValueError):
-            DrConfig(gamma=0.0, alpha=1.0)
+            dr_solve(f, Zero(2), 0.0, 1.0, z0)
         with pytest.raises(ValueError):
-            DrConfig(gamma=1.0, alpha=0.0)
+            dr_solve(f, Zero(2), 1.0, 0.0, z0)
         with pytest.raises(ValueError):
-            DrConfig(gamma=1.0, alpha=1.0, tol=0.0)
+            dr_solve(f, Zero(2), 1.0, 1.0, z0, tol=0.0)
+
+
+def _one_member_per_kind() -> dict:
+    """Every catalog kind: sample_catalog_fn's draws, plus the two kinds it
+    does not draw (the affine-restricted quadratic and the conjugate)."""
+    rng = np.random.default_rng(0)
+    members = {}
+    for _ in range(200):
+        f = sample_catalog_fn(rng, 3)
+        members.setdefault(f.kind, f)
+    assert len(members) == 8
+    members["quadratic_affine"] = sample_quadratic_affine(rng, 3)
+    members["conjugate"] = ConjugateOf(WeightedL1(np.ones(3)))
+    return members
+
+
+def _parameter_calls() -> dict:
+    """One call per entry point, taking the value under test."""
+    reg = Regularity(1.0, 4.0)
+    f, z0 = worst_quadratic(), np.ones(2)
+    problem = EqConstrainedProblem(
+        f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
+        B=-np.eye(2), c=np.zeros(2))
+    calls = {
+        "dr_solve_gamma": lambda v: dr_solve(f, Zero(2), v, 1.0, z0),
+        "dr_solve_alpha": lambda v: dr_solve(f, Zero(2), 1.0, v, z0),
+        "admm_solve_gamma": lambda v: admm_solve(problem, v, 1.0),
+        "admm_solve_alpha": lambda v: admm_solve(problem, 1.0, v),
+        "contraction_factor": lambda v: contraction_factor(reg, v),
+        "exact_rate": lambda v: exact_rate(reg, "g1", v, 1.0, 1),
+        "adversarial_case": lambda v: adversarial_case(1.0, v, reg),
+    }
+    for kind, fn in _one_member_per_kind().items():
+        calls[f"prox_{kind}"] = lambda v, fn=fn: fn.prox(v, np.ones(3))
+    return calls
+
+
+_CALLS = _parameter_calls()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0],
+                         ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_step_size_and_relaxation_must_be_positive(name, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        _CALLS[name](value)

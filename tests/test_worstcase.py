@@ -7,7 +7,7 @@ import pytest
 
 from proxsplit.prox import IndicatorZero, Quadratic, Zero
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
-from proxsplit.splitting import DrConfig, dr_step
+from proxsplit.splitting import dr_step
 from proxsplit.worstcase import (
     adversarial_case,
     build,
@@ -120,9 +120,8 @@ class TestLinearity:
                 for gamma, alpha in ((0.3, 0.9), (0.5, 1.0), (2.0, 1.1)):
                     inst = build(REG, variant, "primal",
                                  coordinate=coordinate)
-                    cfg = DrConfig(gamma=gamma, alpha=alpha, max_iters=1,
-                                   tol=1e-15)
-                    z_next, _, _ = dr_step(inst.f, inst.g, cfg, inst.z0)
+                    z_next, _, _ = dr_step(inst.f, inst.g, gamma, alpha,
+                                           inst.z0)
                     base = (1 - gamma * lam) / (1 + gamma * lam)
                     factor = (1 - alpha) + alpha * base if variant == "g1" \
                         else (1 - alpha) - alpha * base
