@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapabilityError, DimensionMismatchError
 from .linmetric import (
@@ -37,12 +36,13 @@ from .prox import (
     ProxFn,
     Quadratic,
     QuadraticAffine,
-    _finite,
+    _cho_solver,
+    _lu_solver,
     diag_scale,
     dual_quadratic,
     proxfn_from_json,
 )
-from .splitting import SolveTrace, _fixed_point, dr_step
+from .splitting import SolveTrace, _fixed_point, _norm, dr_step
 
 
 @dataclass(eq=False)
@@ -127,12 +127,12 @@ class _XUpdate:
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
-            self.fac = scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
+            self.fac, self._solve = _cho_solver(f.Q + gamma * (a.T @ a))
             self.q = f.q
         elif isinstance(f, QuadraticAffine):
             self.mode = "quadratic_affine"
             n, p = f.dim, f.L.shape[0]
-            self.fac = scipy.linalg.lu_factor(np.block([
+            self.fac, self._solve = _lu_solver(np.block([
                 [f.Q + gamma * (a.T @ a), f.L.T],
                 [f.L, np.zeros((p, p))],
             ]))
@@ -149,13 +149,10 @@ class _XUpdate:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.mode == "quadratic":
-            return scipy.linalg.cho_solve(self.fac, _finite(
-                self.gamma * _apply(self.at, v) - self.q), check_finite=False)
+            return self._solve(self.gamma * _apply(self.at, v) - self.q)
         if self.mode == "quadratic_affine":
-            rhs = np.concatenate([self.gamma * _apply(self.at, v) - self.q,
-                                  self.b])
-            return scipy.linalg.lu_solve(self.fac, _finite(rhs),
-                                         check_finite=False)[:self.n]
+            return self._solve(np.concatenate([
+                self.gamma * _apply(self.at, v) - self.q, self.b]))[:self.n]
         return self.scaled_f.prox(1.0 / self.gamma, v) / self.at
 
 
@@ -268,8 +265,7 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
         return engine.z_equiv(y, u)
 
     def primal_small():
-        return float(np.linalg.norm(
-            _apply(engine.a, x) + engine.b * y - problem.c)) <= tol
+        return _norm(_apply(engine.a, x) + engine.b * y - problem.c) <= tol
 
     trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
                          reference, primal_small)

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mpc.add_argument("--alpha", type=float, default=0.5)
     mpc.add_argument("--gamma-min", type=float, default=None)
     mpc.add_argument("--gamma-max", type=float, default=None)
-    mpc.add_argument("--gamma-points", type=int, default=1)
+    mpc.add_argument("--gamma-points", type=int, default=None)
     mpc.add_argument("--metric", choices=("identity", "auto"),
                      default="auto")
     mpc.add_argument("--out", required=True)
@@ -113,6 +113,10 @@ def _cmd_mpc(args) -> int:
     x0 = np.zeros(bench.N_STATES)
     ref = np.array([0.0, 0.0, 0.0, 10.0])
     if args.full:
+        if any(v is not None for v in (args.gamma_min, args.gamma_max,
+                                       args.gamma_points)):
+            raise ValueError("--full runs the closed loop at its own gamma; "
+                             "drop --gamma-min/--gamma-max/--gamma-points")
         refs = bench.pitch_reference()
         result = bench.mpc_closed_loop(spec, refs, alpha=args.alpha,
                                        tol=args.tol,
@@ -134,7 +138,8 @@ def _cmd_mpc(args) -> int:
     gamma_star = gamma_from_metric(obj)
     gmin = args.gamma_min if args.gamma_min is not None else gamma_star
     gmax = args.gamma_max if args.gamma_max is not None else gamma_star
-    grid = bench.log_gamma_grid(gmin, gmax, args.gamma_points)
+    points = 1 if args.gamma_points is None else args.gamma_points
+    grid = bench.log_gamma_grid(gmin, gmax, points)
     sweep = bench.run_sweep(problem, args.alpha, grid, metric=metric,
                             tol=args.tol, max_iters=bench.MPC_MAX_ITERS)
     with open(args.out, "w") as fh:

@@ -8,12 +8,14 @@ norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
 All instances are immutable and safe to share between threads; the
-quadratic kinds cache one matrix factorization per step size behind a lock.
+quadratic kinds cache, per step size and behind a lock, one matrix
+factorization together with its LAPACK solve, bound once.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -44,6 +46,46 @@ def _finite(rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     return rhs
+
+
+def _cho_solver(a: np.ndarray):
+    """(fac, solve): scipy's Cholesky factor of a, and x = solve(rhs).
+
+    ``solve`` checks rhs for NaN/inf and calls the LAPACK ``potrs`` that
+    ``scipy.linalg.cho_solve(fac, rhs)`` calls, bound here once, so it
+    returns the same bits without the wrapper's per-call cost.
+    """
+    fac = scipy.linalg.cho_factor(a)
+    c, lower = fac
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = potrs(c, _finite(rhs), lower=lower)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
+
+    return fac, solve
+
+
+def _lu_solver(a: np.ndarray):
+    """(fac, solve): scipy's LU factor of a, and x = solve(rhs).
+
+    As :func:`_cho_solver`, with the ``getrs`` of ``scipy.linalg.lu_solve``.
+    """
+    fac = scipy.linalg.lu_factor(a)
+    lu, piv = fac
+    if not lu.size:  # LAPACK refuses n = 0, where scipy solves to empty
+        return fac, lambda rhs: np.empty_like(_finite(rhs))
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = getrs(lu, piv, _finite(rhs))
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
+
+    return fac, solve
 
 
 class ProxFn:
@@ -98,8 +140,8 @@ class Quadratic(ProxFn):
     """f(x) = 0.5 x^T Q x + q^T x with symmetric psd Q.
 
     The prox solves (gamma*Q + I) x = z - gamma*q with a Cholesky
-    factorization cached per gamma.  Regularity metadata is the extreme
-    eigenvalue pair of Q.
+    factorization and its LAPACK solve, cached per gamma.  Regularity
+    metadata is the extreme eigenvalue pair of Q.
     """
 
     kind = "quadratic"
@@ -118,7 +160,7 @@ class Quadratic(ProxFn):
         self.q = qv
         self.dim = n
         self.regularity = (summary.lambda_min, summary.lambda_max)
-        self._cache: dict[float, tuple] = {}
+        self._cache: dict[float, Callable] = {}
         self._lock = threading.Lock()
 
     @property
@@ -129,19 +171,17 @@ class Quadratic(ProxFn):
         x = self._check_point(x)
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _factor(self, gamma: float):
+    def _solver(self, gamma: float):
         with self._lock:
-            fac = self._cache.get(gamma)
-            if fac is None:
-                fac = scipy.linalg.cho_factor(
-                    gamma * self.Q + np.eye(self.dim))
-                self._cache[gamma] = fac
-        return fac
+            solve = self._cache.get(gamma)
+            if solve is None:
+                _, solve = _cho_solver(gamma * self.Q + np.eye(self.dim))
+                self._cache[gamma] = solve
+        return solve
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        return scipy.linalg.cho_solve(self._factor(gamma), _finite(
-            z - gamma * self.q), check_finite=False)
+        return self._solver(gamma)(z - gamma * self.q)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "Q": matrix_to_json(self.Q),
@@ -153,7 +193,8 @@ class QuadraticAffine(ProxFn):
 
     f(x) = 0.5 x^T Q x + q^T x restricted to L x = b.  The prox is the
     equality-constrained least squares solve through the saddle system
-    [[gamma*Q + I, L^T], [L, 0]], factorized once per gamma.
+    [[gamma*Q + I, L^T], [L, 0]], whose LU factorization and LAPACK solve
+    are cached per gamma.
     """
 
     kind = "quadratic_affine"
@@ -174,7 +215,7 @@ class QuadraticAffine(ProxFn):
         self.L = lm
         self.b = bv
         self.dim = n
-        self._cache: dict[float, tuple] = {}
+        self._cache: dict[float, Callable] = {}
         self._lock = threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
@@ -185,30 +226,29 @@ class QuadraticAffine(ProxFn):
             return np.inf
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _factor(self, gamma: float):
+    def _solver(self, gamma: float):
         with self._lock:
-            fac = self._cache.get(gamma)
-            if fac is None:
+            solve = self._cache.get(gamma)
+            if solve is None:
                 n, p = self.dim, self.L.shape[0]
                 kkt = np.block([
                     [gamma * self.Q + np.eye(n), self.L.T],
                     [self.L, np.zeros((p, p))],
                 ])
                 try:
-                    fac = scipy.linalg.lu_factor(kkt)
+                    _, solve = _lu_solver(kkt)
                 except (scipy.linalg.LinAlgError, ValueError) as exc:
                     raise SingularKktError(
                         f"singular prox system for {self.kind}: {exc}",
                         size=n + p) from exc
-                self._cache[gamma] = fac
-        return fac
+                self._cache[gamma] = solve
+        return solve
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
         p = self.L.shape[0]
         rhs = np.concatenate([z - gamma * self.q, self.b])
-        sol = scipy.linalg.lu_solve(self._factor(gamma), rhs)
-        x = sol[:self.dim]
+        x = self._solver(gamma)(rhs)[:self.dim]
         if p and not np.all(np.isfinite(x)):
             raise SingularKktError("prox system solved to non-finite values",
                                    size=self.dim + p)

@@ -92,6 +92,8 @@ def rate_bound(delta: float, alpha: float) -> float:
     """
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
     return abs(1.0 - alpha) + alpha * delta
 
 

@@ -62,8 +62,16 @@ class SolveTrace:
         if not self.z_history:
             raise ValueError("z_history was thinned away; nothing to measure")
         ref = np.asarray(ref, dtype=float)
-        return np.array([float(np.linalg.norm(z - ref))
-                         for z in self.z_history])
+        return np.array([_norm(z - ref) for z in self.z_history])
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a 1-d float vector, with np.linalg.norm's arithmetic.
+
+    The same dot product, so the same bits and the same overflow warning,
+    without the general norm's dispatch.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
@@ -112,20 +120,20 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     if keep_history:
         trace.z_history.append(z.copy())
     if ref is not None:
-        trace.distances.append(float(np.linalg.norm(z - ref)))
+        trace.distances.append(_norm(z - ref))
     for _ in range(max_iters):
         z_next = step(z)
         trace.iterations += 1
-        res = float(np.linalg.norm(z_next - z))
+        res = _norm(z_next - z)
         trace.residuals.append(res)
         if ref is not None:
-            trace.distances.append(float(np.linalg.norm(z_next - ref)))
+            trace.distances.append(_norm(z_next - ref))
         if keep_history:
             trace.z_history.append(z_next.copy())
         z = z_next
         if not math.isfinite(res):
             break
-        if (res <= tol * max(1.0, float(np.linalg.norm(z)))
+        if (res <= tol * max(1.0, _norm(z))
                 and (extra_check is None or extra_check())):
             trace.converged = True
             break

@@ -115,6 +115,8 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     lam = beta on coordinate 1 and lam = sigma on coordinate 2.
     """
     _positive(gamma, "gamma")
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
     if coordinate not in (BETA_COORD, SIGMA_COORD):
         raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
     lam = reg.beta if coordinate == BETA_COORD else reg.sigma
@@ -136,8 +138,8 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     variant and/or the excited coordinate.
     """
     _positive(gamma, "gamma")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    if alpha == 0 or math.isnan(alpha):
+        raise ValueError("alpha must be nonzero and not NaN")
     kink = 1.0 / math.sqrt(reg.beta * reg.sigma)
     if alpha <= 1:
         if gamma <= kink:

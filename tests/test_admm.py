@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from proxsplit import worstcase
 from proxsplit.admm import (
     AdmmEngine,
     EqConstrainedProblem,
+    _apply,
     _diagonal_signature,
     admm_solve,
     verify_dual_equivalence,
@@ -202,6 +204,49 @@ class TestStructuredStep:
                 f.prox(1.0, [bad, 0.0])
         assert np.allclose(f.prox(1.0, [3.0, 2.0]), [2.0 / 3.0, 1.0],
                            rtol=0, atol=1e-15)
+
+
+class TestDirectSolve:
+    """The x-update solves its cached factor through LAPACK directly."""
+
+    @pytest.mark.parametrize("make, mode", [
+        (scaled_desk_lasso, "quadratic"),
+        (scaled_desk_mpc, "quadratic_affine"),
+    ], ids=["desk_lasso", "desk_mpc"])
+    def test_x_update_matches_scipy_solve(self, make, mode):
+        problem, gamma = make()
+        xu = AdmmEngine(problem, gamma, alpha=1.0).x_update
+        assert xu.mode == mode
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.normal(size=problem.p)
+            rhs = gamma * _apply(xu.at, v) - xu.q
+            if mode == "quadratic":
+                expect = scipy.linalg.cho_solve(xu.fac, rhs)
+            else:
+                expect = scipy.linalg.lu_solve(
+                    xu.fac, np.concatenate([rhs, xu.b]))[:xu.n]
+            assert np.array_equal(xu.solve(v), expect)
+            v[1] = np.nan
+            with pytest.raises(ValueError,
+                               match=r"^array must not contain infs or NaNs$"):
+                xu.solve(v)
+
+    def test_solvers_skip_scipy_solve_wrappers(self, monkeypatch):
+        """DR on the extremal instances and ADMM on both factored kinds run
+        without scipy's cho_solve/lu_solve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy solve wrapper called")
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        row = worstcase.verify_point(4.0, 1.0, 0.5, 1.0)
+        assert row["max_abs_diff"] <= 1e-10
+        row = worstcase.dual_verify_point(4.0, 1.0, 1.0, 3.0, 2.0 / 3.0, 1.0)
+        assert row["max_abs_diff"] <= 1e-8
+        problem, gamma = scaled_desk_mpc()
+        *_, trace = admm_solve(problem, gamma, 0.5, max_iters=20)
+        assert trace.iterations == 20
 
 
 class TestAdmmSolve:

@@ -192,6 +192,10 @@ _MALFORMED_A = {
     ["mpc", "--tol", "-1"],
     ["lasso", "--alpha", "nan"],
     ["mpc", "--alpha", "nan"],
+    ["mpc", "--full", "--gamma-min", "1e9"],
+    ["mpc", "--full", "--gamma-max", "1e9"],
+    ["mpc", "--full", "--gamma-points", "3"],
+    ["mpc", "--full", "--gamma-points", "1"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     paths = {"empty": tmp_path / "empty.json"}

@@ -1,9 +1,11 @@
 """Prox catalog against brute-force oracles and operator-theoretic laws."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
     golden_prox_1d,
@@ -331,6 +333,48 @@ class TestAffineKinds:
             rhs = np.concatenate([z - gamma * f.q, f.b])
             expect = np.linalg.solve(kkt, rhs)[:n]
             assert np.allclose(x, expect, atol=1e-9)
+
+
+class TestDirectSolve:
+    """The cached LAPACK solves return scipy's cho_solve/lu_solve bits."""
+
+    NAN_MESSAGE = re.escape("array must not contain infs or NaNs")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_quadratic_matches_cho_solve(self, rng, n):
+        m = rng.normal(size=(n, n))
+        f = Quadratic(m @ m.T, rng.normal(size=n))
+        for gamma in (0.3, 4.0):
+            fac = scipy.linalg.cho_factor(gamma * f.Q + np.eye(n))
+            for _ in range(3):
+                z = rng.normal(size=n)
+                assert np.array_equal(f.prox(gamma, z), scipy.linalg.cho_solve(
+                    fac, z - gamma * f.q))
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_quadratic_affine_matches_lu_solve(self, rng, rows):
+        n = 7
+        m = rng.normal(size=(n, n))
+        lm = rng.normal(size=(rows, n))
+        f = QuadraticAffine(m @ m.T + 0.1 * np.eye(n), rng.normal(size=n), lm,
+                            lm @ rng.normal(size=n))
+        for gamma in (0.3, 4.0):
+            fac = scipy.linalg.lu_factor(np.block([
+                [gamma * f.Q + np.eye(n), f.L.T],
+                [f.L, np.zeros((rows, rows))]]))
+            for _ in range(3):
+                z = rng.normal(size=n)
+                rhs = np.concatenate([z - gamma * f.q, f.b])
+                assert np.array_equal(f.prox(gamma, z),
+                                      scipy.linalg.lu_solve(fac, rhs)[:n])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_raises(self, rng, bad):
+        z = np.array([1.0, bad, 0.0])
+        for f in (Quadratic(np.diag([2.0, 1.0, 3.0])),
+                  sample_quadratic_affine(rng, 3)):
+            with pytest.raises(ValueError, match=self.NAN_MESSAGE):
+                f.prox(1.0, z)
 
 
 class TestDiagScale:

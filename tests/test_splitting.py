@@ -1,6 +1,8 @@
 """Fixed-point engine: explicit steps, traces, rate bounds, order swap."""
 
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from proxsplit.prox import (
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
 from proxsplit.splitting import (
     CSV_SCHEMA_TAG,
+    _norm,
     dr_solve,
     dr_step,
     write_trace_csv,
@@ -284,3 +287,44 @@ _CALLS = _parameter_calls()
 def test_step_size_and_relaxation_must_be_positive(name, value):
     with pytest.raises(ValueError, match="must be positive"):
         _CALLS[name](value)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 200])
+@pytest.mark.parametrize("entries", ["unit", "near_1e200", "nan"])
+def test_norm_matches_numpy_bit_for_bit(size, entries):
+    v = np.random.default_rng(size).normal(size=size)
+    if entries == "near_1e200":
+        v *= 1e200  # the squares overflow to inf
+    elif entries == "nan" and size:
+        v[-1] = np.nan
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got = _norm(v)
+    with warnings.catch_warnings(record=True) as numpys:
+        warnings.simplefilter("always")
+        expect = float(np.linalg.norm(v))
+    assert type(got) is float
+    assert got == expect or math.isnan(got) and math.isnan(expect)
+    assert [(w.category, str(w.message)) for w in ours] == [
+        (w.category, str(w.message)) for w in numpys]
+    if size and entries == "near_1e200":
+        assert got == math.inf and ours[0].category is RuntimeWarning
+    if size and entries == "nan":
+        assert math.isnan(got)
+
+
+_REG = Regularity(1.0, 4.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: rate_bound(0.5, a),
+    lambda a: exact_rate(_REG, "g1", 0.5, a, 2),
+    lambda a: exact_rate(_REG, "g2", 0.5, a, 1),
+    lambda a: adversarial_case(a, 0.5, _REG),
+], ids=["rate_bound", "exact_rate_g1", "exact_rate_g2", "adversarial_case"])
+def test_nan_relaxation_is_refused(call):
+    """The rate formulas refuse a NaN alpha, as dr_solve and admm_solve do;
+    a negative alpha stays a valid (non-contracting) input."""
+    with pytest.raises(ValueError, match="NaN"):
+        call(float("nan"))
+    assert call(-0.1) is not None
