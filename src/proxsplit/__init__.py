@@ -43,7 +43,6 @@ from .metric import (
     MetricObjective,
     dual_condition_number,
     gamma_from_metric,
-    heuristic_affine_case,
     pseudo_condition_number,
     select_diagonal_metric,
 )

@@ -281,9 +281,6 @@ def dual_problem_operators(problem: EqConstrainedProblem
     d2(mu) = g^*(-B^T mu) is available for B = -I, where it is g^* and its
     prox follows from Moreau's identity.
     """
-    if not isinstance(problem.f, Quadratic) or not problem.f.is_positive_definite:
-        raise CapabilityError(
-            "dual operators need a strictly convex quadratic f")
     b = problem.B
     if b.shape[0] != b.shape[1] or not np.array_equal(b, -np.eye(b.shape[0])):
         raise CapabilityError("dual operators are implemented for B = -I")

@@ -33,6 +33,7 @@ from .prox import (
     QuadraticAffine,
     Separable,
     WeightedL1,
+    strongly_convex,
 )
 from .rates import (
     DualRegularity,
@@ -218,11 +219,11 @@ def gen_mpc(spec: MpcSpec, x0: np.ndarray,
 
 def mpc_metric_objective(problem: EqConstrainedProblem,
                          identity: bool = False) -> MetricObjective:
-    """Pseudo condition objective of the coupled-variable curvature.
+    """The KKT-block heuristic for a quadratic on an affine set L x = b.
 
-    Uses the KKT-block heuristic of the smooth term (quadratic on the
-    stacked dynamics subspace).  With ``identity`` the objective is
-    evaluated at E = I instead of the equilibrated metric.
+    Pseudo condition objective of the dual Hessian A P11 A^T, P11 the
+    top-left block of inv([[Q, L^T], [L, 0]]), at the equilibrated diagonal
+    metric, or at E = I with ``identity``.
     """
     f = problem.f
     if not isinstance(f, QuadraticAffine):
@@ -275,12 +276,9 @@ def problem_dual_regularity(problem: EqConstrainedProblem,
     quadratic, and RankDeficiencyError when the constraint operator is not
     surjective; in both cases no rate certificate exists.
     """
-    f = problem.f
-    if not isinstance(f, Quadratic) or not f.is_positive_definite:
-        raise CapabilityError(
-            "no rate certificate: smooth term is not strongly convex")
+    q = strongly_convex(problem.f).Q
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_regularity(None, problem.A, metric=e, h=f.Q)
+    return dual_regularity(None, problem.A, metric=e, h=q)
 
 
 def sweep_gamma_star(problem: EqConstrainedProblem,
@@ -413,7 +411,10 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
 
     Each solve is capped at ``MPC_MAX_ITERS``.  Returns the per-sample
     iteration counts and their mean and median, plus the state trajectory.
+    ``tol`` must lie in (0, 1).
     """
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     references = np.asarray(references, dtype=float)
     n_samples = references.shape[0]
     x = np.zeros(N_STATES)
@@ -449,21 +450,14 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
 def lasso_metric(problem: EqConstrainedProblem) -> DiagonalMetric:
     """Equilibrated diagonal metric (exact mode, ``EQUILIBRATION_SWEEPS``
     sweeps) for a certifiable consensus problem."""
-    f = problem.f
-    if not isinstance(f, Quadratic) or not f.is_positive_definite:
-        raise CapabilityError("metric selection needs a strongly convex "
-                              "quadratic smooth term")
-    return select_diagonal_metric(dual_curvature(problem.A, f.Q),
-                                  mode="exact")
+    q = strongly_convex(problem.f).Q
+    return select_diagonal_metric(dual_curvature(problem.A, q), mode="exact")
 
 
 def lasso_condition_report(problem: EqConstrainedProblem,
                            metric: DiagonalMetric | None = None
                            ) -> MetricObjective:
     """Exact dual condition objective of a consensus problem."""
-    f = problem.f
-    if not isinstance(f, Quadratic) or not f.is_positive_definite:
-        raise CapabilityError("condition report needs a strongly convex "
-                              "quadratic smooth term")
+    q = strongly_convex(problem.f).Q
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_condition_number(e, problem.A, f.Q)
+    return dual_condition_number(e, problem.A, q)

@@ -5,7 +5,8 @@ extreme eigenvalues of E S E^T for the dual curvature S = A H^-1 A^T,
 governs the certified rate, so a diagonal E is chosen to shrink it.  When
 the regularity assumptions fail, the same recipe runs on a pseudo condition
 number (smallest nonzero eigenvalue in the denominator) with A Q^+ A^T or
-A P11 A^T in place of S, P11 the top-left block of the inverse KKT matrix.
+A P11 A^T in place of S, P11 the top-left block of the inverse KKT matrix;
+the KKT-block heuristic is :func:`proxsplit.bench.mpc_metric_objective`.
 Every objective is one eigendecomposition of one scaled matrix.
 
 The minimizer used here is iterated symmetric row-norm equilibration with a
@@ -25,7 +26,7 @@ from .errors import RankDeficiencyError
 from .linmetric import (
     DiagonalMetric,
     _as_dense,
-    kkt_p11,
+    kkt_p11,  # unused here, but perfbench/tracer.py patches metric.kkt_p11
     pseudo_inverse,
     spectral_summary,
 )
@@ -83,8 +84,7 @@ def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
                            metric=metric)
 
 
-def pseudo_condition_number(metric: DiagonalMetric, a, q,
-                            mode: Mode = "heuristic_pinv") -> MetricObjective:
+def pseudo_condition_number(metric: DiagonalMetric, a, q) -> MetricObjective:
     """Pseudo condition number lambda_max / lambda_min>0 of E A Q^+ A^T E^T.
 
     ``q`` is the symmetric psd curvature matrix; its pseudo-inverse is
@@ -93,7 +93,7 @@ def pseudo_condition_number(metric: DiagonalMetric, a, q,
     """
     a = _as_dense(a)
     s = a @ pseudo_inverse(q, PSEUDO_ZERO_TOL) @ a.T
-    return pseudo_condition_of(metric, 0.5 * (s + s.T), mode)
+    return pseudo_condition_of(metric, 0.5 * (s + s.T))
 
 
 def pseudo_condition_of(metric: DiagonalMetric, s,
@@ -154,22 +154,4 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
             <= _objective_value(identity, s, obj_mode).value):
         return candidate
     return identity
-
-
-def heuristic_affine_case(q, lc, a) -> MetricObjective:
-    """Metric for a quadratic restricted to an affine set, via the KKT block.
-
-    The dual smooth term of 0.5 x^T Q x + q^T x + indicator(Lc x = b) has
-    Hessian A P11 A^T with P11 the top-left block of the inverse of
-    [[Q, Lc^T], [Lc, 0]].  Selects a diagonal E (``EQUILIBRATION_SWEEPS``
-    sweeps) minimizing the pseudo condition number of E A P11 A^T E^T, zero
-    below ``PSEUDO_ZERO_TOL``, and returns that objective (the recommended
-    step size follows from :func:`gamma_from_metric`).
-    """
-    a = _as_dense(a)
-    p11 = kkt_p11(q, lc)
-    s = a @ p11 @ a.T
-    s = 0.5 * (s + s.T)
-    metric = select_diagonal_metric(s, mode="heuristic")
-    return pseudo_condition_of(metric, s, mode="heuristic_p11")
 

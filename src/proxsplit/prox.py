@@ -512,7 +512,16 @@ class ConjugateOf(ProxFn):
         return self.inner.conjugate_prox(gamma, z)
 
 
-def dual_quadratic(f: Quadratic, a, c) -> Quadratic:
+def strongly_convex(f: ProxFn) -> Quadratic:
+    """``f`` itself if it is a positive definite Quadratic, the smooth term
+    every rate certificate needs; anything else raises CapabilityError."""
+    if not isinstance(f, Quadratic) or not f.is_positive_definite:
+        raise CapabilityError("no rate certificate: the smooth term is not "
+                              "a strongly convex quadratic")
+    return f
+
+
+def dual_quadratic(f: ProxFn, a, c) -> Quadratic:
     """The smooth dual term of a strictly convex quadratic, as a Quadratic.
 
     d1(mu) = f^*(-A^T mu) + <c, mu>
@@ -520,11 +529,7 @@ def dual_quadratic(f: Quadratic, a, c) -> Quadratic:
     additive constant, so ``prox(gamma, z)`` of the result is the prox of
     gamma*d1: it solves (gamma A Q^-1 A^T + I) mu = z - gamma (A Q^-1 q + c).
     """
-    if not isinstance(f, Quadratic):
-        raise CapabilityError("dual term needs a quadratic smooth part")
-    if not f.is_positive_definite:
-        raise CapabilityError(
-            "dual prox requires a strongly convex quadratic (Q singular)")
+    f = strongly_convex(f)
     a = _as_dense(a)
     if a.shape[1] != f.dim:
         raise DimensionMismatchError("A must have as many columns as f's dim")

@@ -24,11 +24,22 @@ from proxsplit.bench import (
     sweep_gamma_star,
 )
 from proxsplit import bench
-from proxsplit.admm import admm_solve
+from proxsplit.admm import (
+    EqConstrainedProblem,
+    admm_solve,
+    verify_dual_equivalence,
+)
 from proxsplit.errors import CapabilityError
 from proxsplit.linmetric import kkt_p11
 from proxsplit.metric import gamma_from_metric
-from proxsplit.prox import QuadraticAffine, Separable
+from proxsplit.prox import (
+    Quadratic,
+    QuadraticAffine,
+    Separable,
+    WeightedL1,
+    Zero,
+    dual_quadratic,
+)
 from proxsplit.rng import RngStream
 from proxsplit.splitting import CSV_SCHEMA_TAG
 from proxsplit.worstcase import build
@@ -295,3 +306,27 @@ class TestMpcBenchmark:
                               metric=False)
         assert len(out["iterations"]) == 3
         assert len(calls) == 1
+
+
+NO_CERTIFICATE = ("no rate certificate: the smooth term is not a strongly "
+                  "convex quadratic")
+CERTIFICATE_ENTRY_POINTS = {
+    "lasso_metric": lasso_metric,
+    "lasso_condition_report": lasso_condition_report,
+    "problem_dual_regularity": problem_dual_regularity,
+    "sweep_gamma_star": sweep_gamma_star,
+    "dual_quadratic": lambda p: dual_quadratic(p.f, p.A, p.c),
+    "verify_dual_equivalence": lambda p: verify_dual_equivalence(
+        p, 1.0, 0.5, 5, np.zeros(p.p)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CERTIFICATE_ENTRY_POINTS))
+@pytest.mark.parametrize("f", [Zero(3), Quadratic(np.diag([1.0, 2.0, 0.0]))],
+                         ids=["zero", "singular"])
+def test_one_gate_for_every_certificate_entry_point(f, entry):
+    problem = EqConstrainedProblem(f=f, g=WeightedL1([1.0, 1.0, 1.0]),
+                                   A=np.eye(3), B=-np.eye(3), c=np.zeros(3))
+    with pytest.raises(CapabilityError) as info:
+        CERTIFICATE_ENTRY_POINTS[entry](problem)
+    assert str(info.value) == NO_CERTIFICATE

@@ -129,16 +129,22 @@ def test_metric_report_json(tmp_path):
     assert payload["gamma"] > 0
 
 
-def test_metric_report_from_problem_file(tmp_path):
-    problem = EqConstrainedProblem(
-        f=Zero(2), g=WeightedL1([1.0, 1.0]), A=np.eye(2), B=-np.eye(2),
-        c=np.zeros(2))
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem.to_json()))
-    out = tmp_path / "metric.json"
-    code = cli_main(["metric-report", "--problem", str(path),
-                     "--out", str(out)])
-    assert code == EXIT_CAPABILITY
+def test_metric_report_from_problem_file(tmp_path, capsys):
+    # a zero and a singular quadratic smooth term get the same reason
+    for f in (Zero(2), Quadratic(np.diag([1.0, 0.0]))):
+        problem = EqConstrainedProblem(
+            f=f, g=WeightedL1([1.0, 1.0]), A=np.eye(2), B=-np.eye(2),
+            c=np.zeros(2))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem.to_json()))
+        out = tmp_path / "metric.json"
+        code = cli_main(["metric-report", "--problem", str(path),
+                         "--out", str(out)])
+        assert code == EXIT_CAPABILITY
+        assert capsys.readouterr().err == (
+            "capability error: no rate certificate: the smooth term is not "
+            "a strongly convex quadratic\n")
+        assert not out.exists()
 
 
 def test_out_path_unwritable_is_usage_error(tmp_path):
@@ -196,13 +202,19 @@ _MALFORMED_A = {
     ["mpc", "--full", "--gamma-max", "1e9"],
     ["mpc", "--full", "--gamma-points", "3"],
     ["mpc", "--full", "--gamma-points", "1"],
+    ["mpc", "--full", "--tol", "2"],
+    ["mpc", "--full", "--tol", "1"],
+    ["metric-report", "--problem", "{valid}", "--full"],
+    ["metric-report", "--problem", "{valid}", "--seed", "3"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
-    paths = {"empty": tmp_path / "empty.json"}
+    paths = {"empty": tmp_path / "empty.json",
+             "valid": tmp_path / "valid.json"}
     paths["empty"].write_text("{}")
     problem = EqConstrainedProblem(
         f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
         B=-np.eye(2), c=np.zeros(2)).to_json()
+    paths["valid"].write_text(json.dumps(problem))
     bad = {name: {**problem, "A": bad_a}
            for name, bad_a in _MALFORMED_A.items()}
     l1 = {"kind": "weighted_l1", "w": [1.0]}

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from proxsplit.admm import EqConstrainedProblem
+from proxsplit.bench import mpc_metric_objective
 from proxsplit.errors import RankDeficiencyError
 from proxsplit.linmetric import DiagonalMetric, pseudo_inverse
 from proxsplit.metric import (
     dual_condition_number,
     gamma_from_metric,
-    heuristic_affine_case,
     pseudo_condition_number,
     pseudo_condition_of,
     select_diagonal_metric,
 )
+from proxsplit.prox import QuadraticAffine, Zero
 from proxsplit.rates import dual_regularity, optimal_parameters
 
 
@@ -130,17 +132,25 @@ class TestGammaFromMetric:
                 pytest.approx(base, rel=1e-12))
 
 
+def kkt_block_objective(q, lc, a):
+    """The KKT-block heuristic on min 0.5 x^T Q x s.t. Lc x = 0, A x = y."""
+    f = QuadraticAffine(q, None, lc, np.zeros(len(lc)))
+    p = a.shape[0]
+    return mpc_metric_objective(EqConstrainedProblem(
+        f=f, g=Zero(p), A=a, B=-np.eye(p), c=np.zeros(p)))
+
+
 class TestHeuristicAffineCase:
     def test_no_constraints_reduces_to_inverse_hessian(self, rng):
         q = np.diag([2.0, 8.0])
         a = np.eye(2)
-        obj = heuristic_affine_case(q, np.zeros((0, 2)), a)
+        obj = kkt_block_objective(q, np.zeros((0, 2)), a)
         # A Q^-1 A^T = diag(0.5, 0.125); equilibration brings it to ratio 1
         assert obj.value == pytest.approx(1.0, rel=1e-8)
         assert obj.mode == "heuristic_p11"
 
     def test_projector_structure(self):
-        obj = heuristic_affine_case(np.eye(2), np.array([[1.0, 0.0]]),
+        obj = kkt_block_objective(np.eye(2), np.array([[1.0, 0.0]]),
                                     np.eye(2))
         # A P11 A^T = diag(0, 1): single nonzero eigenvalue
         assert obj.value == pytest.approx(1.0, rel=1e-10)
@@ -171,7 +181,7 @@ class TestHeuristicAffineCase:
         assert obj.value == pytest.approx(expect.value, rel=1e-8)
 
     def test_report_schema(self, rng):
-        obj = heuristic_affine_case(np.diag([2.0, 8.0]), np.zeros((0, 2)),
+        obj = kkt_block_objective(np.diag([2.0, 8.0]), np.zeros((0, 2)),
                                     np.eye(2))
         report = obj.report()
         assert set(report) == {"mode", "E", "lambda_max", "lambda_min",
