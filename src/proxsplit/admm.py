@@ -18,12 +18,14 @@ measured on z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .linmetric import (
     DiagonalMetric,
+    MetricSpectra,
     _as_dense,
     _json_object,
     _json_vector,
@@ -41,7 +43,9 @@ from .prox import (
     diag_scale,
     dual_quadratic,
     proxfn_from_json,
+    strongly_convex,
 )
+from .rates import dual_curvature
 from .splitting import SolveTrace, _fixed_point, _norm, dr_step
 
 
@@ -81,6 +85,11 @@ class EqConstrainedProblem:
     @property
     def p(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def dual_spectra(self) -> MetricSpectra:
+        """S = A Q^-1 A^T, formed on first use behind prox.strongly_convex."""
+        return MetricSpectra(dual_curvature(self.A, strongly_convex(self.f).Q))
 
     def scaled(self, metric: DiagonalMetric) -> "EqConstrainedProblem":
         """The equivalent problem with rows of the constraint scaled by E."""

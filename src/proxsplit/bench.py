@@ -18,10 +18,10 @@ import numpy as np
 
 from .admm import EqConstrainedProblem, admm_solve
 from .errors import CapabilityError, ProxsplitError, RankDeficiencyError
-from .linmetric import DiagonalMetric, kkt_p11
+from .linmetric import DEFAULT_ZERO_TOL, DiagonalMetric, kkt_p11
 from .metric import (
     MetricObjective,
-    dual_condition_number,
+    dual_condition_number,  # unused here; perfbench/tracer.py patches it
     gamma_from_metric,
     pseudo_condition_of,
     select_diagonal_metric,
@@ -33,13 +33,12 @@ from .prox import (
     QuadraticAffine,
     Separable,
     WeightedL1,
-    strongly_convex,
 )
 from .rates import (
     DualRegularity,
     contraction_factor,
-    dual_curvature,
-    dual_regularity,
+    dual_of_spectrum,
+    dual_regularity,  # unused here; perfbench/tracer.py patches it
     iteration_bound,
     optimal_parameters,
     rate_bound,
@@ -71,6 +70,7 @@ class LassoSpec:
             raise ValueError("n and m must be positive")
         if not 0 < self.nnz_per_row <= self.n:
             raise ValueError("need 0 < nnz_per_row <= n")
+        RngStream(self.seed)  # refuses a seed outside [0, 2**64)
 
 
 def gen_lasso(spec: LassoSpec) -> EqConstrainedProblem:
@@ -276,9 +276,9 @@ def problem_dual_regularity(problem: EqConstrainedProblem,
     quadratic, and RankDeficiencyError when the constraint operator is not
     surjective; in both cases no rate certificate exists.
     """
-    q = strongly_convex(problem.f).Q
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_regularity(None, problem.A, metric=e, h=q)
+    return dual_of_spectrum(
+        problem.dual_spectra.summary(e, DEFAULT_ZERO_TOL), 1.0, 1.0)
 
 
 def sweep_gamma_star(problem: EqConstrainedProblem,
@@ -450,14 +450,12 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
 def lasso_metric(problem: EqConstrainedProblem) -> DiagonalMetric:
     """Equilibrated diagonal metric (exact mode, ``EQUILIBRATION_SWEEPS``
     sweeps) for a certifiable consensus problem."""
-    q = strongly_convex(problem.f).Q
-    return select_diagonal_metric(dual_curvature(problem.A, q), mode="exact")
+    return select_diagonal_metric(problem.dual_spectra, mode="exact")
 
 
 def lasso_condition_report(problem: EqConstrainedProblem,
                            metric: DiagonalMetric | None = None
                            ) -> MetricObjective:
     """Exact dual condition objective of a consensus problem."""
-    q = strongly_convex(problem.f).Q
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_condition_number(e, problem.A, q)
+    return MetricObjective.exact(e, problem_dual_regularity(problem, e))

@@ -167,36 +167,45 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
 
 
 def spectral_summary(s, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
-    """Extreme eigenvalues of symmetric psd ``s`` with zero classification.
+    """Extreme eigenvalues of symmetric psd ``s``; see MetricSpectra.summary."""
+    return MetricSpectra(s).summary(None, zero_tol)
 
-    Eigenvalues below ``zero_tol * lambda_max`` count as zero.  Small
-    negative eigenvalues inside that band are clamped to zero; anything more
-    negative violates the psd precondition and raises ValueError.
-    """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
-    s = _check_symmetric(_as_dense(s))
-    try:
-        eigs = scipy.linalg.eigh(s, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenConvergenceError(
-            f"symmetric eigensolver did not converge: {exc}") from exc
-    lam_max = float(eigs[-1])
-    if lam_max < 0:
-        lam_max_abs = float(np.abs(eigs).max())
-        if lam_max_abs > 0:
+
+class MetricSpectra:
+    """Symmetric psd S and the eigenvalues of E S E^T, once per metric E."""
+
+    def __init__(self, s):
+        self.s = _check_symmetric(_as_dense(s))
+        self._eigenvalues: dict[bytes | None, np.ndarray] = {}
+
+    def summary(self, metric: DiagonalMetric | None,
+                zero_tol: float) -> SpectralSummary:
+        """Extreme eigenvalues of E S E^T (S for ``metric=None``): those
+        below ``zero_tol * lambda_max`` in magnitude count as zero, and a
+        more negative one raises ValueError (S is not psd)."""
+        if zero_tol < 0:
+            raise ValueError("zero_tol must be >= 0")
+        key = None if metric is None else metric.diag.tobytes()
+        eigs = self._eigenvalues.get(key)
+        if eigs is None:
+            s = metric.scale_spectrum_matrix(self.s) if metric else self.s
+            try:
+                eigs = scipy.linalg.eigh(s, eigvals_only=True)
+            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+                raise EigenConvergenceError(
+                    f"symmetric eigensolver did not converge: {exc}") from exc
+            self._eigenvalues[key] = eigs
+        lam_max = float(eigs[-1])
+        tol_abs = zero_tol * lam_max
+        if lam_max < 0 or eigs[0] < -max(tol_abs, 1e-12 * max(lam_max, 1.0)):
             raise ValueError("matrix is not positive semidefinite")
-        lam_max = 0.0
-    tol_abs = zero_tol * lam_max
-    if eigs[0] < -max(tol_abs, 1e-12 * max(lam_max, 1.0)):
-        raise ValueError("matrix is not positive semidefinite")
-    clamped = np.where(np.abs(eigs) <= tol_abs, 0.0, np.maximum(eigs, 0.0))
-    positive = clamped[clamped > 0.0]
-    return SpectralSummary(
-        lambda_max=lam_max,
-        lambda_min=float(clamped.min()) if clamped.size else 0.0,
-        lambda_min_pos=float(positive.min()) if positive.size else 0.0,
-    )
+        clamped = np.where(np.abs(eigs) <= tol_abs, 0.0, np.maximum(eigs, 0.0))
+        positive = clamped[clamped > 0.0]
+        return SpectralSummary(
+            lambda_max=lam_max,
+            lambda_min=float(clamped.min()) if clamped.size else 0.0,
+            lambda_min_pos=float(positive.min()) if positive.size else 0.0,
+        )
 
 
 def kkt_p11(q, l) -> np.ndarray:

@@ -7,7 +7,7 @@ the regularity assumptions fail, the same recipe runs on a pseudo condition
 number (smallest nonzero eigenvalue in the denominator) with A Q^+ A^T or
 A P11 A^T in place of S, P11 the top-left block of the inverse KKT matrix;
 the KKT-block heuristic is :func:`proxsplit.bench.mpc_metric_objective`.
-Every objective is one eigendecomposition of one scaled matrix.
+Each objective classifies eigenvalues computed once per metric (MetricSpectra).
 
 The minimizer used here is iterated symmetric row-norm equilibration with a
 guaranteed fallback to the identity, so the selected metric never makes the
@@ -25,12 +25,13 @@ import numpy as np
 from .errors import RankDeficiencyError
 from .linmetric import (
     DiagonalMetric,
+    MetricSpectra,
     _as_dense,
     kkt_p11,  # unused here, but perfbench/tracer.py patches metric.kkt_p11
     pseudo_inverse,
-    spectral_summary,
+    spectral_summary,  # unused here; perfbench/tracer.py patches it
 )
-from .rates import dual_regularity
+from .rates import DualRegularity, dual_regularity
 
 PSEUDO_ZERO_TOL = 1e-9
 #: row-norm equilibration sweeps of :func:`select_diagonal_metric`
@@ -55,6 +56,11 @@ class MetricObjective:
     value: float
     metric: DiagonalMetric
 
+    @classmethod
+    def exact(cls, e: DiagonalMetric, dual: DualRegularity) -> MetricObjective:
+        """beta_hat / sigma_hat of the metric-form dual constants at E."""
+        return cls("exact", dual.beta_hat, dual.sigma_hat, dual.kappa_hat, e)
+
     def report(self) -> dict:
         return {
             "mode": self.mode,
@@ -77,11 +83,8 @@ def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
     The two eigenvalues are the metric-form dual constants of
     :func:`~proxsplit.rates.dual_regularity`.
     """
-    dual = dual_regularity(None, a, metric=metric, h=h)
-    return MetricObjective(mode="exact", numerator=dual.beta_hat,
-                           denominator=dual.sigma_hat,
-                           value=dual.beta_hat / dual.sigma_hat,
-                           metric=metric)
+    return MetricObjective.exact(
+        metric, dual_regularity(None, a, metric=metric, h=h))
 
 
 def pseudo_condition_number(metric: DiagonalMetric, a, q) -> MetricObjective:
@@ -100,22 +103,21 @@ def pseudo_condition_of(metric: DiagonalMetric, s,
                         mode: Mode = "heuristic_pinv") -> MetricObjective:
     """Pseudo condition number of an already-formed symmetric psd S, with
     eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max`` counted as zero."""
-    obj = _objective_value(metric, s, mode)
+    obj = _objective_value(metric, MetricSpectra(s), mode)
     if obj.numerator <= 0:
         raise RankDeficiencyError("matrix has no nonzero eigenvalues")
     return obj
 
 
-def _objective_value(metric: DiagonalMetric, s, mode: Mode
-                     ) -> MetricObjective:
+def _objective_value(metric: DiagonalMetric, spectra: MetricSpectra,
+                     mode: Mode) -> MetricObjective:
     """Condition objective of symmetric psd S at ``metric``.
 
     The denominator is lambda_min in exact mode and the smallest eigenvalue
     above ``PSEUDO_ZERO_TOL * lambda_max`` otherwise; the value is infinite
     when it is zero.
     """
-    summary = spectral_summary(metric.scale_spectrum_matrix(s),
-                               zero_tol=PSEUDO_ZERO_TOL)
+    summary = spectra.summary(metric, PSEUDO_ZERO_TOL)
     den = summary.lambda_min if mode == "exact" else summary.lambda_min_pos
     value = summary.lambda_max / den if den > 0 else math.inf
     return MetricObjective(mode=mode, numerator=summary.lambda_max,
@@ -124,7 +126,7 @@ def _objective_value(metric: DiagonalMetric, s, mode: Mode
 
 def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
                            ) -> DiagonalMetric:
-    """Diagonal E from iterated row-norm equilibration of symmetric psd S.
+    """Diagonal E from iterated row-norm equilibration of S or its spectra.
 
     Each of ``EQUILIBRATION_SWEEPS`` sweeps divides E_ii by the square root
     of the max-norm of row i of the current scaled matrix; rows with zero
@@ -133,8 +135,8 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
     metric never has a worse objective (zero below ``PSEUDO_ZERO_TOL``) than
     the identity: if the sweeps degrade it, the identity is returned instead.
     """
-    s = _as_dense(s)
-    s = 0.5 * (s + s.T)
+    spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
+    s = spectra.s
     n = s.shape[0]
     row_norms = np.abs(s).max(axis=1)
     if mode == "exact" and np.any(row_norms == 0):
@@ -150,8 +152,8 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
     candidate = DiagonalMetric(e)
     identity = DiagonalMetric.identity(n)
     obj_mode = "exact" if mode == "exact" else "heuristic_pinv"
-    if (_objective_value(candidate, s, obj_mode).value
-            <= _objective_value(identity, s, obj_mode).value):
+    if (_objective_value(candidate, spectra, obj_mode).value
+            <= _objective_value(identity, spectra, obj_mode).value):
         return candidate
     return identity
 

@@ -202,6 +202,11 @@ def dual_regularity(reg: Regularity | None, a, *,
     else:
         raise ValueError("metric form needs H or regularity constants")
     summary = spectral_summary(metric.scale_spectrum_matrix(s))
+    return dual_of_spectrum(summary, sigma, beta)
+
+
+def dual_of_spectrum(summary, sigma: float, beta: float) -> DualRegularity:
+    """lambda_min / beta and lambda_max / sigma of E S E^T's spectrum."""
     if summary.lambda_min <= 0:
         raise RankDeficiencyError(
             "scaled A H^-1 A^T is singular; A must have full row rank")

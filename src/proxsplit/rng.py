@@ -4,8 +4,8 @@ The generators have to be reproducible bit-for-bit from a single integer
 seed, independent of library versions and platform, so the stream is spelled
 out completely here instead of delegating to a library generator:
 
-* raw 64-bit words come from SplitMix64 applied to ``seed + (i+1) * GOLDEN``
-  where ``i`` is the draw counter and ``GOLDEN = 0x9E3779B97F4A7C15``;
+* raw 64-bit words are SplitMix64 of ``seed + (i+1) * GOLDEN``, with the seed
+  in [0, 2**64), draw counter ``i`` and ``GOLDEN = 0x9E3779B97F4A7C15``;
 * a uniform in [0, 1) is ``(raw >> 11) * 2**-53``;
 * standard normals come from the Box-Muller transform applied to consecutive
   uniform pairs (the cosine variate is emitted first, then the sine one);
@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+_BLOCK = 1024
 
 
 def splitmix64(seed: int, counter: int) -> int:
-    """Return the 64-bit word of the stream at position ``counter``."""
+    """The word at position ``counter``, or elementwise at uint64 ones."""
     z = (seed + (counter + 1) * _GOLDEN) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -35,14 +38,20 @@ class RngStream:
     """Seedable counter-based stream; every draw advances the counter by one."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+        if not 0 <= int(seed) <= _MASK:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self.seed = int(seed)
         self._i = 0
+        self._block: list[int] = []  # words _i - _i % _BLOCK onward
         self._spare_normal: float | None = None
 
     def u64(self) -> int:
-        word = splitmix64(self.seed, self._i)
+        j = self._i % _BLOCK
+        if j == 0:  # the next _BLOCK words in one numpy call
+            self._block = splitmix64(self.seed, np.arange(
+                self._i, self._i + _BLOCK, dtype=np.uint64)).tolist()
         self._i += 1
-        return word
+        return self._block[j]
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1)."""

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxsplit.bench import (
     AIRCRAFT_A,
@@ -29,8 +30,8 @@ from proxsplit.admm import (
     admm_solve,
     verify_dual_equivalence,
 )
-from proxsplit.errors import CapabilityError
-from proxsplit.linmetric import kkt_p11
+from proxsplit.errors import CapabilityError, RankDeficiencyError
+from proxsplit.linmetric import DiagonalMetric, kkt_p11
 from proxsplit.metric import gamma_from_metric
 from proxsplit.prox import (
     Quadratic,
@@ -330,3 +331,68 @@ def test_one_gate_for_every_certificate_entry_point(f, entry):
     with pytest.raises(CapabilityError) as info:
         CERTIFICATE_ENTRY_POINTS[entry](problem)
     assert str(info.value) == NO_CERTIFICATE
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestCertifyOnce:
+    """Each piece of certificate work runs once per problem object: S =
+    A Q^-1 A^T is one solve against Q, and each distinct metric E is one
+    eigendecomposition of E S E."""
+
+    def test_certify_sequence(self, monkeypatch):
+        problem = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10, seed=0))
+        solves = _counted(monkeypatch, np.linalg, "solve")
+        eighs = _counted(monkeypatch, scipy.linalg, "eigh")
+        metric = lasso_metric(problem)
+        lasso_condition_report(problem, metric)
+        lasso_condition_report(problem)
+        sweep_gamma_star(problem, metric)
+        problem_dual_regularity(problem, metric)
+        assert not np.array_equal(metric.diag, np.ones(problem.p))
+        assert (len(solves), len(eighs)) == (1, 2)
+
+    def test_metric_with_equal_entries_shares_the_spectrum(self, monkeypatch):
+        problem = gen_lasso(LassoSpec(n=12, m=18, nnz_per_row=4, seed=5))
+        eighs = _counted(monkeypatch, scipy.linalg, "eigh")
+        e = DiagonalMetric(np.linspace(1.0, 2.0, problem.p))
+        dual = problem_dual_regularity(problem, e)
+        assert problem_dual_regularity(
+            problem, DiagonalMetric(e.diag.copy())) == dual
+        assert len(eighs) == 1
+        problem_dual_regularity(problem, DiagonalMetric(2.0 * e.diag))
+        assert len(eighs) == 2
+        problem_dual_regularity(problem)
+        problem_dual_regularity(problem, DiagonalMetric.identity(problem.p))
+        assert len(eighs) == 3
+
+    @pytest.mark.parametrize("entry", sorted(CERTIFICATE_ENTRY_POINTS))
+    def test_gate_failure_is_raised_on_every_call(self, entry):
+        problem = EqConstrainedProblem(f=Zero(3), g=WeightedL1([1.0] * 3),
+                                       A=np.eye(3), B=-np.eye(3),
+                                       c=np.zeros(3))
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match=NO_CERTIFICATE):
+                CERTIFICATE_ENTRY_POINTS[entry](problem)
+
+    def test_rank_deficiency_is_raised_on_every_call(self, monkeypatch):
+        problem = EqConstrainedProblem(
+            f=Quadratic(np.eye(3)), g=WeightedL1([1.0, 1.0]),
+            A=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), B=-np.eye(2),
+            c=np.zeros(2))
+        eighs = _counted(monkeypatch, scipy.linalg, "eigh")
+        for entry in (problem_dual_regularity, sweep_gamma_star,
+                      lasso_condition_report) * 2:
+            with pytest.raises(RankDeficiencyError):
+                entry(problem)
+        assert len(eighs) == 1

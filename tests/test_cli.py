@@ -206,6 +206,8 @@ _MALFORMED_A = {
     ["mpc", "--full", "--tol", "1"],
     ["metric-report", "--problem", "{valid}", "--full"],
     ["metric-report", "--problem", "{valid}", "--seed", "3"],
+    ["lasso", "--seed", "-1"],
+    ["metric-report", "--seed", "18446744073709551616"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     paths = {"empty": tmp_path / "empty.json",
