@@ -51,7 +51,8 @@ from .splitting import SolveTrace, _fixed_point, _norm, dr_step
 
 @dataclass(eq=False)
 class EqConstrainedProblem:
-    """min f(x) + g(y) s.t. A x + B y = c.  Treat instances as immutable."""
+    """min f(x) + g(y) s.t. A x + B y = c.  Treat instances as immutable,
+    but for f.q and f.b, which engines read at every solve (never cached)."""
 
     f: ProxFn
     g: ProxFn
@@ -235,7 +236,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
                tol: float = 1e-8, max_iters: int = 10_000, *,
                y0: np.ndarray | None = None, u0: np.ndarray | None = None,
                z0: np.ndarray | None = None,
-               reference: np.ndarray | None = None
+               reference: np.ndarray | None = None,
+               engine: AdmmEngine | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveTrace]:
     """Run relaxed ADMM; the trace lives in the dual splitting coordinate.
 
@@ -257,8 +259,13 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     reference : array, optional
         Known dual fixed point; when given, ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
+    engine : AdmmEngine, optional
+        One built for this very problem, gamma and alpha (else ValueError),
+        solved with instead of building and factoring a new one.
     """
-    engine = AdmmEngine(problem, gamma, alpha)
+    engine = engine or AdmmEngine(problem, gamma, alpha)
+    if (engine.problem, engine.gamma, engine.alpha) != (problem, gamma, alpha):
+        raise ValueError("engine built for another problem, gamma or alpha")
     if z0 is not None:
         y, u = engine.consistent_init(z0)
     else:
@@ -282,33 +289,24 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     return x, y, u, trace
 
 
-def dual_problem_operators(problem: EqConstrainedProblem
-                           ) -> tuple[ProxFn, ProxFn]:
-    """(d1, d2) prox-capable operators of the negative Fenchel dual.
-
-    d1(mu) = f^*(-A^T mu) + <c, mu> needs a strictly convex quadratic f;
-    d2(mu) = g^*(-B^T mu) is available for B = -I, where it is g^* and its
-    prox follows from Moreau's identity.
-    """
-    b = problem.B
-    if b.shape[0] != b.shape[1] or not np.array_equal(b, -np.eye(b.shape[0])):
-        raise CapabilityError("dual operators are implemented for B = -I")
-    d1 = dual_quadratic(problem.f, problem.A, problem.c)
-    d2 = ConjugateOf(problem.g)
-    return d1, d2
-
-
 def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
                             alpha: float, iters: int,
                             z0: np.ndarray) -> float:
     """Max deviation between ADMM's z = gamma(u - By) and dual splitting.
 
-    Runs the primal ADMM iteration and the relaxed splitting on the dual
-    pair (d1, d2) from matched (consistent) initializations and returns
-    max_k ||z_dual^k - gamma*(u^k - B y^k)|| over k = 0..iters.
+    Runs the primal ADMM iteration and the relaxed splitting on the pair
+    (d1, d2) of the negative Fenchel dual from matched (consistent)
+    initializations and returns max_k ||z_dual^k - gamma*(u^k - B y^k)||
+    over k = 0..iters.  d1(mu) = f^*(-A^T mu) + <c, mu> needs a strictly
+    convex quadratic f; d2(mu) = g^*(-B^T mu) is g^* for B = -I, the only
+    B implemented.
     """
     z0 = np.asarray(z0, dtype=float)
-    d1, d2 = dual_problem_operators(problem)
+    b = problem.B
+    if b.shape[0] != b.shape[1] or not np.array_equal(b, -np.eye(b.shape[0])):
+        raise CapabilityError("dual operators are implemented for B = -I")
+    d1 = dual_quadratic(problem.f, problem.A, problem.c)
+    d2 = ConjugateOf(problem.g)
     engine = AdmmEngine(problem, gamma, alpha)
     y, u = engine.consistent_init(z0)
 

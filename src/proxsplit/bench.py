@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import EqConstrainedProblem, admm_solve
+from .admm import AdmmEngine, EqConstrainedProblem, admm_solve
 from .errors import CapabilityError, ProxsplitError, RankDeficiencyError
-from .linmetric import DEFAULT_ZERO_TOL, DiagonalMetric, kkt_p11
+from .linmetric import (DEFAULT_ZERO_TOL, DiagonalMetric, MetricSpectra,
+                        kkt_p11)
 from .metric import (
     MetricObjective,
     dual_condition_number,  # unused here; perfbench/tracer.py patches it
@@ -123,6 +124,9 @@ N_INPUTS = 2
 N_OUTPUTS = 2
 #: iteration cap of every MPC solve, desk sweep and closed loop alike
 MPC_MAX_ITERS = 300_000
+#: tracking weights of the states (on attack and pitch angle) and the inputs
+STATE_COST = np.diag([0.0, 100.0, 0.0, 100.0])
+INPUT_COST = 0.01 * np.eye(N_INPUTS)
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,26 @@ class MpcSpec:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
-    @property
-    def state_cost(self) -> np.ndarray:
-        return np.diag([0.0, 100.0, 0.0, 100.0])
 
-    @property
-    def input_cost(self) -> np.ndarray:
-        return 0.01 * np.eye(N_INPUTS)
+def _mpc_vectors(spec: MpcSpec, x0: np.ndarray,
+                 reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, b(x0)) of :func:`gen_mpc`, the only data that move per sample:
+    the reference term of q and b(x0) = (A x0, 0)."""
+    n_h, nx = spec.horizon, N_STATES
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.shape != (nx,):
+        raise ValueError(f"x0 must have {nx} entries")
+    ref = np.asarray(reference, dtype=float)
+    if ref.ndim == 1:
+        ref = np.tile(ref, (n_h, 1))
+    if ref.shape != (n_h, nx):
+        raise ValueError("reference must be one state or (horizon, 4)")
+    q_vec = np.zeros(n_h * (nx + N_INPUTS))
+    for k in range(1, n_h + 1):  # x_k sits at columns (k-1)*nx .. k*nx
+        q_vec[(k - 1) * nx:k * nx] = -(STATE_COST @ ref[k - 1])
+    b_vec = np.zeros(n_h * nx)
+    b_vec[:nx] = AIRCRAFT_A @ x0
+    return q_vec, b_vec
 
 
 def gen_mpc(spec: MpcSpec, x0: np.ndarray,
@@ -159,51 +176,31 @@ def gen_mpc(spec: MpcSpec, x0: np.ndarray,
     (hard box).  ``reference`` is a single state target or an (N, 4) array
     of per-stage targets.
     """
-    n_h = spec.horizon
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (N_STATES,):
-        raise ValueError(f"x0 must have {N_STATES} entries")
-    ref = np.asarray(reference, dtype=float)
-    if ref.ndim == 1:
-        ref = np.tile(ref, (n_h, 1))
-    if ref.shape != (n_h, N_STATES):
-        raise ValueError("reference must be one state or (horizon, 4)")
-
-    nx, nu = N_STATES, N_INPUTS
+    q_vec, b_vec = _mpc_vectors(spec, x0, reference)
+    n_h, nx, nu = spec.horizon, N_STATES, N_INPUTS
     n_dec = n_h * (nx + nu)
+    n_coupled = n_h * N_OUTPUTS + n_h * nu
     x_cols = lambda k: slice((k - 1) * nx, k * nx)          # x_k, k = 1..N
     u_cols = lambda k: slice(n_h * nx + k * nu,
                              n_h * nx + (k + 1) * nu)       # u_k, k = 0..N-1
-
-    # stacked dynamics: x_{k+1} - A x_k - B u_k = 0 with x_0 fixed
+    # per stage k: row block k of the stacked dynamics x_{k+1} - A x_k -
+    # B u_k = 0 with x_0 fixed (L), the tracking cost, whose terminal weight
+    # equals the stage weight (Q), and the coupled variables [y1 stack, y2
+    # stack, input stack] (C)
     l_mat = np.zeros((n_h * nx, n_dec))
-    b_vec = np.zeros(n_h * nx)
-    for k in range(n_h):
-        rows = slice(k * nx, (k + 1) * nx)
-        l_mat[rows, x_cols(k + 1)] = np.eye(nx)
-        l_mat[rows, u_cols(k)] = -AIRCRAFT_B
-        if k == 0:
-            b_vec[rows] = AIRCRAFT_A @ x0
-        else:
-            l_mat[rows, x_cols(k)] = -AIRCRAFT_A
-
-    # quadratic tracking cost; terminal weight equals the stage weight
     q_big = np.zeros((n_dec, n_dec))
-    q_vec = np.zeros(n_dec)
-    for k in range(1, n_h + 1):
-        q_big[x_cols(k), x_cols(k)] = spec.state_cost
-        q_vec[x_cols(k)] = -(spec.state_cost @ ref[k - 1])
-    for k in range(n_h):
-        q_big[u_cols(k), u_cols(k)] = spec.input_cost
-
-    # coupled variables: [y1 stack, y2 stack, input stack]
-    n_coupled = n_h * N_OUTPUTS + n_h * nu
     c_sel = np.zeros((n_coupled, n_dec))
-    for k in range(1, n_h + 1):
-        c_sel[k - 1, x_cols(k)] = AIRCRAFT_C[0]
-        c_sel[n_h + k - 1, x_cols(k)] = AIRCRAFT_C[1]
     for k in range(n_h):
-        c_sel[2 * n_h + k * nu:2 * n_h + (k + 1) * nu, u_cols(k)] = np.eye(nu)
+        xk, uk = x_cols(k + 1), u_cols(k)
+        l_mat[xk, xk] = np.eye(nx)
+        l_mat[xk, uk] = -AIRCRAFT_B
+        if k:
+            l_mat[xk, x_cols(k)] = -AIRCRAFT_A
+        q_big[xk, xk] = STATE_COST
+        q_big[uk, uk] = INPUT_COST
+        c_sel[k, xk] = AIRCRAFT_C[0]
+        c_sel[n_h + k, xk] = AIRCRAFT_C[1]
+        c_sel[2 * n_h + k * nu:2 * n_h + (k + 1) * nu, uk] = np.eye(nu)
 
     f = QuadraticAffine(q_big, q_vec, l_mat, b_vec)
     g = Separable([
@@ -229,10 +226,10 @@ def mpc_metric_objective(problem: EqConstrainedProblem,
     if not isinstance(f, QuadraticAffine):
         raise CapabilityError("expected a quadratic-on-affine smooth term")
     s = problem.A @ kkt_p11(f.Q, f.L) @ problem.A.T
-    s = 0.5 * (s + s.T)
+    spectra = MetricSpectra(0.5 * (s + s.T))
     e = (DiagonalMetric.identity(problem.p) if identity
-         else select_diagonal_metric(s, mode="heuristic"))
-    return pseudo_condition_of(e, s, mode="heuristic_p11")
+         else select_diagonal_metric(spectra, mode="heuristic"))
+    return pseudo_condition_of(e, spectra, mode="heuristic_p11")
 
 
 # -------------------------------------------------------------------- sweep
@@ -409,29 +406,31 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
                     metric: bool = True) -> dict:
     """Closed-loop run applying the first input of each one-sample solve.
 
-    Each solve is capped at ``MPC_MAX_ITERS``.  Returns the per-sample
-    iteration counts and their mean and median, plus the state trajectory.
-    ``tol`` must lie in (0, 1).
+    The problem, its metric objective, gamma, the scaled problem and one
+    ADMM engine with its KKT factor are built once per loop; per sample
+    only q and b(x0) move, rewritten in place in the smooth term.  Each
+    solve starts cold from z0 = 0 and is capped at ``MPC_MAX_ITERS``.
+    Returns the per-sample iteration counts, their mean and median, and
+    the state trajectory.  Needs ``tol`` in (0, 1) and a reference.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     references = np.asarray(references, dtype=float)
-    n_samples = references.shape[0]
+    if not len(references):
+        raise ValueError("references must hold at least one sample")
     x = np.zeros(N_STATES)
+    problem = gen_mpc(spec, x, references[0])
+    obj = mpc_metric_objective(problem, identity=not metric)
+    gamma = gamma_from_metric(obj)
+    scaled = problem.scaled(obj.metric) if metric else problem
+    engine = AdmmEngine(scaled, gamma, alpha)
     counts: list[int] = []
     states = [x.copy()]
-    obj = None
-    for t in range(n_samples):
-        problem = gen_mpc(spec, x, references[t])
-        if obj is None:
-            # Q, L and A are the same for every sample: only b and q move
-            obj = mpc_metric_objective(problem, identity=not metric)
-        used = obj.metric if metric else None
-        gamma = gamma_from_metric(obj)
-        scaled = problem.scaled(used) if used is not None else problem
+    for ref in references:
+        problem.f.q[:], problem.f.b[:] = _mpc_vectors(spec, x, ref)
         _, _, _, trace = admm_solve(scaled, gamma, alpha, tol=tol,
                                     max_iters=MPC_MAX_ITERS,
-                                    z0=np.zeros(scaled.p))
+                                    z0=np.zeros(scaled.p), engine=engine)
         counts.append(trace.iterations)
         u0 = trace.x_final[spec.horizon * N_STATES:
                            spec.horizon * N_STATES + N_INPUTS]

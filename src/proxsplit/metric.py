@@ -101,9 +101,11 @@ def pseudo_condition_number(metric: DiagonalMetric, a, q) -> MetricObjective:
 
 def pseudo_condition_of(metric: DiagonalMetric, s,
                         mode: Mode = "heuristic_pinv") -> MetricObjective:
-    """Pseudo condition number of an already-formed symmetric psd S, with
-    eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max`` counted as zero."""
-    obj = _objective_value(metric, MetricSpectra(s), mode)
+    """Pseudo condition number of an already-formed symmetric psd S (or its
+    MetricSpectra), eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max``
+    counted as zero."""
+    spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
+    obj = _objective_value(metric, spectra, mode)
     if obj.numerator <= 0:
         raise RankDeficiencyError("matrix has no nonzero eigenvalues")
     return obj

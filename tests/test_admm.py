@@ -289,6 +289,22 @@ class TestAdmmSolve:
         assert np.allclose(ta.z_final, tb.z_final, atol=1e-12)
         assert ta.iterations == tb.iterations
 
+    def test_engine_is_reused_only_for_its_own_problem(self, rng):
+        problem = random_qp(rng)
+        engine = AdmmEngine(problem, 0.9, 0.8)
+        twin = EqConstrainedProblem(problem.f, problem.g, problem.A,
+                                    problem.B, problem.c)
+        for args in ((twin, 0.9, 0.8), (problem, 1.0, 0.8),
+                     (problem, 0.9, 0.5), (problem, float("nan"), 0.8)):
+            with pytest.raises(ValueError, match="another problem"):
+                admm_solve(*args, engine=engine)
+        xa, _, _, ta = admm_solve(problem, 0.9, 0.8, tol=1e-9,
+                                  max_iters=5000, engine=engine)
+        xb, _, _, tb = admm_solve(problem, 0.9, 0.8, tol=1e-9,
+                                  max_iters=5000)
+        assert ta.iterations == tb.iterations
+        assert np.array_equal(xa, xb)
+
     def test_nonconvergence_is_flagged(self, rng):
         problem = random_qp(rng)
         _, _, _, trace = admm_solve(problem, gamma=1.0, alpha=0.5,

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import scipy.linalg
 
 from proxsplit.bench import (
     AIRCRAFT_A,
+    AIRCRAFT_B,
+    MPC_MAX_ITERS,
     LassoSpec,
     MpcSpec,
     gen_lasso,
@@ -26,13 +29,18 @@ from proxsplit.bench import (
 )
 from proxsplit import bench
 from proxsplit.admm import (
+    AdmmEngine,
     EqConstrainedProblem,
     admm_solve,
     verify_dual_equivalence,
 )
 from proxsplit.errors import CapabilityError, RankDeficiencyError
 from proxsplit.linmetric import DiagonalMetric, kkt_p11
-from proxsplit.metric import gamma_from_metric
+from proxsplit.metric import (
+    gamma_from_metric,
+    pseudo_condition_of,
+    select_diagonal_metric,
+)
 from proxsplit.prox import (
     Quadratic,
     QuadraticAffine,
@@ -307,6 +315,80 @@ class TestMpcBenchmark:
                               metric=False)
         assert len(out["iterations"]) == 3
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("metric, target", [(True, 3.5), (False, 1.0)])
+    def test_closed_loop_matches_a_per_sample_rebuild(self, metric, target):
+        # the reference loop builds problem, metric, scaled problem and
+        # engine afresh for every sample; the shared structure must give
+        # the same bits
+        spec, refs, tol = MpcSpec(), pitch_reference(8, target, 2, 8), 1e-4
+        x, counts, states = np.zeros(4), [], [np.zeros(4)]
+        for ref in refs:
+            problem = gen_mpc(spec, x, ref)
+            obj = mpc_metric_objective(problem, identity=not metric)
+            scaled = problem.scaled(obj.metric) if metric else problem
+            _, _, _, trace = admm_solve(scaled, gamma_from_metric(obj), 0.5,
+                                        tol=tol, max_iters=MPC_MAX_ITERS,
+                                        z0=np.zeros(scaled.p))
+            counts.append(trace.iterations)
+            u0 = trace.x_final[spec.horizon * 4:spec.horizon * 4 + 2]
+            x = AIRCRAFT_A @ x + AIRCRAFT_B @ u0
+            states.append(x)
+        out = mpc_closed_loop(spec, refs, alpha=0.5, tol=tol, metric=metric)
+        assert out["iterations"] == counts
+        assert len(set(counts)) > 3  # a transient, not only settled samples
+        assert np.array_equal(out["states"], np.array(states))
+
+    def test_closed_loop_builds_the_structure_once(self, monkeypatch):
+        gens = _counted(monkeypatch, bench, "gen_mpc")
+        inits, factors, building = [], [], []
+        real_init, real_lu = AdmmEngine.__init__, scipy.linalg.lu_factor
+
+        def init(engine, *args, **kwargs):
+            inits.append(1)
+            building.append(1)
+            try:
+                real_init(engine, *args, **kwargs)
+            finally:
+                building.pop()
+
+        def lu_factor(*args, **kwargs):
+            if building:
+                factors.append(1)
+            return real_lu(*args, **kwargs)
+
+        monkeypatch.setattr(AdmmEngine, "__init__", init)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
+        out = mpc_closed_loop(MpcSpec(), pitch_reference(8, 1.0, 2, 8),
+                              tol=1e-4)
+        assert len(out["iterations"]) == 8
+        assert (len(gens), len(inits), len(factors)) == (1, 1, 1)
+
+    def test_closed_loop_refuses_empty_references(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reference"):
+                mpc_closed_loop(MpcSpec(), np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("identity, decompositions", [(False, 2),
+                                                          (True, 1)])
+    def test_metric_objective_decomposes_each_metric_once(
+            self, monkeypatch, identity, decompositions):
+        problem = gen_mpc(MpcSpec(), np.zeros(4),
+                          np.array([0.0, 0.0, 0.0, 10.0]))
+        s = problem.A @ kkt_p11(problem.f.Q, problem.f.L) @ problem.A.T
+        s = 0.5 * (s + s.T)
+        # selection and objective each decomposing S on their own
+        e = (DiagonalMetric.identity(problem.p) if identity
+             else select_diagonal_metric(s, mode="heuristic"))
+        separate = pseudo_condition_of(e, s, mode="heuristic_p11")
+        eighs = _counted(monkeypatch, scipy.linalg, "eigh")
+        obj = mpc_metric_objective(problem, identity=identity)
+        assert len(eighs) == decompositions
+        assert ((obj.mode, obj.numerator, obj.denominator, obj.value)
+                == (separate.mode, separate.numerator, separate.denominator,
+                    separate.value))
+        assert np.array_equal(obj.metric.diag, separate.metric.diag)
 
 
 NO_CERTIFICATE = ("no rate certificate: the smooth term is not a strongly "
