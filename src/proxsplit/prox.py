@@ -107,8 +107,9 @@ class ProxFn:
         return z
 
     def _check(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        """The prox query z as a checked point, after the gamma > 0 check."""
-        _positive(gamma, "gamma")
+        """The prox query z as a checked point, after 0 < gamma < inf."""
+        if not 0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         return self._check_point(z)
 
     def __call__(self, x: np.ndarray) -> float:
@@ -149,8 +150,7 @@ class Quadratic(ProxFn):
     def __init__(self, q_matrix, q_vector=None):
         qm = _check_symmetric(_as_dense(q_matrix))
         n = qm.shape[0]
-        qv = np.zeros(n) if q_vector is None else np.asarray(q_vector,
-                                                             dtype=float)
+        qv = np.zeros(n) if q_vector is None else np.asarray(q_vector, float)
         if qv.shape != (n,):
             raise DimensionMismatchError("q must match Q's dimension")
         summary = spectral_summary(qm)
@@ -202,8 +202,7 @@ class QuadraticAffine(ProxFn):
     def __init__(self, q_matrix, q_vector, l_matrix, b_vector):
         qm = _check_symmetric(_as_dense(q_matrix))
         n = qm.shape[0]
-        qv = (np.zeros(n) if q_vector is None
-              else np.asarray(q_vector, dtype=float))
+        qv = np.zeros(n) if q_vector is None else np.asarray(q_vector, float)
         lm = _as_dense(l_matrix)
         if lm.size == 0:
             lm = lm.reshape(0, n)
@@ -316,12 +315,10 @@ class IndicatorAffine(ProxFn):
         self.b = bv
         self.dim = lm.shape[1]
         self._pinv = np.linalg.pinv(lm)
-        anchor = self._pinv @ bv
-        if np.linalg.norm(lm @ anchor - bv) > 1e-8 * max(
+        if np.linalg.norm(lm @ (self._pinv @ bv) - bv) > 1e-8 * max(
                 1.0, float(np.linalg.norm(bv))):
             raise InfeasibleConstraintError(
                 "no point satisfies L x = b (b outside range of L)")
-        self._anchor = anchor
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -350,7 +347,7 @@ class Box(ProxFn):
         hi = np.asarray(hi, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise DimensionMismatchError("lo and hi must have equal length")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):  # NaN fails too
             raise ValueError("need lo <= hi elementwise")
         self.lo = lo
         self.hi = hi
@@ -362,7 +359,7 @@ class Box(ProxFn):
         return 0.0 if inside else np.inf
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return np.clip(self._check(gamma, z), self.lo, self.hi)
+        return np.minimum(np.maximum(self._check(gamma, z), self.lo), self.hi)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lo": self.lo.tolist(),
@@ -376,8 +373,8 @@ class WeightedL1(ProxFn):
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float).ravel()
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((0 <= w) & (w < np.inf)):
+            raise ValueError("weights must be finite and nonnegative")
         self.w = w
         self.dim = w.shape[0]
 
@@ -400,7 +397,8 @@ class PwlPenalty(ProxFn):
     inferred from the array parameters when omitted.  The prox shrinks toward
     the band: with t = gamma*s, points beyond the band by more than t move in
     by t, points within t of the band land on the nearest edge, and points
-    inside the band stay put.
+    inside the band stay put.  :func:`diag_scale` merges adjacent members of
+    a ``Separable`` into one.
     """
 
     kind = "pwl_penalty"
@@ -415,10 +413,10 @@ class PwlPenalty(ProxFn):
         if len(sizes) > 1:
             raise DimensionMismatchError(
                 f"lo, hi, slope and dim disagree on the dimension: {sizes}")
-        if not np.all(lo <= hi):
-            raise ValueError("need lo <= hi elementwise")
-        if np.any(slope < 0):
-            raise ValueError("slope must be nonnegative elementwise")
+        if not np.all((lo <= hi) & (lo < np.inf) & (-np.inf < hi)):
+            raise ValueError("need lo <= hi elementwise, lo < inf, hi > -inf")
+        if not np.all((0 <= slope) & (slope < np.inf)):
+            raise ValueError("slope must be finite and nonnegative")
         self.lo, self.hi, self.slope = lo, hi, slope
         self.dim = sizes.pop() if sizes else None
 
@@ -429,14 +427,11 @@ class PwlPenalty(ProxFn):
         return float(np.sum(self.slope * (over + under)))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
+        z, lo, hi = self._check(gamma, z), self.lo, self.hi
         t = gamma * self.slope
-        out = z.copy()
-        out = np.where(z > self.hi + t, z - t, out)
-        out = np.where((z > self.hi) & (z <= self.hi + t), self.hi, out)
-        out = np.where(z < self.lo - t, z + t, out)
-        out = np.where((z < self.lo) & (z >= self.lo - t), self.lo, out)
-        return out
+        # one nested select, not a clamp: np.maximum(-0.0, 0.0) is +0.0
+        return np.where(z > hi + t, z - t, np.where(z > hi, hi, np.where(
+            z < lo - t, z + t, np.where(z < lo, lo, z))))
 
     def to_json(self) -> dict:
         # tolist() gives back a plain float for the scalar form
@@ -553,7 +548,8 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     ``s`` is one signed vector: each coordinate may have its own sign.
     Every catalog kind stays inside the catalog under this change of
     variables, which is what makes diagonal constraint scalings solvable in
-    prox form.
+    prox form.  Adjacent ``PwlPenalty`` members of a ``Separable`` merge
+    into one, with the same prox bits; ``f`` and its wire format stay as is.
     """
     s = np.asarray(s, dtype=float).ravel()
     if not np.all(np.abs(s) > 0):
@@ -561,10 +557,8 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     if f.dim is not None and f.dim != s.shape[0]:
         raise DimensionMismatchError("diagonal length does not match f")
     sinv = 1.0 / s
-    if isinstance(f, Zero):
-        return Zero(s.shape[0])
-    if isinstance(f, IndicatorZero):
-        return IndicatorZero(s.shape[0])
+    if isinstance(f, (Zero, IndicatorZero)):
+        return type(f)(s.shape[0])
     if isinstance(f, WeightedL1):
         return WeightedL1(f.w / np.abs(s))
     if isinstance(f, Box):
@@ -580,8 +574,15 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     if isinstance(f, IndicatorAffine):
         return IndicatorAffine(f.L / s[None, :], f.b)
     if isinstance(f, Separable):
-        return Separable([(a, b, diag_scale(fn, s[a:b]))
-                          for a, b, fn in f.members])
+        out = []
+        for a, b, fn in f.members:
+            fn, last = diag_scale(fn, s[a:b]), out and out[-1][2]
+            if isinstance(fn, PwlPenalty) and isinstance(last, PwlPenalty):
+                a = out.pop()[0]
+                fn = PwlPenalty(*map(np.concatenate, zip(
+                    (last.lo, last.hi, last.slope), (fn.lo, fn.hi, fn.slope))))
+            out.append((a, b, fn))
+        return Separable(out)
     raise CapabilityError(
         f"no diagonal scaling rule for catalog kind {f.kind!r}")
 

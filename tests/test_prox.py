@@ -1,5 +1,6 @@
 """Prox catalog against brute-force oracles and operator-theoretic laws."""
 
+import itertools
 import json
 import re
 
@@ -14,6 +15,8 @@ from conftest import (
     sample_catalog_fn,
     sample_quadratic_affine,
 )
+from proxsplit.admm import AdmmEngine
+from proxsplit.bench import MpcSpec, gen_mpc, mpc_metric_objective
 from proxsplit.errors import (
     CapabilityError,
     DimensionMismatchError,
@@ -543,3 +546,171 @@ class TestJsonRoundtrip:
         wrapped = ConjugateOf(f)
         z = rng.normal(size=2) * 3
         assert np.allclose(wrapped.prox(0.7, z), f.conjugate_prox(0.7, z))
+
+
+class TestNonFiniteParameters:
+    """The constructors refuse what ``proxfn_from_json`` refuses."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: PwlPenalty(-1.0, 1.0, np.nan),
+        lambda: PwlPenalty(-1.0, 1.0, np.inf),
+        lambda: PwlPenalty(-1.0, 1.0, [2.0, np.nan]),
+        lambda: PwlPenalty(np.nan, 1.0, 1.0),
+        lambda: PwlPenalty([-1.0, 0.0], [1.0, np.nan], 1.0),
+        lambda: PwlPenalty(np.inf, np.inf, 1.0),
+        lambda: PwlPenalty(-np.inf, -np.inf, 1.0),
+        lambda: Box([np.nan, 0.0], [1.0, 1.0]),
+        lambda: Box([0.0, 0.0], [1.0, np.nan]),
+        lambda: WeightedL1([np.nan, 1.0]),
+        lambda: WeightedL1([np.inf, 1.0]),
+    ])
+    def test_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_infinite_edges_stay_legal(self):
+        f = PwlPenalty(-np.inf, [np.inf, 1.0], 2.0)
+        assert np.array_equal(f.prox(0.5, np.array([5.0, 5.0])), [5.0, 4.0])
+        assert f(np.array([-1e300, 2.0])) == 2.0
+        box = Box([-np.inf, 0.0], [np.inf, np.inf])
+        assert np.array_equal(box.prox(1.0, np.array([-3.0, -3.0])),
+                              [-3.0, 0.0])
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_step_must_be_finite(self, gamma):
+        # gamma * slope = inf * 0 would be NaN
+        for f in (PwlPenalty(-1.0, 1.0, 0.0, 2), Box([0.0, 0.0], [1.0, 1.0]),
+                  Zero(2)):
+            with pytest.raises(ValueError, match="gamma"):
+                f.prox(gamma, np.array([3.0, -3.0]))
+
+
+def four_select_pwl_prox(f: PwlPenalty, gamma: float,
+                         z: np.ndarray) -> np.ndarray:
+    """The earlier PwlPenalty.prox: four masked selects over a copy of z."""
+    t = gamma * f.slope
+    out = z.copy()
+    out = np.where(z > f.hi + t, z - t, out)
+    out = np.where((z > f.hi) & (z <= f.hi + t), f.hi, out)
+    out = np.where(z < f.lo - t, z + t, out)
+    out = np.where((z < f.lo) & (z >= f.lo - t), f.lo, out)
+    return out
+
+
+class TestKernelBits:
+    """The band and box kernels keep the bits of their references, down to
+    NaN and the sign of zero (compared by ``tobytes``)."""
+
+    EDGES = (-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf)
+    SPECIAL = (-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan)
+
+    def cases(self):
+        """(lo, hi, slope, gamma, points): every legal pair of edges, with
+        points at each edge and threshold, their neighbours and specials."""
+        for lo, hi in itertools.product(self.EDGES, self.EDGES):
+            if not (lo <= hi and lo < np.inf and hi > -np.inf):
+                continue
+            for slope, gamma in ((0.0, 1.0), (0.5, 1.0), (2.0, 0.3)):
+                t = gamma * slope
+                marks = np.array([lo, hi, lo - t, hi + t])
+                points = np.concatenate([
+                    marks, np.nextafter(marks, np.inf),
+                    np.nextafter(marks, -np.inf), self.SPECIAL])
+                yield lo, hi, slope, gamma, points
+
+    def test_pwl_scalar_parameters(self):
+        for lo, hi, slope, gamma, z in self.cases():
+            f = PwlPenalty(lo, hi, slope)
+            assert f.prox(gamma, z).tobytes() == four_select_pwl_prox(
+                f, gamma, z).tobytes(), (lo, hi, slope)
+
+    def test_pwl_per_coordinate_parameters(self):
+        # one member holding every case, one coordinate per point
+        cols = [[], [], [], []]
+        for lo, hi, slope, gamma, z in self.cases():
+            if gamma != 1.0:
+                continue
+            for col, v in zip(cols, (lo, hi, slope, z)):
+                col.append(np.broadcast_to(v, z.shape))
+        lo, hi, slope, z = map(np.concatenate, cols)
+        f = PwlPenalty(lo, hi, slope)
+        for gamma in (1.0, 0.3):
+            assert f.prox(gamma, z).tobytes() == four_select_pwl_prox(
+                f, gamma, z).tobytes()
+
+    def test_box_matches_clip(self):
+        pairs = [(lo, hi) for lo, hi in itertools.product(self.EDGES,
+                                                          self.EDGES)
+                 if lo <= hi]
+        boxes = [(Box(np.full(40, lo), np.full(40, hi)),
+                  np.resize(np.array(self.SPECIAL + (lo, hi)), 40))
+                 for lo, hi in pairs]
+        lo, hi = (np.repeat([p[i] for p in pairs], 9) for i in (0, 1))
+        boxes.append((Box(lo, hi), np.resize(
+            np.array(self.SPECIAL + (-1.0, 1.0)), lo.size)))
+        for box, z in boxes:
+            assert box.prox(1.0, z).tobytes() == np.clip(
+                z, box.lo, box.hi).tobytes()
+
+
+class TestSoftBandMerge:
+    """diag_scale merges adjacent PwlPenalty members of a Separable."""
+
+    SPEC = MpcSpec()
+
+    def desk_problem(self):
+        return gen_mpc(self.SPEC, np.zeros(4), np.array([0.0, 0.0, 0.0, 10.0]))
+
+    def signs(self):
+        problem = self.desk_problem()
+        metric = mpc_metric_objective(problem).metric
+        # B = -I scaled by the metric's E is -E; the identity keeps -I
+        return {"metric": -metric.diag, "identity": -np.ones(problem.m)}
+
+    @pytest.mark.parametrize("which", ["metric", "identity"])
+    def test_desk_mpc_bands_merge(self, rng, which):
+        g, s = self.desk_problem().g, self.signs()[which]
+        n_h = self.SPEC.horizon
+        merged = diag_scale(g, s)
+        assert [(a, b, fn.kind) for a, b, fn in merged.members] == [
+            (0, 2 * n_h, "pwl_penalty"), (2 * n_h, 4 * n_h, "box")]
+        by_member = Separable([(a, b, diag_scale(fn, s[a:b]))
+                               for a, b, fn in g.members])
+        assert len(by_member.members) == 3
+        band = merged.members[0][2]
+        for gamma in (1e-9, 1e-6, 1e-3, 1.0):
+            t = gamma * band.slope
+            # per band coordinate: beyond t, at or within t of either edge,
+            # on an edge, and inside; the box part runs past its bounds
+            regions = np.stack([band.lo - 2 * t - 1, band.lo - t,
+                                band.lo - t / 2, band.lo,
+                                0.5 * (band.lo + band.hi), band.hi,
+                                band.hi + t / 2, band.hi + t,
+                                band.hi + 2 * t + 1])
+            for _ in range(10):
+                pick = rng.integers(0, len(regions), size=2 * n_h)
+                z = np.concatenate([regions[pick, np.arange(2 * n_h)],
+                                    60.0 * rng.normal(size=2 * n_h)])
+                assert merged.prox(gamma, z).tobytes() == by_member.prox(
+                    gamma, z).tobytes()
+
+    def test_bands_split_by_a_box_stay_apart(self, rng):
+        f = Separable([(0, 2, PwlPenalty(-1.0, 1.0, 3.0, 2)),
+                       (2, 4, Box([-1.0, -1.0], [1.0, 1.0])),
+                       (4, 6, PwlPenalty(-2.0, 2.0, 1.0, 2))])
+        scaled = diag_scale(f, rng.uniform(0.5, 2.0, size=6))
+        assert [(a, b, fn.kind) for a, b, fn in scaled.members] == [
+            (0, 2, "pwl_penalty"), (2, 4, "box"), (4, 6, "pwl_penalty")]
+
+    @pytest.mark.parametrize("which", ["metric", "identity"])
+    def test_one_band_prox_per_y_update(self, monkeypatch, rng, which):
+        problem = self.desk_problem()
+        if which == "metric":
+            problem = problem.scaled(mpc_metric_objective(problem).metric)
+        engine = AdmmEngine(problem, 1.0, 0.5)
+        calls = []
+        band_prox = PwlPenalty.prox
+        monkeypatch.setattr(PwlPenalty, "prox", lambda self, gamma, z: (
+            calls.append(z.size), band_prox(self, gamma, z))[1])
+        engine.y_update.solve(rng.normal(size=problem.p))
+        assert calls == [2 * self.SPEC.horizon]
