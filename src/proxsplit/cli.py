@@ -148,11 +148,8 @@ def _cmd_mpc(args) -> int:
 
 
 def _cmd_worstcase(args) -> int:
-    if args.beta is not None:
-        rows = worstcase.verify_grid(
-            beta_over_sigma=(args.beta / args.sigma,), sigma=args.sigma)
-    else:
-        rows = worstcase.verify_grid(sigma=args.sigma)
+    betas = None if args.beta is None else (args.beta,)
+    rows = worstcase.verify_grid(betas, sigma=args.sigma)
     with open(args.out, "w") as fh:
         fh.write(CSV_SCHEMA_TAG + "\n")
         fh.write("beta,sigma,gamma,alpha,variant,bound,exact_rate,"

@@ -8,8 +8,8 @@ norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
 All instances are immutable and safe to share between threads; the
-quadratic kinds cache, per step size and behind a lock, one matrix
-factorization together with its LAPACK solve, bound once.
+quadratic kinds cache one factorization and its bound LAPACK solve per step
+size, read without a lock: the lock is taken only to build a missing factor.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .rates import dual_curvature
 
 def _finite(rhs: np.ndarray) -> np.ndarray:
     """rhs after the NaN/inf check; the factor was checked when it was made."""
-    if not np.isfinite(rhs).all():
+    if np.count_nonzero(np.isfinite(rhs)) != rhs.size:
         raise ValueError("array must not contain infs or NaNs")
     return rhs
 
@@ -86,6 +86,18 @@ def _lu_solver(a: np.ndarray):
         return x
 
     return fac, solve
+
+
+def _cached_solve(fn, gamma: float, build: Callable) -> Callable:
+    """fn's solve for gamma, read without fn's lock; ``build(gamma)`` makes
+    a missing one under the lock, re-checked there, so it runs once."""
+    solve = fn._cache.get(gamma)
+    if solve is None:
+        with fn._lock:
+            solve = fn._cache.get(gamma)
+            if solve is None:
+                solve = fn._cache[gamma] = build(gamma)
+    return solve
 
 
 class ProxFn:
@@ -171,17 +183,12 @@ class Quadratic(ProxFn):
         x = self._check_point(x)
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _solver(self, gamma: float):
-        with self._lock:
-            solve = self._cache.get(gamma)
-            if solve is None:
-                _, solve = _cho_solver(gamma * self.Q + np.eye(self.dim))
-                self._cache[gamma] = solve
-        return solve
+    def _factor(self, gamma: float) -> Callable:
+        return _cho_solver(gamma * self.Q + np.eye(self.dim))[1]
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        return self._solver(gamma)(z - gamma * self.q)
+        return _cached_solve(self, gamma, self._factor)(z - gamma * self.q)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "Q": matrix_to_json(self.Q),
@@ -225,30 +232,23 @@ class QuadraticAffine(ProxFn):
             return np.inf
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _solver(self, gamma: float):
-        with self._lock:
-            solve = self._cache.get(gamma)
-            if solve is None:
-                n, p = self.dim, self.L.shape[0]
-                kkt = np.block([
-                    [gamma * self.Q + np.eye(n), self.L.T],
-                    [self.L, np.zeros((p, p))],
-                ])
-                try:
-                    _, solve = _lu_solver(kkt)
-                except (scipy.linalg.LinAlgError, ValueError) as exc:
-                    raise SingularKktError(
-                        f"singular prox system for {self.kind}: {exc}",
-                        size=n + p) from exc
-                self._cache[gamma] = solve
-        return solve
+    def _factor(self, gamma: float) -> Callable:
+        n, p = self.dim, self.L.shape[0]
+        kkt = np.block([[gamma * self.Q + np.eye(n), self.L.T],
+                        [self.L, np.zeros((p, p))]])
+        try:
+            return _lu_solver(kkt)[1]
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise SingularKktError(
+                f"singular prox system for {self.kind}: {exc}",
+                size=n + p) from exc
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
         p = self.L.shape[0]
         rhs = np.concatenate([z - gamma * self.q, self.b])
-        x = self._solver(gamma)(rhs)[:self.dim]
-        if p and not np.all(np.isfinite(x)):
+        x = _cached_solve(self, gamma, self._factor)(rhs)[:self.dim]
+        if p and np.count_nonzero(np.isfinite(x)) != x.size:
             raise SingularKktError("prox system solved to non-finite values",
                                    size=self.dim + p)
         return x
@@ -291,7 +291,7 @@ class IndicatorZero(ProxFn):
         return 0.0 if not x.size or np.abs(x).max() == 0.0 else np.inf
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return np.zeros_like(self._check(gamma, z))
+        return np.zeros(self._check(gamma, z).shape)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}

@@ -108,13 +108,15 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     (evaluated only once the first test passes) holds, else after
     ``max_iters`` steps or at the first non-finite residual, both with
     ``converged`` False.  Records residuals, the distances to ``reference``
-    when given, and the z-history within ``HISTORY_SCALAR_BUDGET``.
+    when given, and the z-history within ``HISTORY_SCALAR_BUDGET``.  With
+    ``reference`` at the origin, ||z+|| (the same bits) serves both.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     _positive(tol, "tol")
     z = np.asarray(z0, dtype=float)
     ref = None if reference is None else np.asarray(reference, dtype=float)
+    origin = ref is not None and not ref.any()
     keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
     trace = SolveTrace()
     if keep_history:
@@ -126,14 +128,15 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
         trace.iterations += 1
         res = _norm(z_next - z)
         trace.residuals.append(res)
+        size = _norm(z_next) if origin else None
         if ref is not None:
-            trace.distances.append(_norm(z_next - ref))
+            trace.distances.append(size if origin else _norm(z_next - ref))
         if keep_history:
             trace.z_history.append(z_next.copy())
         z = z_next
         if not math.isfinite(res):
             break
-        if (res <= tol * max(1.0, _norm(z))
+        if (res <= tol * max(1.0, _norm(z) if size is None else size)
                 and (extra_check is None or extra_check())):
             trace.converged = True
             break

@@ -75,16 +75,14 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
         raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    f = Quadratic(np.diag([reg.beta, reg.sigma]))
     if setting == "primal":
-        f = Quadratic(np.diag([reg.beta, reg.sigma]))
         g = _nonsmooth(variant)
         z0 = np.eye(2)[coordinate - BETA_COORD]
         return WorstCaseInstance(f=f, g=g, problem=None, z0=z0)
     if setting == "dual":
         if theta is None or zeta is None or not zeta >= theta > 0:
             raise ValueError("dual setting needs zeta >= theta > 0")
-        primal_reg = reg
-        f = Quadratic(np.diag([primal_reg.beta, primal_reg.sigma]))
         # The dual second term is the conjugate of the primal g (B = -I),
         # and the zero function and the origin indicator are conjugate
         # pairs, so the primal g is the other member of the pair.
@@ -204,13 +202,15 @@ def acceptance_alphas(delta: float) -> tuple[float, float, float]:
     return 0.5, 1.0, 0.99 * 2.0 / (1.0 + delta)
 
 
-def verify_grid(beta_over_sigma=(1.0, 4.0, 25.0, 100.0),
-                sigma: float = 1.0) -> list[dict]:
-    """Tightness sweep over condition numbers, step sizes 0.2, 1 and 5 times
-    1/sqrt(beta*sigma), and relaxations; 120 iterations per point."""
+def verify_grid(betas=None, sigma: float = 1.0) -> list[dict]:
+    """Tightness sweep over smoothness constants ``betas`` (default 1, 4, 25
+    and 100 times sigma), step sizes 0.2, 1 and 5 times 1/sqrt(beta*sigma),
+    and relaxations; 120 iterations per point."""
+    if betas is None:
+        betas = [kappa * sigma for kappa in (1.0, 4.0, 25.0, 100.0)]
     rows = []
-    for kappa in beta_over_sigma:
-        reg = Regularity(sigma=sigma, beta=kappa * sigma)
+    for beta in betas:
+        reg = Regularity(sigma=sigma, beta=beta)
         gamma_star = 1.0 / math.sqrt(reg.beta * reg.sigma)
         for ratio in (0.2, 1.0, 5.0):
             gamma = ratio * gamma_star

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from proxsplit import bench
+from proxsplit import bench, worstcase
 from proxsplit.admm import EqConstrainedProblem
 from proxsplit.cli import EXIT_CAPABILITY, EXIT_OK, EXIT_USAGE, cli_main
 from proxsplit.prox import Quadratic, WeightedL1, Zero
@@ -34,6 +34,24 @@ def test_worstcase_verify_csv(tmp_path):
     for row in lines[2:]:
         fields = row.split(",")
         assert float(fields[0]) == 4.0
+        assert float(fields[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize("beta,sigma", [("15", "11"), ("4", "1"),
+                                        ("0.3", "0.1")])
+def test_worstcase_verify_keeps_beta_exact(tmp_path, beta, sigma):
+    """--beta B --sigma S runs and writes the grid at beta = B exactly,
+    not at (B / S) * S."""
+    out = tmp_path / "report.csv"
+    assert cli_main(["worstcase-verify", "--beta", beta, "--sigma", sigma,
+                     "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    expect = worstcase.verify_grid((float(beta),), sigma=float(sigma))
+    assert len(rows) == len(expect) == 9
+    for fields, row in zip(rows, expect):
+        assert float(fields[0]) == row["beta"] == float(beta)
+        assert float(fields[1]) == row["sigma"] == float(sigma)
+        assert [float(v) for v in fields[2:4]] == [row["gamma"], row["alpha"]]
         assert float(fields[-1]) <= 1e-10
 
 
@@ -174,6 +192,8 @@ _MALFORMED_A = {
     ["lasso", "--alpha", "-1"],
     ["lasso", "--gamma-min", "-1"],
     ["worstcase-verify", "--sigma", "-1"],
+    ["worstcase-verify", "--sigma", "0"],
+    ["worstcase-verify", "--beta", "4", "--sigma", "0"],
     ["worstcase-verify", "--beta", "0.5"],
     ["metric-report", "--problem", "{empty}"],
     ["metric-report", "--problem", "{triplets_not_list}"],

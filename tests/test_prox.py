@@ -3,6 +3,10 @@
 import itertools
 import json
 import re
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from proxsplit.errors import (
     InfeasibleConstraintError,
     NonSymmetricError,
 )
+from proxsplit import prox
 from proxsplit.prox import (
     Box,
     ConjugateOf,
@@ -378,6 +383,87 @@ class TestDirectSolve:
                   sample_quadratic_affine(rng, 3)):
             with pytest.raises(ValueError, match=self.NAN_MESSAGE):
                 f.prox(1.0, z)
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anywhere_in_rhs_raises(self, n, bad):
+        solves = [prox._cho_solver(np.eye(n))[1],
+                  prox._lu_solver(np.eye(n))[1]]
+        for i in range(n):
+            rhs = np.ones(n)
+            rhs[i] = bad
+            for solve in solves:
+                with pytest.raises(ValueError, match=self.NAN_MESSAGE):
+                    solve(rhs)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 200])
+    def test_finite_and_empty_rhs_pass_without_warning(self, rng, n):
+        rhs = np.where(rng.random(n) < 0.5, -1.0, 1.0) * np.logspace(
+            -308, 308, n)
+        if n:
+            rhs[0] = np.finfo(float).max  # its square would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prox._finite(rhs) is rhs
+            assert np.array_equal(prox._lu_solver(np.eye(n))[1](rhs), rhs)
+            if n:
+                assert np.array_equal(prox._cho_solver(np.eye(n))[1](rhs),
+                                      rhs)
+
+    @pytest.mark.parametrize("z", [[3.0, -0.0, np.nan], [-0.0], [], [1, 2]])
+    def test_indicator_zero_prox_is_a_fresh_positive_zero(self, z):
+        z = np.array(z)
+        out = IndicatorZero().prox(0.5, z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert out.tobytes() == bytes(8 * z.size)  # +0.0 in every entry
+        assert not np.shares_memory(out, z)
+        again = IndicatorZero().prox(0.5, z)
+        out += 1.0
+        assert again.tobytes() == bytes(8 * z.size)
+
+
+class TestFactorCache:
+    """The quadratic kinds read their per-gamma cache without the lock and
+    take it only to build a missing factor, once per gamma."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    def test_concurrent_first_calls_build_one_factor(self, monkeypatch, rng,
+                                                     kind):
+        f = (Quadratic(np.diag([4.0, 1.0, 2.0]), rng.normal(size=3))
+             if kind == "quadratic" else sample_quadratic_affine(rng, 3))
+        f.prox(0.3, rng.normal(size=3))  # another gamma already cached
+        builds = []
+        for name in ("_cho_solver", "_lu_solver"):
+            def slow_build(a, _build=getattr(prox, name)):
+                builds.append(a.shape)
+                time.sleep(0.05)  # every thread arrives while this runs
+                return _build(a)
+            monkeypatch.setattr(prox, name, slow_build)
+        z = rng.normal(size=3)
+        n_threads = 8
+        barrier = threading.Barrier(n_threads, timeout=10)
+        results = [None] * n_threads
+
+        def worker(i):
+            barrier.wait()
+            results[i] = f.prox(0.7, z).tobytes()
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert set(results) == {f.prox(0.7, z).tobytes()}
+        f.prox(0.3, z)
+        assert len(builds) == 1  # both gammas cached; no further build
 
 
 class TestDiagScale:

@@ -16,6 +16,7 @@ from proxsplit.prox import (
     WeightedL1,
     Zero,
 )
+from proxsplit import splitting
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
 from proxsplit.splitting import (
     CSV_SCHEMA_TAG,
@@ -230,6 +231,53 @@ class TestTrace:
                          max_iters=50)
         assert trace.iterations <= 50
         assert all(r >= 0 for r in trace.residuals)
+
+
+class TestOriginReference:
+    """With a reference at the origin the fixed-point loop takes ||z+||
+    once per step for the distance and the stopping test, with the same
+    bits."""
+
+    REFERENCES = {"plus_zero": np.zeros(3), "minus_zero": -np.zeros(3),
+                  "nonzero": np.array([0.3, -1.2, 0.05])}
+
+    @staticmethod
+    def solve(solver, rng, reference):
+        f = Quadratic(np.diag([5.0, 0.5, 2.0]), np.array([0.2, -0.4, 1.0]))
+        g = WeightedL1([0.3, 0.1, 0.2])
+        z0 = rng.normal(size=3)
+        if solver == "dr":
+            return dr_solve(f, g, 0.3, 0.9, z0, tol=1e-12, max_iters=60,
+                            reference=reference)
+        eye = np.eye(3)
+        problem = EqConstrainedProblem(f=f, g=g, A=eye, B=-eye,
+                                       c=np.zeros(3))
+        return admm_solve(problem, 0.3, 0.9, tol=1e-12, max_iters=60, z0=z0,
+                          reference=reference)[3]
+
+    @pytest.mark.parametrize("solver", ["dr", "admm"])
+    @pytest.mark.parametrize("which", sorted(REFERENCES))
+    def test_distances_keep_their_bits(self, rng, solver, which):
+        ref = self.REFERENCES[which]
+        trace = self.solve(solver, rng, ref)
+        assert trace.iterations > 10
+        expect = [_norm(z - ref) for z in trace.z_history]
+        assert len(trace.distances) == len(expect)
+        assert np.array(trace.distances).tobytes() == np.array(
+            expect).tobytes()
+
+    @pytest.mark.parametrize("solver", ["dr", "admm"])
+    @pytest.mark.parametrize("which", sorted(REFERENCES) + ["none"])
+    def test_norms_per_iteration(self, monkeypatch, rng, solver, which):
+        ref = self.REFERENCES.get(which)
+        calls = []
+        norm = splitting._norm
+        monkeypatch.setattr(splitting, "_norm",
+                            lambda v: (calls.append(1), norm(v))[1])
+        trace = self.solve(solver, rng, ref)
+        per_step = 3 if which == "nonzero" else 2
+        initial = 0 if ref is None else 1
+        assert len(calls) == per_step * trace.iterations + initial
 
 
 class TestConfigValidation:
