@@ -246,8 +246,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
     ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
     change in z, shows up as ``converged=False`` on the trace, never as an
-    exception; a ``gamma`` or ``alpha`` that is not > 0 (NaN included),
-    ``max_iters < 1``, ``tol <= 0`` or a misshapen start raise ValueError.
+    exception; a ``gamma`` or ``alpha`` not > 0 (NaN included), ``tol <= 0``,
+    ``max_iters < 1`` or a misshapen start or reference raise ValueError.
 
     Parameters
     ----------

@@ -44,7 +44,7 @@ from .rates import (
     optimal_parameters,
     rate_bound,
 )
-from .rng import RngStream
+from .rng import RngStream, normals, samples, uniforms
 from .splitting import CSV_SCHEMA_TAG, HISTORY_SCALAR_BUDGET
 
 
@@ -79,20 +79,25 @@ def gen_lasso(spec: LassoSpec) -> EqConstrainedProblem:
 
     The smooth term is the quadratic with Hessian A^T A; the constraint
     block is (I, -I, 0).  Draw order: per row of A the column indices, then
-    the values; then b; then the weights.
+    the values; then b; then the weights, normals in Box-Muller pairs (an
+    odd count ends on a discarded spare).  So, with k = nnz_per_row, row i's
+    index words start at i*k + 2*ceil(i*k/2), normal pair p (normals 2p and
+    2p+1 over A's values, then b) at k*min(m, 2p//k + 1) + 2p, and the
+    weights at m*k + 2*pairs, pairs = ceil((m*k + m)/2); one call draws all.
     """
-    rng = RngStream(spec.seed)
-    a = np.zeros((spec.m, spec.n))
-    for i in range(spec.m):
-        cols = rng.sample(spec.n, spec.nnz_per_row)
-        for j in cols:
-            a[i, j] = rng.normal()
-    b = np.array([rng.normal() for _ in range(spec.m)])
-    w = np.array([rng.uniform() for _ in range(spec.n)])
-    f = Quadratic(a.T @ a, -(a.T @ b))
-    g = WeightedL1(w)
-    eye = np.eye(spec.n)
-    return EqConstrainedProblem(f=f, g=g, A=eye, B=-eye, c=np.zeros(spec.n))
+    m, n, k = spec.m, spec.n, spec.nnz_per_row
+    pairs = -(-(m * k + m) // 2)
+    words = RngStream(spec.seed).words(m * k + 2 * pairs + n)
+    ik, p2 = np.arange(m) * k, 2 * np.arange(pairs)
+    cols = samples(words[(ik + 2 * (-(-ik // 2)))[:, None] + np.arange(k)], n)
+    pair = words[(k * np.minimum(m, p2 // k + 1) + p2)[:, None] + [0, 1]]
+    values = normals(pair.ravel())
+    a = np.zeros((m, n))
+    a[np.arange(m)[:, None], cols] = values[:m * k].reshape(m, k)
+    f = Quadratic(a.T @ a, -(a.T @ values[m * k:m * k + m]))
+    g = WeightedL1(uniforms(words[m * k + 2 * pairs:]))
+    eye = np.eye(n)
+    return EqConstrainedProblem(f=f, g=g, A=eye, B=-eye, c=np.zeros(n))
 
 
 # ---------------------------------------------------------------------- mpc

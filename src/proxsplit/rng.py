@@ -8,11 +8,15 @@ out completely here instead of delegating to a library generator:
   in [0, 2**64), draw counter ``i`` and ``GOLDEN = 0x9E3779B97F4A7C15``;
 * a uniform in [0, 1) is ``(raw >> 11) * 2**-53``;
 * standard normals come from the Box-Muller transform applied to consecutive
-  uniform pairs (the cosine variate is emitted first, then the sine one);
+  uniform pairs (the cosine variate first, then the sine; 0 counts as 2**-53);
 * an index in ``range(k)`` is ``raw % k`` (the modulo bias of at most
   ``k / 2**64`` is accepted and part of the stream definition);
 * sampling ``k`` distinct indices from ``range(n)`` is a partial
   Fisher-Yates shuffle consuming one index draw per selected element.
+
+Any word follows from its position, so generators draw in bulk with one
+:meth:`RngStream.words` call.  The transforms below keep the word-by-word bits:
+numpy does only exact steps and ``log``, ``cos``, ``sin`` stay ``math``'s.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-_BLOCK = 1024
 
 
 def splitmix64(seed: int, counter: int) -> int:
@@ -35,56 +38,44 @@ def splitmix64(seed: int, counter: int) -> int:
 
 
 class RngStream:
-    """Seedable counter-based stream; every draw advances the counter by one."""
+    """Seedable counter-based stream; ``_i`` counts the words consumed."""
 
     def __init__(self, seed: int):
         if not 0 <= int(seed) <= _MASK:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self._i = 0
-        self._block: list[int] = []  # words _i - _i % _BLOCK onward
-        self._spare_normal: float | None = None
 
-    def u64(self) -> int:
-        j = self._i % _BLOCK
-        if j == 0:  # the next _BLOCK words in one numpy call
-            self._block = splitmix64(self.seed, np.arange(
-                self._i, self._i + _BLOCK, dtype=np.uint64)).tolist()
-        self._i += 1
-        return self._block[j]
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` raw words, as one uint64 array."""
+        start, self._i = self._i, self._i + count
+        return splitmix64(self.seed, np.arange(start, self._i,
+                                               dtype=np.uint64))
 
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1)."""
-        return (self.u64() >> 11) * 2.0**-53
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller on consecutive uniform pairs."""
-        if self._spare_normal is not None:
-            value = self._spare_normal
-            self._spare_normal = None
-            return value
-        u1 = self.uniform()
-        u2 = self.uniform()
-        if u1 == 0.0:
-            u1 = 2.0**-53
-        radius = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return radius * math.cos(2.0 * math.pi * u2)
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """One uniform in [0, 1) per word."""
+    return (words >> 11) * 2.0**-53
 
-    def index(self, k: int) -> int:
-        """Index in range(k) via modulo reduction of one raw word."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return self.u64() % k
 
-    def sample(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), partial Fisher-Yates order."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
-        out = []
-        for j in range(k):
-            pick = j + self.index(n - j)
-            pool[j], pool[pick] = pool[pick], pool[j]
-            out.append(pool[j])
-        return out
+def normals(words: np.ndarray) -> np.ndarray:
+    """Box-Muller on consecutive word pairs: cos then sin variate per pair."""
+    u1 = np.maximum(uniforms(words[0::2]), 2.0**-53)  # 0 counts as 2**-53
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float))
+    angle = (2.0 * math.pi * uniforms(words[1::2])).tolist()
+    out = np.empty(2 * len(u1))
+    out[0::2] = radius * np.fromiter(map(math.cos, angle), float)
+    out[1::2] = radius * np.fromiter(map(math.sin, angle), float)
+    return out
+
+
+def samples(words: np.ndarray, n: int) -> np.ndarray:
+    """Per row, its k words pick k distinct indices of range(n), k <= n."""
+    rows, k = words.shape
+    picks = (words % np.arange(n, n - k, -1, dtype=np.uint64)).astype(np.intp)
+    pool = np.tile(np.arange(n), (rows, 1))
+    r = np.arange(rows)
+    for j in range(k):
+        pick = j + picks[:, j]
+        pool[:, j], pool[r, pick] = pool[r, pick], pool[:, j].copy()
+    return pool[:, :k].copy()  # not a view that keeps the whole pool

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .linmetric import _positive
 from .prox import ProxFn
 
@@ -116,6 +117,9 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     _positive(tol, "tol")
     z = np.asarray(z0, dtype=float)
     ref = None if reference is None else np.asarray(reference, dtype=float)
+    if ref is not None and ref.shape != z.shape:
+        raise DimensionMismatchError(
+            f"reference has shape {ref.shape}, the iterate {z.shape}")
     origin = ref is not None and not ref.any()
     keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
     trace = SolveTrace()
@@ -132,7 +136,7 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
         if ref is not None:
             trace.distances.append(size if origin else _norm(z_next - ref))
         if keep_history:
-            trace.z_history.append(z_next.copy())
+            trace.z_history.append(z_next)  # a fresh array per step
         z = z_next
         if not math.isfinite(res):
             break
@@ -168,7 +172,7 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     tol, max_iters
         Stopping rule; needs tol > 0 and max_iters >= 1.
     reference : array, optional
-        Known fixed point; when given, ``trace.distances`` records
+        Known fixed point of z0's shape; ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
     _positive(gamma, "gamma")

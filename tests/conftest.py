@@ -1,8 +1,10 @@
-"""Shared test oracles: brute-force 1-D minimization and catalog sampling.
+"""Shared test oracles: brute-force 1-D minimization, catalog sampling and
+the random stream drawn word by word.
 
 The golden-section search is the independent oracle for prox correctness:
 it minimizes the prox objective directly, never touching the closed-form
-prox under test.
+prox under test.  Likewise :class:`ReferenceStream` re-derives the documented
+stream one draw at a time, never touching ``proxsplit.rng``'s bulk draws.
 """
 
 from __future__ import annotations
@@ -24,6 +26,60 @@ from proxsplit.prox import (
     WeightedL1,
     Zero,
 )
+
+
+MASK = (1 << 64) - 1
+
+
+def reference_word(seed: int, counter: int) -> int:
+    # independent transcription of the documented mixing constants
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+class ReferenceStream:
+    """The documented stream drawn word by word from ``reference_word``."""
+
+    def __init__(self, seed: int):
+        self.seed, self.i, self.spare = seed, 0, None
+
+    def word(self) -> int:
+        self.i += 1
+        return reference_word(self.seed, self.i - 1)
+
+    def uniform(self) -> float:
+        return (self.word() >> 11) * 2.0**-53
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            value, self.spare = self.spare, None
+            return value
+        u1, u2 = self.uniform(), self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1 if u1 != 0.0 else 2.0**-53))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
+
+    def sample(self, n: int, k: int) -> list[int]:
+        pool = list(range(n))
+        for j in range(k):
+            pick = j + self.word() % (n - j)
+            pool[j], pool[pick] = pool[pick], pool[j]
+        return pool[:k]
+
+
+def reference_lasso(spec):
+    """A, b and the weights of ``gen_lasso(spec)`` drawn in the documented
+    order, and the stream that drew them."""
+    ref = ReferenceStream(spec.seed)
+    a = np.zeros((spec.m, spec.n))
+    for i in range(spec.m):
+        for j in ref.sample(spec.n, spec.nnz_per_row):
+            a[i, j] = ref.normal()
+    b = np.array([ref.normal() for _ in range(spec.m)])
+    w = np.array([ref.uniform() for _ in range(spec.n)])
+    return a, b, w, ref
 
 
 def golden_section(fun, lo: float, hi: float, tol: float = 1e-13,

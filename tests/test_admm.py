@@ -258,6 +258,15 @@ class TestAdmmSolve:
             with pytest.raises(DimensionMismatchError):
                 admm_solve(problem, 1.0, 1.0, **start)
 
+    def test_reference_of_wrong_shape_is_rejected(self, rng):
+        # raised before the first step, not as a broadcast error inside it
+        problem, _, _ = consensus_lasso(rng, n=2, m=3)
+        for ref in (np.zeros(3), np.zeros(1)):
+            with pytest.raises(DimensionMismatchError) as caught:
+                admm_solve(problem, 1.0, 0.5, reference=ref)
+            assert f"{ref.shape}" in str(caught.value)
+            assert "(2,)" in str(caught.value)
+
     def test_consensus_split_solves_the_composite_problem(self, rng):
         problem, a, b = consensus_lasso(rng)
         x, y, u, trace = admm_solve(problem, gamma=1.0, alpha=0.5,

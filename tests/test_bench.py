@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import reference_lasso
 from proxsplit.bench import (
     AIRCRAFT_A,
     AIRCRAFT_B,
@@ -49,7 +50,6 @@ from proxsplit.prox import (
     Zero,
     dual_quadratic,
 )
-from proxsplit.rng import RngStream
 from proxsplit.splitting import CSV_SCHEMA_TAG
 from proxsplit.worstcase import build
 from proxsplit.rates import Regularity
@@ -73,14 +73,7 @@ class TestGenLasso:
         # rebuild the data matrix from the stream definition itself
         spec = LassoSpec(n=5, m=3, nnz_per_row=2, seed=11)
         problem = gen_lasso(spec)
-        rng = RngStream(11)
-        a = np.zeros((3, 5))
-        for i in range(3):
-            cols = rng.sample(5, 2)
-            for j in cols:
-                a[i, j] = rng.normal()
-        b = np.array([rng.normal() for _ in range(3)])
-        w = np.array([rng.uniform() for _ in range(5)])
+        a, b, w, _ = reference_lasso(spec)
         assert np.array_equal(problem.f.Q, a.T @ a)
         assert np.array_equal(problem.f.q, -(a.T @ b))
         assert np.array_equal(problem.g.w, w)
@@ -88,11 +81,8 @@ class TestGenLasso:
     def test_nonzero_count_and_weight_range(self):
         spec = LassoSpec(n=30, m=20, nnz_per_row=10, seed=3)
         problem = gen_lasso(spec)
-        rng = RngStream(3)
-        a = np.zeros((20, 30))
-        for i in range(20):
-            for j in rng.sample(30, 10):
-                a[i, j] = rng.normal()
+        a, _, _, _ = reference_lasso(spec)
+        assert np.array_equal(problem.f.Q, a.T @ a)
         assert np.count_nonzero(a) == 20 * 10
         w = problem.g.w
         assert np.all((w >= 0) & (w < 1))

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import sample_catalog_fn, sample_quadratic_affine
 from proxsplit.admm import EqConstrainedProblem, admm_solve
+from proxsplit.errors import DimensionMismatchError
 from proxsplit.prox import (
     ConjugateOf,
     IndicatorZero,
@@ -109,6 +110,26 @@ class TestDrSolve:
         assert np.all(np.isfinite(trace.residuals[:-1]))
         assert trace.iterations == len(trace.residuals) < 10_000
         assert np.all(np.isfinite(trace.x_final))
+
+    def test_history_is_the_iterates_and_owns_its_start(self):
+        f, g, z0 = worst_quadratic(), Zero(2), np.array([0.0, 1.0])
+        trace = dr_solve(f, g, 0.5, 1.0, z0, tol=1e-12, max_iters=50)
+        z = z0.copy()
+        for kept in trace.z_history:
+            assert kept.tobytes() == z.tobytes()
+            z = dr_step(f, g, 0.5, 1.0, z)[0]
+        assert len({id(kept) for kept in trace.z_history}) == len(trace.z_history)
+        z0[:] = 7.0  # the caller's start is copied, each step's result kept
+        assert trace.z_history[0].tolist() == [0.0, 1.0]
+
+    def test_reference_of_wrong_shape_is_rejected(self):
+        # a length-1 reference would broadcast into every distance
+        for ref in (np.zeros(3), np.zeros(1)):
+            with pytest.raises(DimensionMismatchError) as caught:
+                dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0, np.ones(2),
+                         reference=ref)
+            assert f"{ref.shape}" in str(caught.value)
+            assert "(2,)" in str(caught.value)
 
     def test_rate_bound_holds_on_alpha_grid(self, rng):
         reg = Regularity(0.5, 8.0)
