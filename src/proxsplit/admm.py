@@ -137,16 +137,14 @@ class _XUpdate:
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
-            self.fac, self._solve = _cho_solver(f.Q + gamma * (a.T @ a))
+            self._solve = _cho_solver(f.Q + gamma * (a.T @ a))
             self.q = f.q
         elif isinstance(f, QuadraticAffine):
             self.mode = "quadratic_affine"
-            n, p = f.dim, f.L.shape[0]
-            self.fac, self._solve = _lu_solver(np.block([
-                [f.Q + gamma * (a.T @ a), f.L.T],
-                [f.L, np.zeros((p, p))],
-            ]))
-            self.q, self.b, self.n = f.q, f.b, n
+            p = f.L.shape[0]
+            self._solve = _lu_solver(np.block([
+                [f.Q + gamma * (a.T @ a), f.L.T], [f.L, np.zeros((p, p))]]))
+            self.q, self.b, self.n = f.q, f.b, f.dim
         elif sig is not None:
             # A = diag(s): substitute t = A x and prox the rescaled f.
             self.mode = "prox"
@@ -193,26 +191,24 @@ class AdmmEngine:
                  alpha: float):
         _positive(gamma, "gamma")
         _positive(alpha, "alpha")
-        self.problem = problem
-        self.gamma = gamma
-        self.alpha = alpha
+        self.problem, self.gamma, self.alpha = problem, gamma, alpha
         sig_a, sig_b = map(_diagonal_signature, (problem.A, problem.B))
         self.x_update = _XUpdate(problem, gamma, sig_a)
         self.y_update = _YUpdate(problem, gamma, sig_b)
         self.a = problem.A if sig_a is None else self.x_update.at
         self.b = self.y_update.s
 
-    def step(self, y: np.ndarray, u: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One full iteration; returns (x+, y+, u+)."""
+    def step(self, y: np.ndarray, u: np.ndarray, by: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One full iteration from (y, u), given by = B y as ``self.b * y``;
+        returns (x+, y+, u+, B y+), so each iteration forms B y once."""
         c, alpha = self.problem.c, self.alpha
-        by = self.b * y
         x_new = self.x_update.solve(c - by - u)
         xa = 2.0 * alpha * _apply(self.a, x_new) - (1.0 - 2.0 * alpha) * (
             by - c)
         y_new = self.y_update.solve(c - xa - u)
-        u_new = u + xa + self.b * y_new - c
-        return x_new, y_new, u_new
+        by_new = self.b * y_new
+        return x_new, y_new, u + xa + by_new - c, by_new
 
     def z_equiv(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.gamma * (u - self.b * y)
@@ -273,15 +269,15 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
         u = np.zeros(problem.p) if u0 is None else np.asarray(u0, dtype=float)
     if y.shape != (problem.m,) or u.shape != (problem.p,):
         raise DimensionMismatchError("the start must match B's columns/rows")
-    x = np.zeros(problem.n)
+    x, by = np.zeros(problem.n), engine.b * y
 
     def step(_z):
-        nonlocal x, y, u
-        x, y, u = engine.step(y, u)
-        return engine.z_equiv(y, u)
+        nonlocal x, y, u, by
+        x, y, u, by = engine.step(y, u, by)
+        return engine.gamma * (u - by)  # z_equiv(y, u), B y formed once
 
     def primal_small():
-        return _norm(_apply(engine.a, x) + engine.b * y - problem.c) <= tol
+        return _norm(_apply(engine.a, x) + by - problem.c) <= tol
 
     trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
                          reference, primal_small)
@@ -311,11 +307,11 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
     y, u = engine.consistent_init(z0)
 
     # Dual splitting applies the d2 prox first, so d2 is the first argument.
-    z_dr = z0.copy()
+    z_dr, by = z0.copy(), engine.b * y
     max_dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
     for _ in range(iters):
         z_dr, _, _ = dr_step(d2, d1, gamma, alpha, z_dr)
-        _, y, u = engine.step(y, u)
+        _, y, u, by = engine.step(y, u, by)
         dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
         max_dev = max(max_dev, dev)
     return max_dev

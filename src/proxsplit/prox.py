@@ -7,9 +7,11 @@ function, indicators of {0} and of affine sets, box indicators, weighted l1
 norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
-All instances are immutable and safe to share between threads; the
-quadratic kinds cache one factorization and its bound LAPACK solve per step
-size, read without a lock: the lock is taken only to build a missing factor.
+All instances are immutable and safe to share between threads.  A prox's
+step-size constants are cached per gamma (a quadratic's factorization and
+bound LAPACK solve, WeightedL1's thresholds, PwlPenalty's shift and edges),
+read without a lock, which is taken only to build a missing entry.  Nothing
+derived from ``q`` or ``b`` is cached: they may be rewritten in place.
 """
 
 from __future__ import annotations
@@ -48,15 +50,14 @@ def _finite(rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _cho_solver(a: np.ndarray):
-    """(fac, solve): scipy's Cholesky factor of a, and x = solve(rhs).
+def _cho_solver(a: np.ndarray) -> Callable:
+    """x = solve(rhs) for a x = rhs through scipy's Cholesky factor of a.
 
     ``solve`` checks rhs for NaN/inf and calls the LAPACK ``potrs`` that
-    ``scipy.linalg.cho_solve(fac, rhs)`` calls, bound here once, so it
-    returns the same bits without the wrapper's per-call cost.
+    ``scipy.linalg.cho_solve(cho_factor(a), rhs)`` calls, bound here once,
+    so it returns the same bits without the wrapper's per-call cost.
     """
-    fac = scipy.linalg.cho_factor(a)
-    c, lower = fac
+    c, lower = scipy.linalg.cho_factor(a)
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -65,18 +66,17 @@ def _cho_solver(a: np.ndarray):
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return x
 
-    return fac, solve
+    return solve
 
 
-def _lu_solver(a: np.ndarray):
-    """(fac, solve): scipy's LU factor of a, and x = solve(rhs).
+def _lu_solver(a: np.ndarray) -> Callable:
+    """x = solve(rhs) for a x = rhs through scipy's LU factor of a.
 
     As :func:`_cho_solver`, with the ``getrs`` of ``scipy.linalg.lu_solve``.
     """
-    fac = scipy.linalg.lu_factor(a)
-    lu, piv = fac
+    lu, piv = scipy.linalg.lu_factor(a)
     if not lu.size:  # LAPACK refuses n = 0, where scipy solves to empty
-        return fac, lambda rhs: np.empty_like(_finite(rhs))
+        return lambda rhs: np.empty_like(_finite(rhs))
     getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -85,19 +85,19 @@ def _lu_solver(a: np.ndarray):
             raise ValueError(f"illegal value in argument {-info} of getrs")
         return x
 
-    return fac, solve
-
-
-def _cached_solve(fn, gamma: float, build: Callable) -> Callable:
-    """fn's solve for gamma, read without fn's lock; ``build(gamma)`` makes
-    a missing one under the lock, re-checked there, so it runs once."""
-    solve = fn._cache.get(gamma)
-    if solve is None:
-        with fn._lock:
-            solve = fn._cache.get(gamma)
-            if solve is None:
-                solve = fn._cache[gamma] = build(gamma)
     return solve
+
+
+def _per_gamma(fn, gamma: float, build: Callable):
+    """fn's constants for gamma, read without fn's lock; ``build(gamma)``
+    makes missing ones under the lock, re-checked there, so it runs once."""
+    got = fn._cache.get(gamma)
+    if got is None:
+        with fn._lock:
+            got = fn._cache.get(gamma)
+            if got is None:
+                got = fn._cache[gamma] = build(gamma)
+    return got
 
 
 class ProxFn:
@@ -172,23 +172,18 @@ class Quadratic(ProxFn):
         self.q = qv
         self.dim = n
         self.regularity = (summary.lambda_min, summary.lambda_max)
-        self._cache: dict[float, Callable] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.regularity[0] > 0
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def _factor(self, gamma: float) -> Callable:
-        return _cho_solver(gamma * self.Q + np.eye(self.dim))[1]
+        return _cho_solver(gamma * self.Q + np.eye(self.dim))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        return _cached_solve(self, gamma, self._factor)(z - gamma * self.q)
+        return _per_gamma(self, gamma, self._factor)(z - gamma * self.q)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "Q": matrix_to_json(self.Q),
@@ -216,13 +211,8 @@ class QuadraticAffine(ProxFn):
         bv = np.asarray(b_vector, dtype=float).ravel()
         if qv.shape != (n,) or lm.shape[1] != n or bv.shape != lm.shape[:1]:
             raise DimensionMismatchError("q, L, b shapes inconsistent with Q")
-        self.Q = qm
-        self.q = qv
-        self.L = lm
-        self.b = bv
-        self.dim = n
-        self._cache: dict[float, Callable] = {}
-        self._lock = threading.Lock()
+        self.Q, self.q, self.L, self.b, self.dim = qm, qv, lm, bv, n
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -237,7 +227,7 @@ class QuadraticAffine(ProxFn):
         kkt = np.block([[gamma * self.Q + np.eye(n), self.L.T],
                         [self.L, np.zeros((p, p))]])
         try:
-            return _lu_solver(kkt)[1]
+            return _lu_solver(kkt)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise SingularKktError(
                 f"singular prox system for {self.kind}: {exc}",
@@ -247,7 +237,7 @@ class QuadraticAffine(ProxFn):
         z = self._check(gamma, z)
         p = self.L.shape[0]
         rhs = np.concatenate([z - gamma * self.q, self.b])
-        x = _cached_solve(self, gamma, self._factor)(rhs)[:self.dim]
+        x = _per_gamma(self, gamma, self._factor)(rhs)[:self.dim]
         if p and np.count_nonzero(np.isfinite(x)) != x.size:
             raise SingularKktError("prox system solved to non-finite values",
                                    size=self.dim + p)
@@ -377,13 +367,15 @@ class WeightedL1(ProxFn):
             raise ValueError("weights must be finite and nonnegative")
         self.w = w
         self.dim = w.shape[0]
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         return float(self.w @ np.abs(self._check_point(x)))
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        return np.sign(z) * np.maximum(np.abs(z) - gamma * self.w, 0.0)
+        thresh = _per_gamma(self, gamma, lambda g: g * self.w)
+        return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "w": self.w.tolist()}
@@ -419,6 +411,7 @@ class PwlPenalty(ProxFn):
             raise ValueError("slope must be finite and nonnegative")
         self.lo, self.hi, self.slope = lo, hi, slope
         self.dim = sizes.pop() if sizes else None
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -426,12 +419,21 @@ class PwlPenalty(ProxFn):
         under = np.maximum(self.lo - x, 0.0)
         return float(np.sum(self.slope * (over + under)))
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z, lo, hi = self._check(gamma, z), self.lo, self.hi
+    def _edges(self, gamma: float) -> tuple:
         t = gamma * self.slope
-        # one nested select, not a clamp: np.maximum(-0.0, 0.0) is +0.0
-        return np.where(z > hi + t, z - t, np.where(z > hi, hi, np.where(
-            z < lo - t, z + t, np.where(z < lo, lo, z))))
+        return t, self.hi + t, self.lo - t
+
+    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
+        z = self._check(gamma, z)
+        t, above, below = _per_gamma(self, gamma, self._edges)
+        # a select, not a clamp (np.maximum(-0.0, 0.0) is +0.0): the first
+        # true case of the four wins, so they are written last to first
+        out = z.copy()
+        np.copyto(out, self.lo, where=z < self.lo)
+        np.copyto(out, z + t, where=z < below)
+        np.copyto(out, self.hi, where=z > self.hi)
+        np.copyto(out, z - t, where=z > above)
+        return out
 
     def to_json(self) -> dict:
         # tolist() gives back a plain float for the scalar form
@@ -510,7 +512,7 @@ class ConjugateOf(ProxFn):
 def strongly_convex(f: ProxFn) -> Quadratic:
     """``f`` itself if it is a positive definite Quadratic, the smooth term
     every rate certificate needs; anything else raises CapabilityError."""
-    if not isinstance(f, Quadratic) or not f.is_positive_definite:
+    if not isinstance(f, Quadratic) or not f.regularity[0] > 0:
         raise CapabilityError("no rate certificate: the smooth term is not "
                               "a strongly convex quadratic")
     return f

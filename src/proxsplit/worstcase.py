@@ -211,6 +211,8 @@ def verify_grid(betas=None, sigma: float = 1.0) -> list[dict]:
     rows = []
     for beta in betas:
         reg = Regularity(sigma=sigma, beta=beta)
+        if reg.beta * reg.sigma == 0.0:  # 1/sqrt below would divide by 0
+            raise ValueError(f"beta*sigma = {beta!r}*{sigma!r} underflows")
         gamma_star = 1.0 / math.sqrt(reg.beta * reg.sigma)
         for ratio in (0.2, 1.0, 5.0):
             gamma = ratio * gamma_star

@@ -26,6 +26,7 @@ from proxsplit.worstcase import adversarial_case, build, dual_constants
 from proxsplit.bench import (
     LassoSpec,
     MpcSpec,
+    _mpc_vectors,
     gen_lasso,
     gen_mpc,
     lasso_metric,
@@ -67,7 +68,7 @@ class TestAdmmStep:
         engine = AdmmEngine(problem, gamma, alpha=0.5)
         y = rng.normal(size=problem.m)
         u = rng.normal(size=problem.p)
-        x_new, y_new, u_new = engine.step(y, u)
+        x_new, y_new, u_new, _ = engine.step(y, u, engine.b * y)
         # x-update: (A^T A + gamma I) x = A^T b + gamma (y - u)
         lhs = (a.T @ a + gamma * np.eye(problem.n)) @ x_new
         assert np.allclose(lhs, a.T @ b + gamma * (y - u), atol=1e-9)
@@ -84,7 +85,7 @@ class TestAdmmStep:
         engine = AdmmEngine(problem, 1.0, alpha=0.5)
         y = rng.normal(size=problem.m)
         u = rng.normal(size=problem.p)
-        x_new, y_new, u_new = engine.step(y, u)
+        x_new, y_new, u_new, _ = engine.step(y, u, engine.b * y)
         # with 1 - 2*alpha = 0 the relaxed point is exactly A x
         xa = problem.A @ x_new
         v = problem.c - xa - u
@@ -98,10 +99,11 @@ class TestAdmmStep:
         problem = EqConstrainedProblem(f=f, g=Zero(1), A=np.eye(1),
                                        B=np.eye(1), c=np.zeros(1))
         engine = AdmmEngine(problem, gamma=1.0, alpha=0.5)
-        x, y, u = engine.step(np.zeros(1), np.zeros(1))
+        x, y, u, by = engine.step(np.zeros(1), np.zeros(1), np.zeros(1))
         assert np.allclose(x, 0.0)
         assert np.allclose(y, 0.0)
         assert np.allclose(u, 0.0)
+        assert np.allclose(by, 0.0)
         assert np.allclose(engine.z_equiv(y, u), 0.0)
 
     def test_state_invariant_z_equals_gamma_u_minus_by(self, rng):
@@ -109,8 +111,10 @@ class TestAdmmStep:
         gamma = 1.7
         engine = AdmmEngine(problem, gamma, 0.9)
         y, u = np.zeros(problem.m), np.zeros(problem.p)
+        by = engine.b * y
         for _ in range(5):
-            _, y, u = engine.step(y, u)
+            _, y, u, by = engine.step(y, u, by)
+            assert np.array_equal(by, engine.b * y)
             expect = gamma * (u - problem.B @ y)
             assert np.linalg.norm(engine.z_equiv(y, u) - expect) <= 1e-12
 
@@ -135,6 +139,17 @@ def diagonal_prox_problem():
         c=np.array([1.0, -2.0, 0.5])), 0.7
 
 
+def x_update_factor(problem, gamma):
+    """scipy's factor of the x-update's system, built apart from the engine:
+    Cholesky of Q + gamma A^T A, or LU of its saddle system with L."""
+    f, a = problem.f, problem.A
+    if isinstance(f, Quadratic):
+        return scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
+    p = f.L.shape[0]
+    return scipy.linalg.lu_factor(np.block([
+        [f.Q + gamma * (a.T @ a), f.L.T], [f.L, np.zeros((p, p))]]))
+
+
 def dense_step(engine, y, u):
     """The module docstring's iteration with dense A and B products."""
     prob, gamma, alpha = engine.problem, engine.gamma, engine.alpha
@@ -142,10 +157,11 @@ def dense_step(engine, y, u):
     by = prob.B @ y
     v = prob.c - by - u
     if xu.mode == "quadratic":
-        x = scipy.linalg.cho_solve(xu.fac, gamma * (prob.A.T @ v) - xu.q)
+        x = scipy.linalg.cho_solve(x_update_factor(prob, gamma),
+                                   gamma * (prob.A.T @ v) - xu.q)
     elif xu.mode == "quadratic_affine":
         rhs = np.concatenate([gamma * (prob.A.T @ v) - xu.q, xu.b])
-        x = scipy.linalg.lu_solve(xu.fac, rhs)[:xu.n]
+        x = scipy.linalg.lu_solve(x_update_factor(prob, gamma), rhs)[:xu.n]
     else:
         x = xu.scaled_f.prox(1.0 / gamma, v) / _diagonal_signature(prob.A)
     xa = 2.0 * alpha * (prob.A @ x) - (1.0 - 2.0 * alpha) * (by - prob.c)
@@ -176,10 +192,11 @@ class TestStructuredStep:
         assert np.array_equal(u, z0 / gamma + problem.B @ y_ref)
         for _ in range(50):
             expect = dense_step(engine, y, u)
-            got = engine.step(y, u)
+            got = engine.step(y, u, engine.b * y)
             for g, e in zip(got, expect):
                 assert np.array_equal(g, e)
-            _, y, u = got
+            _, y, u, by = got
+            assert np.array_equal(by, engine.b * y)
             assert np.array_equal(engine.z_equiv(y, u),
                                   gamma * (u - problem.B @ y))
 
@@ -206,6 +223,76 @@ class TestStructuredStep:
                            rtol=0, atol=1e-15)
 
 
+def reference_solve(engine, z0, iters):
+    """admm_solve's iteration written out with B y formed afresh at every
+    use: (x, y, u, [z^0, ..., z^iters])."""
+    prob, gamma, alpha = engine.problem, engine.gamma, engine.alpha
+    b, c = engine.b, prob.c
+    y, u = engine.consistent_init(z0)
+    x, zs = np.zeros(prob.n), [gamma * (u - b * y)]
+    for _ in range(iters):
+        x = engine.x_update.solve(c - b * y - u)
+        xa = 2.0 * alpha * _apply(engine.a, x) - (1.0 - 2.0 * alpha) * (
+            b * y - c)
+        y = engine.y_update.solve(c - xa - u)
+        u = u + xa + b * y - c
+        zs.append(gamma * (u - b * y))
+    return x, y, u, zs
+
+
+class TestCarriedBy:
+    """admm_solve forms B y once per iteration and carries it through
+    AdmmEngine.step, with the bits of a loop that forms it at every use."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.6])
+    @pytest.mark.parametrize("make", [scaled_desk_lasso, scaled_desk_mpc],
+                             ids=["desk_lasso", "desk_mpc"])
+    def test_trace_equals_reference_loop(self, make, alpha):
+        problem, gamma = make()
+        engine = AdmmEngine(problem, gamma, alpha)
+        z0 = np.random.default_rng(1).normal(size=problem.p)
+        *got, trace = admm_solve(problem, gamma, alpha, tol=1e-300,
+                                 max_iters=200, z0=z0, engine=engine)
+        *want, zs = reference_solve(engine, z0, 200)
+        assert trace.iterations == 200 and len(trace.z_history) == 201
+        for g, w in zip(got + trace.z_history, want + zs):
+            assert g.tobytes() == w.tobytes()
+        assert trace.z_final.tobytes() == zs[-1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["desk_lasso", "desk_mpc"])
+    def test_vectors_rewritten_in_place_match_a_fresh_problem(self, kind):
+        # the MPC closed loop rewrites f.q and f.b in place and solves again
+        # with the same engine; each solve must equal one on a fresh problem
+        solve = dict(alpha=0.8, tol=1e-300, max_iters=60)
+        ref = np.array([0.0, 0.0, 0.0, 10.0])
+        if kind == "desk_mpc":
+            spec = MpcSpec()
+            problem = gen_mpc(spec, np.zeros(4), ref)
+            obj = mpc_metric_objective(problem)
+            scaled, gamma = problem.scaled(obj.metric), gamma_from_metric(obj)
+        else:
+            scaled, gamma = scaled_desk_lasso()
+        engine = AdmmEngine(scaled, gamma, solve["alpha"])
+        z0 = np.zeros(scaled.p)
+        admm_solve(scaled, gamma, z0=z0, engine=engine, **solve)
+        if kind == "desk_mpc":
+            x1, ref1 = np.array([0.1, -0.2, 0.3, 0.5]), 0.5 * ref
+            scaled.f.q[:], scaled.f.b[:] = _mpc_vectors(spec, x1, ref1)
+            fresh = gen_mpc(spec, x1, ref1).scaled(obj.metric)
+        else:
+            scaled.f.q[:] = np.random.default_rng(2).normal(size=scaled.n)
+            fresh = EqConstrainedProblem(
+                Quadratic(scaled.f.Q, scaled.f.q.copy()), scaled.g,
+                scaled.A, scaled.B, scaled.c)
+        *got, got_trace = admm_solve(scaled, gamma, z0=z0, engine=engine,
+                                     **solve)
+        *want, want_trace = admm_solve(fresh, gamma, z0=z0, **solve)
+        assert len(got_trace.z_history) == len(want_trace.z_history)
+        for g, w in zip(got + got_trace.z_history,
+                        want + want_trace.z_history):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestDirectSolve:
     """The x-update solves its cached factor through LAPACK directly."""
 
@@ -217,15 +304,16 @@ class TestDirectSolve:
         problem, gamma = make()
         xu = AdmmEngine(problem, gamma, alpha=1.0).x_update
         assert xu.mode == mode
+        fac = x_update_factor(problem, gamma)
         rng = np.random.default_rng(5)
         for _ in range(3):
             v = rng.normal(size=problem.p)
             rhs = gamma * _apply(xu.at, v) - xu.q
             if mode == "quadratic":
-                expect = scipy.linalg.cho_solve(xu.fac, rhs)
+                expect = scipy.linalg.cho_solve(fac, rhs)
             else:
                 expect = scipy.linalg.lu_solve(
-                    xu.fac, np.concatenate([rhs, xu.b]))[:xu.n]
+                    fac, np.concatenate([rhs, xu.b]))[:xu.n]
             assert np.array_equal(xu.solve(v), expect)
             v[1] = np.nan
             with pytest.raises(ValueError,

@@ -194,6 +194,7 @@ _MALFORMED_A = {
     ["worstcase-verify", "--sigma", "-1"],
     ["worstcase-verify", "--sigma", "0"],
     ["worstcase-verify", "--beta", "4", "--sigma", "0"],
+    ["worstcase-verify", "--beta", "1e-300", "--sigma", "1e-301"],
     ["worstcase-verify", "--beta", "0.5"],
     ["metric-report", "--problem", "{empty}"],
     ["metric-report", "--problem", "{triplets_not_list}"],

@@ -387,8 +387,8 @@ class TestDirectSolve:
     @pytest.mark.parametrize("n", [1, 2, 200])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_anywhere_in_rhs_raises(self, n, bad):
-        solves = [prox._cho_solver(np.eye(n))[1],
-                  prox._lu_solver(np.eye(n))[1]]
+        solves = [prox._cho_solver(np.eye(n)),
+                  prox._lu_solver(np.eye(n))]
         for i in range(n):
             rhs = np.ones(n)
             rhs[i] = bad
@@ -405,9 +405,9 @@ class TestDirectSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert prox._finite(rhs) is rhs
-            assert np.array_equal(prox._lu_solver(np.eye(n))[1](rhs), rhs)
+            assert np.array_equal(prox._lu_solver(np.eye(n))(rhs), rhs)
             if n:
-                assert np.array_equal(prox._cho_solver(np.eye(n))[1](rhs),
+                assert np.array_equal(prox._cho_solver(np.eye(n))(rhs),
                                       rhs)
 
     @pytest.mark.parametrize("z", [[3.0, -0.0, np.nan], [-0.0], [], [1, 2]])
@@ -423,23 +423,41 @@ class TestDirectSolve:
 
 
 class TestFactorCache:
-    """The quadratic kinds read their per-gamma cache without the lock and
-    take it only to build a missing factor, once per gamma."""
+    """Every kind with step-size constants reads its per-gamma cache without
+    the lock and takes it only to build a missing entry, once per gamma."""
 
-    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    @staticmethod
+    def instance(kind, rng):
+        if kind == "quadratic":
+            return Quadratic(np.diag([4.0, 1.0, 2.0]), rng.normal(size=3))
+        if kind == "quadratic_affine":
+            return sample_quadratic_affine(rng, 3)
+        if kind == "pwl_penalty":
+            return PwlPenalty(-0.5, 0.5, 2.0)
+        if kind == "pwl_penalty_per_coordinate":
+            return PwlPenalty([-0.5, -1.0, 0.0], [0.5, 0.0, 0.0],
+                              [2.0, 0.5, 1.0])
+        return WeightedL1([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("kind", [
+        "quadratic", "quadratic_affine", "pwl_penalty",
+        "pwl_penalty_per_coordinate", "weighted_l1"])
     def test_concurrent_first_calls_build_one_factor(self, monkeypatch, rng,
                                                      kind):
-        f = (Quadratic(np.diag([4.0, 1.0, 2.0]), rng.normal(size=3))
-             if kind == "quadratic" else sample_quadratic_affine(rng, 3))
+        f = self.instance(kind, rng)
         f.prox(0.3, rng.normal(size=3))  # another gamma already cached
         builds = []
-        for name in ("_cho_solver", "_lu_solver"):
-            def slow_build(a, _build=getattr(prox, name)):
-                builds.append(a.shape)
+        per_gamma = prox._per_gamma
+
+        def slow_per_gamma(fn, gamma, build):
+            def slow_build(g):
+                builds.append(g)
                 time.sleep(0.05)  # every thread arrives while this runs
-                return _build(a)
-            monkeypatch.setattr(prox, name, slow_build)
-        z = rng.normal(size=3)
+                return build(g)
+            return per_gamma(fn, gamma, slow_build)
+
+        monkeypatch.setattr(prox, "_per_gamma", slow_per_gamma)
+        z = 3.0 * rng.normal(size=3)
         n_threads = 8
         barrier = threading.Barrier(n_threads, timeout=10)
         results = [None] * n_threads
@@ -460,10 +478,28 @@ class TestFactorCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(builds) == 1
+        assert builds == [0.7]
         assert set(results) == {f.prox(0.7, z).tobytes()}
         f.prox(0.3, z)
-        assert len(builds) == 1  # both gammas cached; no further build
+        assert builds == [0.7]  # both gammas cached; no further build
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    def test_vectors_rewritten_in_place_are_read_at_a_cached_gamma(self, rng,
+                                                                   kind):
+        # q and b may change in place between calls, as in the MPC closed
+        # loop; nothing cached per gamma may hold them
+        f = self.instance(kind, rng)
+        z = rng.normal(size=3)
+        for gamma in (0.3, 0.7):
+            f.prox(gamma, z)
+        f.q[:] = rng.normal(size=3)
+        if kind == "quadratic":
+            fresh = Quadratic(f.Q, f.q.copy())
+        else:
+            f.b[:] = f.L @ rng.normal(size=3)
+            fresh = QuadraticAffine(f.Q, f.q.copy(), f.L, f.b.copy())
+        for gamma in (0.3, 0.7):
+            assert f.prox(gamma, z).tobytes() == fresh.prox(gamma, z).tobytes()
 
 
 class TestDiagScale:
@@ -683,46 +719,82 @@ def four_select_pwl_prox(f: PwlPenalty, gamma: float,
     return out
 
 
+def nested_select_pwl_prox(f: PwlPenalty, gamma: float,
+                           z: np.ndarray) -> np.ndarray:
+    """The earlier PwlPenalty.prox: t and the edges formed on every call,
+    then one nested select."""
+    lo, hi, t = f.lo, f.hi, gamma * f.slope
+    return np.where(z > hi + t, z - t, np.where(z > hi, hi, np.where(
+        z < lo - t, z + t, np.where(z < lo, lo, z))))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
 class TestKernelBits:
-    """The band and box kernels keep the bits of their references, down to
-    NaN and the sign of zero (compared by ``tobytes``)."""
+    """The band, box and soft-threshold kernels keep the bits of their
+    references, down to NaN and the sign of zero (compared as int64 or by
+    ``tobytes``)."""
 
     EDGES = (-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf)
     SPECIAL = (-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan)
 
+    GAMMAS = (1.0, 0.3)
+
     def cases(self):
-        """(lo, hi, slope, gamma, points): every legal pair of edges, with
-        points at each edge and threshold, their neighbours and specials."""
+        """(lo, hi, slope, points) for every legal pair of edges: points at
+        lo, hi, lo - t and hi + t for t = gamma*slope at each of GAMMAS,
+        their float neighbours, and the specials."""
         for lo, hi in itertools.product(self.EDGES, self.EDGES):
             if not (lo <= hi and lo < np.inf and hi > -np.inf):
                 continue
-            for slope, gamma in ((0.0, 1.0), (0.5, 1.0), (2.0, 0.3)):
-                t = gamma * slope
-                marks = np.array([lo, hi, lo - t, hi + t])
-                points = np.concatenate([
+            for slope in (0.0, 0.5, 2.0):
+                marks = np.array([m for g in self.GAMMAS for m in (
+                    lo, hi, lo - g * slope, hi + g * slope)])
+                yield lo, hi, slope, np.concatenate([
                     marks, np.nextafter(marks, np.inf),
                     np.nextafter(marks, -np.inf), self.SPECIAL])
-                yield lo, hi, slope, gamma, points
+
+    def check_pwl(self, members):
+        # each instance is asked at both gammas in turn, so an edge cached
+        # under one gamma and read under the other shows
+        for gamma in self.GAMMAS * 2:
+            for f, z in members:
+                got = f.prox(gamma, z)
+                for reference in (nested_select_pwl_prox,
+                                  four_select_pwl_prox):
+                    assert same_bits(got, reference(f, gamma, z)), (
+                        reference.__name__, f.lo, f.hi, f.slope, gamma)
 
     def test_pwl_scalar_parameters(self):
-        for lo, hi, slope, gamma, z in self.cases():
-            f = PwlPenalty(lo, hi, slope)
-            assert f.prox(gamma, z).tobytes() == four_select_pwl_prox(
-                f, gamma, z).tobytes(), (lo, hi, slope)
+        self.check_pwl([(PwlPenalty(lo, hi, slope), z)
+                        for lo, hi, slope, z in self.cases()])
 
     def test_pwl_per_coordinate_parameters(self):
         # one member holding every case, one coordinate per point
         cols = [[], [], [], []]
-        for lo, hi, slope, gamma, z in self.cases():
-            if gamma != 1.0:
-                continue
+        for lo, hi, slope, z in self.cases():
             for col, v in zip(cols, (lo, hi, slope, z)):
                 col.append(np.broadcast_to(v, z.shape))
-        lo, hi, slope, z = map(np.concatenate, cols)
-        f = PwlPenalty(lo, hi, slope)
-        for gamma in (1.0, 0.3):
-            assert f.prox(gamma, z).tobytes() == four_select_pwl_prox(
-                f, gamma, z).tobytes()
+        self.check_pwl([(PwlPenalty(*map(np.concatenate, cols[:3])),
+                         np.concatenate(cols[3]))])
+
+    def test_weighted_l1_matches_soft_threshold_at_alternating_gammas(self):
+        weights, points = [], []
+        for w in (0.0, 0.5, 2.0, 1e308):
+            marks = np.array([s * g * w for g in self.GAMMAS
+                              for s in (1.0, -1.0)])
+            z = np.concatenate([marks, np.nextafter(marks, np.inf),
+                                np.nextafter(marks, -np.inf), self.SPECIAL])
+            weights.append(np.full(z.size, w))
+            points.append(z)
+        w, z = map(np.concatenate, (weights, points))
+        f = WeightedL1(w)
+        for gamma in self.GAMMAS * 2:
+            want = np.sign(z) * np.maximum(np.abs(z) - gamma * w, 0.0)
+            assert same_bits(f.prox(gamma, z), want), gamma
 
     def test_box_matches_clip(self):
         pairs = [(lo, hi) for lo, hi in itertools.product(self.EDGES,
