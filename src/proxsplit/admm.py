@@ -40,6 +40,7 @@ from .prox import (
     QuadraticAffine,
     _cho_solver,
     _lu_solver,
+    _named_factor,
     diag_scale,
     dual_quadratic,
     proxfn_from_json,
@@ -114,13 +115,18 @@ class EqConstrainedProblem:
 
 
 def _diagonal_signature(m: np.ndarray) -> np.ndarray | None:
-    """diag(m) if m is diagonal with nonzero entries of one sign, else None."""
+    """diag(m) if m is diagonal with finite nonzero entries of one sign."""
     if m.shape[0] != m.shape[1]:
         return None
     s = np.diag(m).copy()
-    if np.count_nonzero(m - np.diag(s)):
+    if np.count_nonzero(m) != np.count_nonzero(s) or not np.isfinite(s).all():
         return None
-    return s if np.all(s > 0) or np.all(s < 0) else None
+    return s if (s > 0).all() or (s < 0).all() else None
+
+
+def _gram(a: np.ndarray, sig, gamma: float) -> np.ndarray:
+    """gamma A^T A, as diag(gamma sig^2) for A = diag(sig) (same bits)."""
+    return gamma * (a.T @ a) if sig is None else np.diag(gamma * (sig * sig))
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -137,13 +143,15 @@ class _XUpdate:
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
-            self._solve = _cho_solver(f.Q + gamma * (a.T @ a))
+            self._solve = _named_factor(_cho_solver, f.Q + _gram(
+                a, sig, gamma), "Q + gamma*A^T A", gamma, ValueError)
             self.q = f.q
         elif isinstance(f, QuadraticAffine):
             self.mode = "quadratic_affine"
             p = f.L.shape[0]
-            self._solve = _lu_solver(np.block([
-                [f.Q + gamma * (a.T @ a), f.L.T], [f.L, np.zeros((p, p))]]))
+            self._solve = _named_factor(_lu_solver, np.block([
+                [f.Q + _gram(a, sig, gamma), f.L.T], [f.L, np.zeros((p, p))]]),
+                "[[Q + gamma*A^T A, L^T], [L, 0]]", gamma, ValueError)
             self.q, self.b, self.n = f.q, f.b, f.dim
         elif sig is not None:
             # A = diag(s): substitute t = A x and prox the rescaled f.
@@ -168,23 +176,26 @@ class _YUpdate:
     """Closed-form solver for argmin_y g(y) + (gamma/2)||B y - v||^2."""
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
-        self.gamma = gamma
         if sig is None:
             raise CapabilityError(
                 "y-update has no closed form: B must be +/- identity or "
                 "+/- a positive diagonal so the update reduces to a prox")
+        self.gamma, self.s = gamma, sig
         self.scaled_g = diag_scale(problem.g, sig)
-        self.s = sig
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self.scaled_g.prox(1.0 / self.gamma, v) / self.s
 
 
 class AdmmEngine:
-    """Reusable per-(problem, gamma, alpha) iteration with cached factorizations.
+    """Reusable per-(problem, gamma, alpha) iteration with one factorization.
 
     A diagonal A or B is kept as its diagonal (``a``, ``b``) and multiplies
     elementwise, with the same bits as the matvec, which only adds zeros.
+    A diagonal A = diag(s) enters the x-update's normal matrix as
+    diag(gamma s^2): the GEMM gamma A^T A has the same bits, as each of its
+    diagonal entries has one nonzero product and every other entry is +0.0.
+    An overflowing factor matrix raises ValueError naming it and gamma.
     """
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,

@@ -27,19 +27,14 @@ from .metric import (
     pseudo_condition_of,
     select_diagonal_metric,
 )
-from .prox import (
-    Box,
-    PwlPenalty,
-    Quadratic,
-    QuadraticAffine,
-    Separable,
-    WeightedL1,
-)
+from .prox import (Box, PwlPenalty, Quadratic, QuadraticAffine, Separable,
+                   WeightedL1)
 from .rates import (
     DualRegularity,
     contraction_factor,
     dual_of_spectrum,
     dual_regularity,  # unused here; perfbench/tracer.py patches it
+    geometric_mean,
     iteration_bound,
     optimal_parameters,
     rate_bound,
@@ -292,12 +287,13 @@ def sweep_gamma_star(problem: EqConstrainedProblem,
 
 def log_gamma_grid(gamma_min: float, gamma_max: float,
                    points: int) -> np.ndarray:
-    if not 0 < gamma_min <= gamma_max:
-        raise ValueError("need 0 < gamma_min <= gamma_max")
+    if not 0 < gamma_min <= gamma_max < math.inf:
+        raise ValueError("need 0 < gamma_min <= gamma_max < inf")
     if points < 1:
         raise ValueError("points must be >= 1")
     if points == 1:
-        return np.array([math.sqrt(gamma_min * gamma_max)])
+        return np.array([geometric_mean(gamma_min, gamma_max,
+                                        "gamma_min*gamma_max")])
     return np.geomspace(gamma_min, gamma_max, points)
 
 

@@ -152,15 +152,12 @@ def _cmd_worstcase(args) -> int:
     rows = worstcase.verify_grid(betas, sigma=args.sigma)
     with open(args.out, "w") as fh:
         fh.write(CSV_SCHEMA_TAG + "\n")
-        fh.write("beta,sigma,gamma,alpha,variant,bound,exact_rate,"
-                 "measured_rate,max_abs_diff\n")
+        cols = ("beta", "sigma", "gamma", "alpha", "variant", "bound",
+                "exact_rate", "measured_rate", "max_abs_diff")
+        fh.write(",".join(cols) + "\n")
         for r in rows:
-            fh.write(",".join([
-                _fmt(r["beta"]), _fmt(r["sigma"]), _fmt(r["gamma"]),
-                _fmt(r["alpha"]), r["variant"], _fmt(r["bound"]),
-                _fmt(r["exact_rate"]), _fmt(r["measured_rate"]),
-                _fmt(r["max_abs_diff"]),
-            ]) + "\n")
+            fh.write(",".join(r[c] if c == "variant" else _fmt(r[c])
+                              for c in cols) + "\n")
     return EXIT_OK
 
 

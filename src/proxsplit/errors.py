@@ -18,13 +18,13 @@ class RankDeficiencyError(ProxsplitError, ValueError):
 
 
 class SingularKktError(ProxsplitError, ValueError):
-    """KKT block system is singular; carries the observed rank defect."""
+    """KKT block system is singular or not finite; carries the observed rank
+    defect when one was measured."""
 
     def __init__(self, message: str, *, size: int | None = None,
                  rank: int | None = None):
         super().__init__(message)
-        self.size = size
-        self.rank = rank
+        self.size, self.rank = size, rank
 
 
 class InfeasibleConstraintError(ProxsplitError, ValueError):

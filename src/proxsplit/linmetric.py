@@ -163,6 +163,10 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(s).max(initial=0.0)))
     if np.abs(s - s.T).max(initial=0.0) > 1e-10 * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
+    if scale >= 2.0 ** 1023:  # above max/2: only there can s + s.T overflow
+        with np.errstate(over="ignore"):
+            if not np.isfinite(s + s.T).all():
+                raise ValueError("symmetrized matrix 0.5*(S + S^T) overflows")
     return 0.5 * (s + s.T)
 
 

@@ -31,7 +31,7 @@ from .linmetric import (
     pseudo_inverse,
     spectral_summary,  # unused here; perfbench/tracer.py patches it
 )
-from .rates import DualRegularity, dual_regularity
+from .rates import DualRegularity, dual_regularity, geometric_mean
 
 PSEUDO_ZERO_TOL = 1e-9
 #: row-norm equilibration sweeps of :func:`select_diagonal_metric`
@@ -74,7 +74,8 @@ class MetricObjective:
 
 def gamma_from_metric(obj: MetricObjective) -> float:
     """Step size 1/sqrt(numerator * denominator) recommended by the metric."""
-    return 1.0 / math.sqrt(obj.numerator * obj.denominator)
+    return 1.0 / geometric_mean(obj.numerator, obj.denominator,
+                                "numerator*denominator")
 
 
 def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:

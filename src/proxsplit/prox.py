@@ -88,6 +88,17 @@ def _lu_solver(a: np.ndarray) -> Callable:
     return solve
 
 
+def _named_factor(solver: Callable, a: np.ndarray, name: str, gamma: float,
+                  error: type) -> Callable:
+    """solver(a); if that fails on a non-finite a, ``error`` names a, gamma."""
+    try:
+        return solver(a)
+    except ValueError as exc:
+        if np.isfinite(a).all():
+            raise
+        raise error(f"{name} is not finite at gamma = {gamma}") from exc
+
+
 def _per_gamma(fn, gamma: float, build: Callable):
     """fn's constants for gamma, read without fn's lock; ``build(gamma)``
     makes missing ones under the lock, re-checked there, so it runs once."""
@@ -168,9 +179,7 @@ class Quadratic(ProxFn):
         summary = spectral_summary(qm)
         if summary.lambda_min < 0:
             raise ValueError("Q must be positive semidefinite")
-        self.Q = qm
-        self.q = qv
-        self.dim = n
+        self.Q, self.q, self.dim = qm, qv, n
         self.regularity = (summary.lambda_min, summary.lambda_max)
         self._cache, self._lock = {}, threading.Lock()
 
@@ -179,7 +188,8 @@ class Quadratic(ProxFn):
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def _factor(self, gamma: float) -> Callable:
-        return _cho_solver(gamma * self.Q + np.eye(self.dim))
+        return _named_factor(_cho_solver, gamma * self.Q + np.eye(self.dim),
+                             "gamma*Q + I", gamma, ValueError)
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
@@ -223,15 +233,11 @@ class QuadraticAffine(ProxFn):
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def _factor(self, gamma: float) -> Callable:
-        n, p = self.dim, self.L.shape[0]
-        kkt = np.block([[gamma * self.Q + np.eye(n), self.L.T],
-                        [self.L, np.zeros((p, p))]])
-        try:
-            return _lu_solver(kkt)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularKktError(
-                f"singular prox system for {self.kind}: {exc}",
-                size=n + p) from exc
+        p = self.L.shape[0]
+        return _named_factor(_lu_solver, np.block([
+            [gamma * self.Q + np.eye(self.dim), self.L.T],
+            [self.L, np.zeros((p, p))]]), "[[gamma*Q + I, L^T], [L, 0]]",
+            gamma, SingularKktError)
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
@@ -301,9 +307,7 @@ class IndicatorAffine(ProxFn):
         bv = np.asarray(b_vector, dtype=float).ravel()
         if lm.ndim != 2 or bv.shape[0] != lm.shape[0]:
             raise DimensionMismatchError("L and b shapes are inconsistent")
-        self.L = lm
-        self.b = bv
-        self.dim = lm.shape[1]
+        self.L, self.b, self.dim = lm, bv, lm.shape[1]
         self._pinv = np.linalg.pinv(lm)
         if np.linalg.norm(lm @ (self._pinv @ bv) - bv) > 1e-8 * max(
                 1.0, float(np.linalg.norm(bv))):
@@ -339,9 +343,7 @@ class Box(ProxFn):
             raise DimensionMismatchError("lo and hi must have equal length")
         if not np.all(lo <= hi):  # NaN fails too
             raise ValueError("need lo <= hi elementwise")
-        self.lo = lo
-        self.hi = hi
-        self.dim = lo.shape[0]
+        self.lo, self.hi, self.dim = lo, hi, lo.shape[0]
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -365,8 +367,7 @@ class WeightedL1(ProxFn):
         w = np.asarray(weights, dtype=float).ravel()
         if not np.all((0 <= w) & (w < np.inf)):
             raise ValueError("weights must be finite and nonnegative")
-        self.w = w
-        self.dim = w.shape[0]
+        self.w, self.dim = w, w.shape[0]
         self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:

@@ -10,7 +10,7 @@ closed-form rate bounds from earlier analyses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,13 +104,22 @@ def feasible_alpha_interval(delta: float) -> tuple[float, float]:
     return (0.0, 2.0 / (1.0 + delta))
 
 
+def geometric_mean(a: float, b: float, names: str) -> float:
+    """math.sqrt(a * b) when the product is a positive normal float, else a
+    ValueError naming the inputs (``names``), not a misreported step."""
+    product = a * b
+    if not 2.0 ** -1022 <= product < math.inf:
+        raise ValueError(f"{names} = {a}*{b} is not a positive normal float")
+    return math.sqrt(product)
+
+
 def optimal_parameters(reg: Regularity) -> tuple[float, float, float]:
     """(gamma_star, alpha_star, rate_star) minimizing the rate bound.
 
     gamma_star = 1/sqrt(sigma*beta), alpha_star = 1, and the optimized rate
     is (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with kappa = beta/sigma.
     """
-    gamma_star = 1.0 / math.sqrt(reg.sigma * reg.beta)
+    gamma_star = 1.0 / geometric_mean(reg.sigma, reg.beta, "sigma*beta")
     root = math.sqrt(reg.kappa)
     return gamma_star, 1.0, (root - 1.0) / (root + 1.0)
 
@@ -141,28 +150,14 @@ class RateCertificate:
         return rate_bound(self.delta, alpha)
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "alpha_max": self.alpha_max,
-            "gamma_star": self.gamma_star,
-            "alpha_star": self.alpha_star,
-            "rate_star": self.rate_star,
-            "kappa": self.kappa,
-        }
+        return asdict(self)  # the fields, in their order
 
 
 def certificate(reg: Regularity, gamma: float) -> RateCertificate:
     """Build the rate certificate of ``reg`` at step size ``gamma``."""
     delta = contraction_factor(reg, gamma)
-    gamma_star, alpha_star, rate_star = optimal_parameters(reg)
-    return RateCertificate(
-        delta=delta,
-        alpha_max=2.0 / (1.0 + delta),
-        gamma_star=gamma_star,
-        alpha_star=alpha_star,
-        rate_star=rate_star,
-        kappa=reg.kappa,
-    )
+    return RateCertificate(delta, 2.0 / (1.0 + delta),
+                           *optimal_parameters(reg), reg.kappa)
 
 
 def dual_curvature(a, h) -> np.ndarray:

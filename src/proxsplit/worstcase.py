@@ -25,12 +25,8 @@ import numpy as np
 from .admm import EqConstrainedProblem, admm_solve
 from .linmetric import _positive
 from .prox import IndicatorZero, ProxFn, Quadratic, Zero
-from .rates import (
-    DualRegularity,
-    Regularity,
-    contraction_factor,
-    rate_bound,
-)
+from .rates import (DualRegularity, Regularity, contraction_factor,
+                    geometric_mean, rate_bound)
 from .splitting import SolveTrace, dr_solve
 
 VARIANTS = ("g1", "g2")
@@ -138,7 +134,7 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     _positive(gamma, "gamma")
     if alpha == 0 or math.isnan(alpha):
         raise ValueError("alpha must be nonzero and not NaN")
-    kink = 1.0 / math.sqrt(reg.beta * reg.sigma)
+    kink = 1.0 / geometric_mean(reg.beta, reg.sigma, "beta*sigma")
     if alpha <= 1:
         if gamma <= kink:
             variant, coordinate = "g1", SIGMA_COORD
@@ -211,9 +207,7 @@ def verify_grid(betas=None, sigma: float = 1.0) -> list[dict]:
     rows = []
     for beta in betas:
         reg = Regularity(sigma=sigma, beta=beta)
-        if reg.beta * reg.sigma == 0.0:  # 1/sqrt below would divide by 0
-            raise ValueError(f"beta*sigma = {beta!r}*{sigma!r} underflows")
-        gamma_star = 1.0 / math.sqrt(reg.beta * reg.sigma)
+        gamma_star = 1.0 / geometric_mean(reg.beta, reg.sigma, "beta*sigma")
         for ratio in (0.2, 1.0, 5.0):
             gamma = ratio * gamma_star
             delta = contraction_factor(reg, gamma)

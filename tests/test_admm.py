@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from proxsplit import worstcase
+from proxsplit import admm, worstcase
 from proxsplit.admm import (
     AdmmEngine,
     EqConstrainedProblem,
@@ -18,6 +18,7 @@ from proxsplit.linmetric import DiagonalMetric
 from proxsplit.prox import (
     Box,
     Quadratic,
+    QuadraticAffine,
     WeightedL1,
     Zero,
 )
@@ -139,15 +140,23 @@ def diagonal_prox_problem():
         c=np.array([1.0, -2.0, 0.5])), 0.7
 
 
-def x_update_factor(problem, gamma):
-    """scipy's factor of the x-update's system, built apart from the engine:
-    Cholesky of Q + gamma A^T A, or LU of its saddle system with L."""
+def x_update_matrix(problem, gamma):
+    """The x-update's system matrix from the dense formula, apart from the
+    engine: Q + gamma A^T A, or its saddle system with L."""
     f, a = problem.f, problem.A
+    m = f.Q + gamma * (a.T @ a)
     if isinstance(f, Quadratic):
-        return scipy.linalg.cho_factor(f.Q + gamma * (a.T @ a))
+        return m
     p = f.L.shape[0]
-    return scipy.linalg.lu_factor(np.block([
-        [f.Q + gamma * (a.T @ a), f.L.T], [f.L, np.zeros((p, p))]]))
+    return np.block([[m, f.L.T], [f.L, np.zeros((p, p))]])
+
+
+def x_update_factor(problem, gamma):
+    """scipy's factor of :func:`x_update_matrix`: Cholesky, or LU with L."""
+    m = x_update_matrix(problem, gamma)
+    if isinstance(problem.f, Quadratic):
+        return scipy.linalg.cho_factor(m)
+    return scipy.linalg.lu_factor(m)
 
 
 def dense_step(engine, y, u):
@@ -335,6 +344,177 @@ class TestDirectSolve:
         problem, gamma = scaled_desk_mpc()
         *_, trace = admm_solve(problem, gamma, 0.5, max_iters=20)
         assert trace.iterations == 20
+
+
+def dense_signature(m):
+    """The diagonal test as first written, with two n x n temporaries."""
+    if m.shape[0] != m.shape[1]:
+        return None
+    s = np.diag(m).copy()
+    if np.count_nonzero(m - np.diag(s)):
+        return None
+    return s if np.all(s > 0) or np.all(s < 0) else None
+
+
+def _signature_cases():
+    cases = {"0x0": np.zeros((0, 0)), "1x1": np.array([[2.0]]),
+             "1x1_negative": np.array([[-3.0]]),
+             "non_square": np.zeros((2, 3)), "tall": np.eye(3)[:, :2],
+             "mixed_signs": np.diag([1.0, -2.0, 3.0]),
+             "negative": -np.diag([1.0, 2.0, 3.0]),
+             "positive": np.diag([1.0, 2.0, 3.0])}
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        for where, (i, j) in (("on", (1, 1)), ("off", (0, 2))):
+            for sign in (1.0, -1.0):
+                m = sign * np.diag([1.0, 2.0, 3.0])
+                m[i, j] = value
+                cases[f"{value}_{where}_{'+' if sign > 0 else '-'}"] = m
+    cases["all_zero"] = np.zeros((3, 3))
+    cases["all_negative_zero"] = np.full((3, 3), -0.0)
+    cases["huge"] = np.diag([np.finfo(float).max, 1e-320])
+    return cases
+
+
+SIGNATURE_CASES = _signature_cases()
+
+
+class TestDiagonalSignature:
+    """The O(n)-memory test returns exactly what the dense one returned."""
+
+    @pytest.mark.parametrize("name", sorted(SIGNATURE_CASES))
+    def test_matches_dense_signature(self, name):
+        m = SIGNATURE_CASES[name]
+        with np.errstate(invalid="ignore"):  # inf - inf in the oracle
+            want = dense_signature(m)
+        got = _diagonal_signature(m)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, m)
+
+
+def _x_update_problem(kind, a):
+    """A quadratic (or quadratic on a line) f with constraint matrix a."""
+    rng = np.random.default_rng(3)
+    n = a.shape[1]
+    m = rng.normal(size=(n, n))
+    q = m @ m.T + np.eye(n)
+    if kind == "quadratic":
+        f = Quadratic(q, rng.normal(size=n))
+    else:
+        lm = rng.normal(size=(1, n))
+        f = QuadraticAffine(q, rng.normal(size=n), lm, lm @ rng.normal(size=n))
+    return EqConstrainedProblem(f=f, g=WeightedL1(np.ones(n)), A=a,
+                                B=-np.eye(n), c=np.zeros(n))
+
+
+def _recorded_factor_matrices(monkeypatch):
+    """Every matrix the engine hands to a factorization, in call order."""
+    seen = []
+    for name in ("_cho_solver", "_lu_solver"):
+        def record(m, real=getattr(admm, name)):
+            seen.append(m.copy())
+            return real(m)
+        monkeypatch.setattr(admm, name, record)
+    return seen
+
+
+class TestDiagonalNormalMatrix:
+    """For A = diag(s) the x-update factors Q + diag(gamma s^2), which has
+    the bits of the dense Q + gamma A^T A, and solves with them."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("magnitude",
+                             [1e-160, 1e-155, 1e-100, 1.0, 1e100, 1e150])
+    def test_matrix_and_solve_equal_the_dense_formula(self, monkeypatch, kind,
+                                                      sign, magnitude):
+        s = sign * magnitude * np.array([0.5, 1.0, 1.5, 2.0])
+        problem = _x_update_problem(kind, np.diag(s))
+        gamma = 0.7
+        seen = _recorded_factor_matrices(monkeypatch)
+        xu = AdmmEngine(problem, gamma, alpha=1.0).x_update
+        assert xu.mode == kind and xu.at.ndim == 1
+        dense = x_update_matrix(problem, gamma)
+        assert len(seen) == 1 and seen[0].tobytes() == dense.tobytes()
+        f, a = problem.f, problem.A
+        fac = x_update_factor(problem, gamma)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            v = rng.normal(size=problem.p)
+            rhs = gamma * (a.T @ v) - f.q
+            if kind == "quadratic":
+                expect = scipy.linalg.cho_solve(fac, rhs)
+            else:
+                expect = scipy.linalg.lu_solve(
+                    fac, np.concatenate([rhs, f.b]))[:problem.n]
+            assert xu.solve(v).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_square_is_refused_by_name(self, monkeypatch, kind,
+                                                   sign):
+        s = sign * np.array([1.0, 1e160, 2.0])
+        problem = _x_update_problem(kind, np.diag(s))
+        seen = _recorded_factor_matrices(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match=r"A\^T A.* is not finite at "
+                              r"gamma = 0\.7$") as err:
+            AdmmEngine(problem, 0.7, alpha=1.0)
+        # not a ProxsplitError, which run_sweep would keep as a note
+        assert type(err.value) is ValueError
+        with np.errstate(over="ignore"):
+            dense = x_update_matrix(problem, 0.7)
+        assert len(seen) == 1 and seen[0].tobytes() == dense.tobytes()
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="infs or NaNs"):
+            x_update_factor(problem, 0.7)  # scipy's own refusal, unnamed
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
+    def test_general_a_overflow_is_refused_by_name(self, kind):
+        problem = _x_update_problem(kind, np.array(
+            [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]]))
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="gamma = 1e"):
+            AdmmEngine(problem, 1e308, alpha=1.0)
+
+    def test_finite_factor_failure_keeps_its_own_error(self):
+        # Q = 0 and A = 0: a finite matrix that is not positive definite
+        problem = EqConstrainedProblem(
+            f=Quadratic(np.zeros((2, 2))), g=WeightedL1(np.ones(2)),
+            A=np.array([[0.0, 0.0], [0.0, 0.0]]), B=-np.eye(2), c=np.zeros(2))
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            AdmmEngine(problem, 1.0, alpha=1.0)
+        assert "gamma" not in str(err.value)
+
+
+def _dense_gram(a, sig, gamma):
+    return gamma * (a.T @ a)
+
+
+class TestDualVerifyDense:
+    """The extremal ADMM rows equal those of an engine that forms the
+    dense gamma A^T A for its diagonal A = diag(theta, zeta)."""
+
+    def test_rows_equal_the_dense_formula_engine(self, monkeypatch):
+        grid = []
+        for beta, theta, zeta in ((4.0, 1.0, 3.0), (25.0, 0.5, 2.0)):
+            reg = Regularity(1.0, beta)
+            dreg = dual_constants(reg, theta, zeta).as_regularity()
+            gamma_star = 1.0 / np.sqrt(dreg.beta * dreg.sigma)
+            for ratio in (0.2, 1.0, 5.0):
+                for alpha in (0.5, 1.0, 1.5):
+                    grid.append((beta, 1.0, theta, zeta, ratio * gamma_star,
+                                 alpha))
+        got = [worstcase.dual_verify_point(*p) for p in grid]
+        monkeypatch.setattr(admm, "_gram", _dense_gram)
+        want = [worstcase.dual_verify_point(*p) for p in grid]
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            assert [repr(v) for v in g.values()] == [repr(v)
+                                                     for v in w.values()]
 
 
 class TestAdmmSolve:

@@ -179,6 +179,24 @@ class TestSweep:
         grid = log_gamma_grid(0.01, 100.0, 5)
         assert np.allclose(grid, [0.01, 0.1, 1.0, 10.0, 100.0])
         assert log_gamma_grid(0.25, 4.0, 1)[0] == pytest.approx(1.0)
+        assert log_gamma_grid(0.3, 0.7, 1)[0] == math.sqrt(0.3 * 0.7)
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (math.inf, math.inf, 9), (math.inf, math.inf, 1), (1.0, math.inf, 3),
+        (math.nan, 1.0, 3), (1.0, math.nan, 1), (2.0, 1.0, 3), (0.0, 1.0, 3)])
+    def test_log_grid_refuses_bounds_outside_the_positive_floats(
+            self, lo, hi, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^need 0 < gamma_min <= gamma_max < inf$"):
+                log_gamma_grid(lo, hi, points)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_one_point_grid_refuses_a_product_out_of_range(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^gamma_min\*gamma_max = "):
+            log_gamma_grid(lo, hi, 1)
+        assert np.array_equal(log_gamma_grid(lo, hi, 2), [lo, hi])
 
     def test_noncertifiable_has_empty_bounds(self):
         problem = gen_mpc(MpcSpec(horizon=2), np.zeros(4),

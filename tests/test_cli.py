@@ -183,6 +183,19 @@ _MALFORMED_A = {
 }
 
 
+#: the whole stderr line of the cases whose cause used to be misreported
+_USAGE_MESSAGES = {
+    "worstcase-verify --beta 1e-300 --sigma 1e-301":
+        "beta*sigma = 1e-300*1e-301 is not a positive normal float",
+    "worstcase-verify --beta 1e308":
+        "symmetrized matrix 0.5*(S + S^T) overflows",
+    "mpc --gamma-min 1e-200 --gamma-max 1e-200 --gamma-points 1":
+        "gamma_min*gamma_max = 1e-200*1e-200 is not a positive normal float",
+    "lasso --gamma-min inf --gamma-max inf":
+        "need 0 < gamma_min <= gamma_max < inf",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["rates-table", "--kappa-grid", "nan"],
     ["rates-table", "--kappa-grid", "inf"],
@@ -195,6 +208,10 @@ _MALFORMED_A = {
     ["worstcase-verify", "--sigma", "0"],
     ["worstcase-verify", "--beta", "4", "--sigma", "0"],
     ["worstcase-verify", "--beta", "1e-300", "--sigma", "1e-301"],
+    ["worstcase-verify", "--beta", "1e308"],
+    ["mpc", "--gamma-min", "1e-200", "--gamma-max", "1e-200",
+     "--gamma-points", "1"],
+    ["lasso", "--gamma-min", "inf", "--gamma-max", "inf"],
     ["worstcase-verify", "--beta", "0.5"],
     ["metric-report", "--problem", "{empty}"],
     ["metric-report", "--problem", "{triplets_not_list}"],
@@ -231,6 +248,7 @@ _MALFORMED_A = {
     ["metric-report", "--seed", "18446744073709551616"],
 ], ids=lambda args: "_".join(a.strip("-{}") for a in args))
 def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
+    message = _USAGE_MESSAGES.get(" ".join(args))
     paths = {"empty": tmp_path / "empty.json",
              "valid": tmp_path / "valid.json"}
     paths["empty"].write_text("{}")
@@ -280,3 +298,5 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+    if message is not None:
+        assert err == f"error: {message}\n"

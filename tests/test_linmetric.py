@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from proxsplit.errors import (
 )
 from proxsplit.linmetric import (
     DiagonalMetric,
+    _check_symmetric,
     kkt_p11,
     matrix_from_json,
     matrix_to_json,
@@ -207,6 +210,42 @@ class TestMatrix:
     def test_wire_format_pinned(self, make, digest):
         text = json.dumps(make().to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestCheckSymmetric:
+    """0.5*(S + S^T) that overflows is refused by name, without a warning;
+    every scale below that keeps the bits of the plain expression."""
+
+    BIG = np.finfo(float).max
+
+    @pytest.mark.parametrize("s", [
+        np.diag([1e308, 1.0]),
+        np.diag([2.0 ** 1023, 1.0]),
+        np.array([[1.0, 1e308], [1e308, 1.0]]),
+        np.array([[1.0, BIG], [BIG, 1.0]]),
+    ], ids=["diag_1e308", "diag_2^1023", "off_1e308", "off_max"])
+    def test_overflowing_symmetrization_is_named(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "symmetrized matrix 0.5*(S + S^T) overflows")):
+                _check_symmetric(s)
+
+    @pytest.mark.parametrize("s", [
+        np.diag([BIG / 2, 1.0]),
+        np.array([[-BIG / 2, 1.0], [1.0, BIG / 2]]),
+        np.array([[BIG, 0.0], [0.0, -BIG]]) * 0.5,
+        np.array([[1e300, 3.0], [3.0 + 1e-6, 2.0]]),
+        np.diag([1e-320, 5e-324]),
+        np.zeros((0, 0)),
+    ], ids=["half_max", "signed_half_max", "half_max_neg", "asym_1e300",
+            "subnormal", "empty"])
+    def test_largest_finite_sums_keep_their_bits(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _check_symmetric(s)
+        assert got.tobytes() == (0.5 * (s + s.T)).tobytes()
+        assert np.isfinite(got).all()
 
 
 class TestDiagonalMetric:

@@ -26,6 +26,7 @@ from proxsplit.errors import (
     DimensionMismatchError,
     InfeasibleConstraintError,
     NonSymmetricError,
+    SingularKktError,
 )
 from proxsplit import prox
 from proxsplit.prox import (
@@ -420,6 +421,39 @@ class TestDirectSolve:
         again = IndicatorZero().prox(0.5, z)
         out += 1.0
         assert again.tobytes() == bytes(8 * z.size)
+
+
+class TestFactorOverflow:
+    """A step size whose factor matrix overflows is refused by name; an
+    in-range one at the same instance still solves with scipy's bits."""
+
+    def test_quadratic_names_gamma_and_the_matrix(self):
+        f = Quadratic(np.diag([1e10, 1.0]))
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match=re.escape(
+                    "gamma*Q + I is not finite at gamma = 1e+300")) as err:
+            f.prox(1e300, np.ones(2))
+        assert type(err.value) is ValueError
+        fac = scipy.linalg.cho_factor(1e290 * f.Q + np.eye(2))
+        assert np.array_equal(f.prox(1e290, np.ones(2)),
+                              scipy.linalg.cho_solve(fac, np.ones(2)))
+
+    def test_quadratic_affine_names_gamma_and_the_kkt_matrix(self):
+        f = QuadraticAffine(np.diag([1e10, 1.0]), None, [[1.0, 1.0]], [1.0])
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(SingularKktError, match=re.escape(
+                    "[[gamma*Q + I, L^T], [L, 0]] is not finite at "
+                    "gamma = 1e+300")):
+            f.prox(1e300, np.ones(2))
+        assert np.allclose(f.prox(1.0, np.ones(2)).sum(), 1.0, rtol=0,
+                           atol=1e-15)
+
+    def test_refusal_is_not_cached(self):
+        f = Quadratic(np.diag([1e10, 1.0]))
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
+                f.prox(1e300, np.ones(2))
+        assert 1e300 not in f._cache
 
 
 class TestFactorCache:

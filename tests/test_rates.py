@@ -1,6 +1,7 @@
 """Rate formulas: contraction factor, bounds, optimal parameters, dual form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from proxsplit.errors import RankDeficiencyError, UnboundedIterationError
 from proxsplit import rates
 from proxsplit.linmetric import DiagonalMetric
+from proxsplit.metric import MetricObjective, gamma_from_metric
 from proxsplit.rates import (
     DualRegularity,
     Regularity,
@@ -18,10 +20,12 @@ from proxsplit.rates import (
     contraction_factor,
     dual_regularity,
     feasible_alpha_interval,
+    geometric_mean,
     iteration_bound,
     optimal_parameters,
     rate_bound,
 )
+from proxsplit.worstcase import adversarial_case, verify_grid
 
 positive = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -121,6 +125,45 @@ class TestOptimalParameters:
             delta = contraction_factor(reg, float(gamma))
             for alpha in rng.uniform(0.01, 2.0 / (1 + delta), size=10):
                 assert rate_bound(delta, float(alpha)) >= rate_star - 1e-12
+
+
+class TestGeometricMean:
+    """One geometric step for every sqrt(a*b) in the package."""
+
+    @given(a=st.floats(min_value=1e-150, max_value=1e150),
+           b=st.floats(min_value=1e-150, max_value=1e150))
+    def test_equals_sqrt_of_the_product(self, a, b):
+        assert geometric_mean(a, b, "a*b") == math.sqrt(a * b)
+
+    @pytest.mark.parametrize("a, b", [
+        (1e-153, 1e-153),  # 1e-306, normal
+        (2.0 ** -511, 2.0 ** -511),  # 2**-1022, the smallest normal
+        (1e154, 1e154), (1.7e308, 1.0), (3.0, 7.0)])
+    def test_normal_edges_are_accepted(self, a, b):
+        assert geometric_mean(a, b, "a*b") == math.sqrt(a * b)
+
+    @pytest.mark.parametrize("a, b", [
+        (1e-200, 1e-200),  # underflows to 0
+        (1e-160, 1e-160),  # subnormal
+        (2.0 ** -511, 2.0 ** -511 * (1 - 2.0 ** -52)),  # below 2**-1022
+        (1e200, 1e200),  # overflows
+        (math.inf, 1.0), (0.0, 1.0), (-1.0, 4.0), (math.nan, 1.0)])
+    def test_other_products_are_refused_by_name(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma_min*gamma_max = {a}*{b} is not a positive normal")):
+            geometric_mean(a, b, "gamma_min*gamma_max")
+
+    def test_every_site_refuses_an_underflowing_step(self):
+        with pytest.raises(ValueError, match="sigma\\*beta"):
+            optimal_parameters(Regularity(1e-300, 1e-300))
+        with pytest.raises(ValueError, match="beta\\*sigma"):
+            adversarial_case(1.0, 1.0, Regularity(1e-300, 1e-300))
+        obj = MetricObjective("exact", 1e-200, 1e-200, 1.0,
+                              DiagonalMetric.identity(1))
+        with pytest.raises(ValueError, match="numerator\\*denominator"):
+            gamma_from_metric(obj)
+        with pytest.raises(ValueError, match="beta\\*sigma"):
+            verify_grid([1e-300], sigma=1e-301)
 
 
 class TestDualRegularity:
