@@ -200,7 +200,8 @@ class AdmmEngine:
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
                  alpha: float):
-        _positive(gamma, "gamma")
+        if not gamma >= 2.0 ** -1022:  # NaN too; the proxes take 1.0 / gamma
+            raise ValueError(f"gamma must be positive and normal, got {gamma}")
         _positive(alpha, "alpha")
         self.problem, self.gamma, self.alpha = problem, gamma, alpha
         sig_a, sig_b = map(_diagonal_signature, (problem.A, problem.B))

@@ -1,7 +1,9 @@
 """JSON matrix format and the spectral quantities the rate theory needs.
 
 Everything here targets desk-scale problems: spectral computations densify
-their input and use LAPACK's symmetric eigensolver.
+their input.  Eigenvalue-only work goes through one kernel: LAPACK's
+``syevr``, bound at import and called as ``scipy.linalg.eigh(s,
+eigvals_only=True)`` calls it, so with eigh's bits and ascending order.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ DEFAULT_ZERO_TOL = 1e-10
 def _as_dense(a) -> np.ndarray:
     """Coerce array_like to a dense float ndarray."""
     return np.asarray(a, dtype=float)
+
+
+def _finite(rhs: np.ndarray) -> np.ndarray:
+    """rhs after the NaN/inf check that scipy's wrappers make."""
+    if np.count_nonzero(np.isfinite(rhs)) != rhs.size:
+        raise ValueError("array must not contain infs or NaNs")
+    return rhs
 
 
 def _positive(value: float, what: str) -> None:
@@ -156,6 +165,24 @@ class SpectralSummary:
     lambda_min_pos: float
 
 
+_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(
+    ("syevr", "syevr_lwork"), (np.zeros((1, 1)),))
+
+
+def _eigvalsh(s: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric float ``s`` by eigh's ``syevr``
+    call: ``compute_v=0``, the default range 'A', ``lower=1`` and the
+    workspace sizes of ``syevr_lwork``."""
+    if not _finite(s).size:
+        raise DimensionMismatchError("expected a nonempty matrix")
+    work, iwork, _ = _SYEVR_LWORK(s.shape[0], lower=1)
+    eigs, _, _, _, info = _SYEVR(s, compute_v=0, lower=1, lwork=int(work),
+                                 liwork=int(iwork))
+    if info:
+        raise EigenConvergenceError(f"syevr did not converge (info {info})")
+    return eigs
+
+
 def _check_symmetric(s: np.ndarray) -> np.ndarray:
     """Symmetrized s; asymmetry above 1e-10 * max(1, max|s_ij|) raises."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -171,8 +198,9 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
 
 
 def spectral_summary(s, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
-    """Extreme eigenvalues of symmetric psd ``s``; see MetricSpectra.summary."""
-    return MetricSpectra(s).summary(None, zero_tol)
+    """Extreme eigenvalues of symmetric psd ``s`` or of a MetricSpectra's S."""
+    spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
+    return spectra.summary(None, zero_tol)
 
 
 class MetricSpectra:
@@ -187,29 +215,22 @@ class MetricSpectra:
         """Extreme eigenvalues of E S E^T (S for ``metric=None``): those
         below ``zero_tol * lambda_max`` in magnitude count as zero, and a
         more negative one raises ValueError (S is not psd)."""
-        if zero_tol < 0:
+        if not zero_tol >= 0:
             raise ValueError("zero_tol must be >= 0")
         key = None if metric is None else metric.diag.tobytes()
         eigs = self._eigenvalues.get(key)
         if eigs is None:
-            s = metric.scale_spectrum_matrix(self.s) if metric else self.s
-            try:
-                eigs = scipy.linalg.eigh(s, eigvals_only=True)
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise EigenConvergenceError(
-                    f"symmetric eigensolver did not converge: {exc}") from exc
-            self._eigenvalues[key] = eigs
+            eigs = self._eigenvalues[key] = _eigvalsh(
+                metric.scale_spectrum_matrix(self.s) if metric else self.s)
         lam_max = float(eigs[-1])
         tol_abs = zero_tol * lam_max
         if lam_max < 0 or eigs[0] < -max(tol_abs, 1e-12 * max(lam_max, 1.0)):
             raise ValueError("matrix is not positive semidefinite")
-        clamped = np.where(np.abs(eigs) <= tol_abs, 0.0, np.maximum(eigs, 0.0))
-        positive = clamped[clamped > 0.0]
-        return SpectralSummary(
-            lambda_max=lam_max,
-            lambda_min=float(clamped.min()) if clamped.size else 0.0,
-            lambda_min_pos=float(positive.min()) if positive.size else 0.0,
-        )
+        # eigs ascend and the clamp takes every one up to tol_abs to 0.0, so
+        # the first one above tol_abs is the smallest nonzero eigenvalue
+        i = int(np.searchsorted(eigs, tol_abs, side="right"))
+        pos = float(eigs[i]) if i < eigs.size else 0.0
+        return SpectralSummary(lam_max, pos if i == 0 else 0.0, pos)
 
 
 def kkt_p11(q, l) -> np.ndarray:

@@ -28,26 +28,11 @@ from .errors import (
     InfeasibleConstraintError,
     SingularKktError,
 )
-from .linmetric import (
-    _as_dense,
-    _check_symmetric,
-    _json_index,
-    _json_object,
-    _json_scalar_or_vector,
-    _json_vector,
-    _positive,
-    matrix_from_json,
-    matrix_to_json,
-    spectral_summary,
-)
+from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
+                        _json_index, _json_object, _json_scalar_or_vector,
+                        _json_vector, _positive, matrix_from_json,
+                        matrix_to_json, spectral_summary)
 from .rates import dual_curvature
-
-
-def _finite(rhs: np.ndarray) -> np.ndarray:
-    """rhs after the NaN/inf check; the factor was checked when it was made."""
-    if np.count_nonzero(np.isfinite(rhs)) != rhs.size:
-        raise ValueError("array must not contain infs or NaNs")
-    return rhs
 
 
 def _cho_solver(a: np.ndarray) -> Callable:
@@ -165,20 +150,18 @@ class Quadratic(ProxFn):
 
     The prox solves (gamma*Q + I) x = z - gamma*q with a Cholesky
     factorization and its LAPACK solve, cached per gamma.  Regularity
-    metadata is the extreme eigenvalue pair of Q.
+    metadata is the extreme eigenvalue pair of Q (one symmetry check).
     """
 
     kind = "quadratic"
 
     def __init__(self, q_matrix, q_vector=None):
-        qm = _check_symmetric(_as_dense(q_matrix))
-        n = qm.shape[0]
+        spectra = MetricSpectra(q_matrix)
+        qm, n = spectra.s, spectra.s.shape[0]
         qv = np.zeros(n) if q_vector is None else np.asarray(q_vector, float)
         if qv.shape != (n,):
             raise DimensionMismatchError("q must match Q's dimension")
-        summary = spectral_summary(qm)
-        if summary.lambda_min < 0:
-            raise ValueError("Q must be positive semidefinite")
+        summary = spectral_summary(spectra)  # ValueError unless Q is psd
         self.Q, self.q, self.dim = qm, qv, n
         self.regularity = (summary.lambda_min, summary.lambda_max)
         self._cache, self._lock = {}, threading.Lock()

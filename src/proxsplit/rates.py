@@ -15,13 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, UnboundedIterationError
-from .linmetric import (
-    DiagonalMetric,
-    _as_dense,
-    _positive,
-    _row_rank_svdvals,
-    spectral_summary,
-)
+from .linmetric import (DiagonalMetric, _as_dense, _positive,
+                        _row_rank_svdvals, spectral_summary)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Relaxed ADMM: update structure, dual correspondence, certified rates."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -247,6 +250,36 @@ def reference_solve(engine, z0, iters):
         u = u + xa + b * y - c
         zs.append(gamma * (u - b * y))
     return x, y, u, zs
+
+
+class TestSubnormalStep:
+    """The proxes of both updates take 1.0 / gamma, which overflows for a
+    subnormal gamma, so the engine refuses one up front, naming gamma."""
+
+    SMALLEST_NORMAL = 2.0 ** -1022
+
+    @pytest.mark.parametrize("gamma", [
+        5e-324, 1e-320, 1e-310, float(np.nextafter(SMALLEST_NORMAL, 0.0))])
+    @pytest.mark.parametrize("make", [diagonal_prox_problem,
+                                      scaled_desk_lasso])
+    def test_subnormal_gamma_is_refused_by_name(self, make, gamma):
+        problem, _ = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gamma must be positive and normal, got {gamma}")):
+                AdmmEngine(problem, gamma, alpha=1.0)
+
+    def test_smallest_normal_gamma_keeps_its_bits(self):
+        problem, _ = diagonal_prox_problem()
+        gamma = self.SMALLEST_NORMAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = AdmmEngine(problem, gamma, alpha=1.0)
+            v = np.array([0.5, -1.0, 2.0])
+            got = engine.y_update.solve(v)
+        expect = engine.y_update.scaled_g.prox(1.0 / gamma, v) / engine.b
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestCarriedBy:

@@ -193,6 +193,9 @@ _USAGE_MESSAGES = {
         "gamma_min*gamma_max = 1e-200*1e-200 is not a positive normal float",
     "lasso --gamma-min inf --gamma-max inf":
         "need 0 < gamma_min <= gamma_max < inf",
+    "lasso --gamma-min 1e-320 --gamma-max 1e-310 --gamma-points 2":
+        "gamma must be positive and normal, got 1e-320",
+    "metric-report --problem {zero_by_zero}": "expected a nonempty matrix",
 }
 
 
@@ -212,6 +215,8 @@ _USAGE_MESSAGES = {
     ["mpc", "--gamma-min", "1e-200", "--gamma-max", "1e-200",
      "--gamma-points", "1"],
     ["lasso", "--gamma-min", "inf", "--gamma-max", "inf"],
+    ["lasso", "--gamma-min", "1e-320", "--gamma-max", "1e-310",
+     "--gamma-points", "2"],
     ["worstcase-verify", "--beta", "0.5"],
     ["metric-report", "--problem", "{empty}"],
     ["metric-report", "--problem", "{triplets_not_list}"],
@@ -233,6 +238,7 @@ _USAGE_MESSAGES = {
     ["metric-report", "--problem", "{mpc_short_q}"],
     ["metric-report", "--problem", "{members_not_list}"],
     ["metric-report", "--problem", "{pwl_dim_list}"],
+    ["metric-report", "--problem", "{zero_by_zero}"],
     ["mpc", "--tol", "-1"],
     ["lasso", "--alpha", "nan"],
     ["mpc", "--alpha", "nan"],
@@ -259,6 +265,7 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     bad = {name: {**problem, "A": bad_a}
            for name, bad_a in _MALFORMED_A.items()}
     l1 = {"kind": "weighted_l1", "w": [1.0]}
+    empty = {"rows": 0, "cols": 0, "triplets": []}
 
     def halves(stop, start):
         return {**problem, "g": {"kind": "separable", "members": [
@@ -287,6 +294,9 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
         pwl_dim_list={**problem, "g": {"kind": "pwl_penalty", "lo": -1.0,
                                        "hi": 1.0, "slope": 1.0,
                                        "dim": [3]}},
+        zero_by_zero={"f": {"kind": "quadratic", "Q": empty, "q": []},
+                      "g": {"kind": "weighted_l1", "w": []},
+                      "A": empty, "B": empty, "c": []},
     )
     for name, payload in bad.items():
         paths[name] = tmp_path / f"{name}.json"

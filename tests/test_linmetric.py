@@ -7,16 +7,27 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxsplit import linmetric
 from proxsplit.bench import LassoSpec, MpcSpec, gen_lasso, gen_mpc
+from proxsplit.prox import Quadratic
 from proxsplit.errors import (
+    DimensionMismatchError,
+    EigenConvergenceError,
     NonSymmetricError,
     RankDeficiencyError,
     SingularKktError,
 )
 from proxsplit.linmetric import (
     DiagonalMetric,
+    MetricSpectra,
+    SpectralSummary,
+    _as_dense,
     _check_symmetric,
+    _eigvalsh,
     kkt_p11,
     matrix_from_json,
     matrix_to_json,
@@ -73,6 +84,176 @@ class TestSpectralSummary:
         s = spectral_summary(np.zeros((3, 3)))
         assert s.lambda_max == 0.0
         assert s.lambda_min_pos == 0.0
+
+
+KINDS = ["psd", "indefinite", "rank_deficient", "diagonal"]
+
+
+def sample_symmetric(n, kind, seed, scale, negative_zeros):
+    """A symmetric n x n matrix of one kind, times ``scale``; with
+    ``negative_zeros`` a random symmetric set of entries becomes -0.0."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    if kind == "psd":
+        s = m @ m.T
+    elif kind == "indefinite":
+        s = m + m.T
+    elif kind == "rank_deficient":
+        b = m[:, :int(rng.integers(0, n))]  # rank 0 (all zero) to n - 1
+        s = b @ b.T
+    else:
+        s = np.diag(rng.normal(size=n))
+    s = 0.5 * (s + s.T) * scale
+    if negative_zeros:
+        mask = rng.random((n, n)) < 0.3
+        s[mask | mask.T] = -0.0
+    return s
+
+
+class TestEigvalsh:
+    """The bound syevr kernel returns scipy.linalg.eigh's eigenvalues, by
+    bytes, and refuses what eigh refuses."""
+
+    @given(n=st.integers(1, 60), kind=st.sampled_from(KINDS),
+           seed=st.integers(0, 2**32 - 1), exponent=st.integers(-150, 150),
+           negative_zeros=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_eigh_by_bytes(self, n, kind, seed, exponent,
+                                  negative_zeros):
+        s = sample_symmetric(n, kind, seed, 10.0 ** exponent, negative_zeros)
+        expect = scipy.linalg.eigh(s, eigvals_only=True)
+        got = _eigvalsh(s)
+        assert got.dtype == expect.dtype and got.shape == (n,)
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_refused_with_eighs_message(self, bad):
+        s = np.eye(3)
+        s[1, 1] = bad
+        with pytest.raises(ValueError) as theirs:
+            scipy.linalg.eigh(s, eigvals_only=True)
+        with pytest.raises(ValueError) as ours:
+            _eigvalsh(s)
+        assert str(ours.value) == str(theirs.value) == (
+            "array must not contain infs or NaNs")
+
+    @pytest.mark.parametrize("call", [
+        _eigvalsh,
+        spectral_summary,
+        lambda s: MetricSpectra(s).summary(None, 0.0),
+        Quadratic,
+    ], ids=["kernel", "spectral_summary", "summary", "quadratic"])
+    def test_empty_matrix_is_refused_by_name(self, call):
+        with pytest.raises(DimensionMismatchError,
+                           match="expected a nonempty matrix"):
+            call(np.zeros((0, 0)))
+
+    def test_failed_convergence_is_named(self, monkeypatch):
+        real = linmetric._SYEVR
+        monkeypatch.setattr(linmetric, "_SYEVR",
+                            lambda *a, **k: (*real(*a, **k)[:4], 3))
+        with pytest.raises(EigenConvergenceError, match="info 3"):
+            spectral_summary(np.eye(2))
+
+
+def where_min_summary(s, zero_tol):
+    """spectral_summary as it was computed before the kernel, kept as the
+    oracle: scipy.linalg.eigh, the clamp by np.where, and two minima."""
+    s = _check_symmetric(_as_dense(s))
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be >= 0")
+    eigs = scipy.linalg.eigh(s, eigvals_only=True)
+    lam_max = float(eigs[-1])
+    tol_abs = zero_tol * lam_max
+    if lam_max < 0 or eigs[0] < -max(tol_abs, 1e-12 * max(lam_max, 1.0)):
+        raise ValueError("matrix is not positive semidefinite")
+    clamped = np.where(np.abs(eigs) <= tol_abs, 0.0, np.maximum(eigs, 0.0))
+    positive = clamped[clamped > 0.0]
+    return SpectralSummary(
+        lambda_max=lam_max,
+        lambda_min=float(clamped.min()) if clamped.size else 0.0,
+        lambda_min_pos=float(positive.min()) if positive.size else 0.0)
+
+
+def outcome(call):
+    """The summary's floats by bytes, or the type and text of its error."""
+    try:
+        got = call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return np.array([got.lambda_max, got.lambda_min,
+                     got.lambda_min_pos]).tobytes()
+
+
+TOL = 1e-13
+SUMMARY_CASES = {
+    "identity": (np.eye(3), 1e-10),
+    "repeated": (3.0 * np.eye(4), 1e-10),
+    "singular_zero_tol_0": (np.diag([2.0, 0.0, 1.0]), 0.0),
+    "psd_zero_tol_0": (np.array([[2.0, 1.0], [1.0, 2.0]]), 0.0),
+    "all_zero": (np.zeros((3, 3)), 1e-10),
+    "all_zero_zero_tol_0": (np.zeros((3, 3)), 0.0),
+    "all_negative_zero": (np.full((3, 3), -0.0), 0.0),
+    "all_zero_tol_inf": (np.zeros((2, 2)), np.inf),
+    "tol_inf": (np.diag([1.0, 2.0]), np.inf),
+    "at_plus_tol": (np.diag([1.0, TOL, 0.5]), TOL),
+    "at_minus_tol": (np.diag([1.0, -TOL, 0.5]), TOL),
+    "above_tol": (np.diag([1.0, np.nextafter(TOL, 1.0), 0.5]), TOL),
+    "below_minus_tol": (np.diag([1.0, -np.nextafter(TOL, 1.0), 0.5]), TOL),
+    "all_at_tol": (np.diag([1.0, TOL, TOL]), 1.0),
+    "slightly_negative": (np.diag([1.0, -1e-11, 0.5]), TOL),
+    "negative_definite": (-np.eye(2), 1e-10),
+    "negative_tol": (np.eye(2), -1e-10),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-10),
+    "inf": (np.diag([np.inf, 1.0]), 1e-10),
+    "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-10),
+}
+
+
+class TestSummaryClassification:
+    """The summary reads its extremes off the ascending eigenvalues and
+    returns the floats, and raises the errors, of the where/min oracle."""
+
+    @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+    def test_matches_the_where_min_oracle(self, case):
+        s, zero_tol = SUMMARY_CASES[case]
+        # an inf entry warns in the symmetry check (inf - inf), on both
+        # paths, before it is refused there
+        with (pytest.warns(RuntimeWarning, match="invalid value")
+              if case == "inf" else warnings.catch_warnings()):
+            expect = outcome(lambda: where_min_summary(s, zero_tol))
+            got = outcome(lambda: spectral_summary(s, zero_tol))
+        assert got == expect
+        if case.endswith("_tol"):  # the spectrum is the diagonal, exactly
+            assert _eigvalsh(s).tobytes() == np.sort(np.diag(s)).tobytes()
+
+    @given(n=st.integers(1, 30), kind=st.sampled_from(KINDS),
+           seed=st.integers(0, 2**32 - 1), exponent=st.integers(-150, 150),
+           negative_zeros=st.booleans(),
+           zero_tol=st.sampled_from([0.0, 1e-16, 1e-12, 1e-10, 1e-9, 1e-6,
+                                     0.1, 1.0, np.inf]),
+           metric=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices_match_the_oracle(self, n, kind, seed, exponent,
+                                              negative_zeros, zero_tol,
+                                              metric):
+        s = sample_symmetric(n, kind, seed, 10.0 ** exponent, negative_zeros)
+        e = (DiagonalMetric(np.random.default_rng(seed).uniform(0.5, 2.0, n))
+             if metric else None)
+        spectra = MetricSpectra(s)
+        scaled = e.scale_spectrum_matrix(spectra.s) if e else spectra.s
+        assert outcome(lambda: spectra.summary(e, zero_tol)) == outcome(
+            lambda: where_min_summary(scaled, zero_tol))
+
+    def test_nan_zero_tol_is_refused(self):
+        with pytest.raises(ValueError, match="zero_tol must be >= 0"):
+            spectral_summary(np.eye(2), np.nan)
+
+    def test_spectra_and_their_matrix_summarize_alike(self, rng):
+        m = rng.normal(size=(4, 4))
+        spectra = MetricSpectra(m @ m.T)
+        assert spectral_summary(spectra, 1e-10) == spectral_summary(
+            m @ m.T, 1e-10)
 
 
 class TestKktP11:

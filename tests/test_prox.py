@@ -28,7 +28,7 @@ from proxsplit.errors import (
     NonSymmetricError,
     SingularKktError,
 )
-from proxsplit import prox
+from proxsplit import linmetric, prox
 from proxsplit.prox import (
     Box,
     ConjugateOf,
@@ -138,6 +138,41 @@ class TestProxValues:
             make(np.ones((2, 3)))
         with pytest.raises(NonSymmetricError):
             make(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("q, q_vector, error, message", [
+        (np.ones((2, 3)), [1.0], DimensionMismatchError, "square"),
+        (np.array([[1.0, 1.0], [0.0, -1.0]]), [1.0], NonSymmetricError,
+         "not symmetric"),
+        (np.diag([1.0, -1.0]), [1.0], DimensionMismatchError, "q must match"),
+        (np.diag([1.0, -1.0]), None, ValueError, "not positive semidefinite"),
+        (np.zeros((0, 0)), None, DimensionMismatchError, "nonempty"),
+    ], ids=["not_square", "asymmetric", "q_shape", "not_psd", "empty"])
+    def test_quadratic_errors_keep_their_order(self, q, q_vector, error,
+                                               message):
+        with pytest.raises(error, match=message):
+            Quadratic(q, q_vector)
+
+    def test_quadratic_checks_symmetry_once(self, monkeypatch):
+        counts = {"check": 0, "summary": 0}
+
+        def counted(key, real):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for owner in (prox, linmetric):
+            monkeypatch.setattr(owner, "_check_symmetric", counted(
+                "check", owner._check_symmetric))
+        # the hook point perfbench/tracer.py wraps
+        monkeypatch.setattr(prox, "spectral_summary", counted(
+            "summary", prox.spectral_summary))
+        q = np.array([[2.0, 0.5], [0.5 + 2.0 ** -40, 1.0]])
+        f = Quadratic(q)
+        assert counts == {"check": 1, "summary": 1}
+        assert f.Q.tobytes() == (0.5 * (q + q.T)).tobytes()
+        eigs = scipy.linalg.eigh(f.Q, eigvals_only=True)
+        assert f.regularity == (eigs[0], eigs[-1])
 
     @pytest.mark.parametrize("make", [
         lambda q: Quadratic(np.eye(3), q),
