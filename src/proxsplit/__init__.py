@@ -36,14 +36,12 @@ from .linmetric import (
     DiagonalMetric,
     SpectralSummary,
     kkt_p11,
-    smallest_singular_value,
     spectral_summary,
 )
 from .metric import (
     MetricObjective,
     dual_condition_number,
     gamma_from_metric,
-    pseudo_condition_number,
     select_diagonal_metric,
 )
 from .prox import (

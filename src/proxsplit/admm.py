@@ -29,6 +29,7 @@ from .linmetric import (
     _as_dense,
     _json_object,
     _json_vector,
+    _normal_step,
     _positive,
     matrix_from_json,
     matrix_to_json,
@@ -200,8 +201,7 @@ class AdmmEngine:
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
                  alpha: float):
-        if not gamma >= 2.0 ** -1022:  # NaN too; the proxes take 1.0 / gamma
-            raise ValueError(f"gamma must be positive and normal, got {gamma}")
+        _normal_step(gamma)
         _positive(alpha, "alpha")
         self.problem, self.gamma, self.alpha = problem, gamma, alpha
         sig_a, sig_b = map(_diagonal_signature, (problem.A, problem.B))

@@ -366,27 +366,39 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
 
 # ------------------------------------------------------------ mpc harnesses
 
+def mpc_sweep(problem: EqConstrainedProblem, alpha: float, tol: float,
+              metric: bool, gamma_min: float | None, gamma_max: float | None,
+              points: int) -> tuple[MetricObjective, SweepResult]:
+    """The desk MPC experiment: the KKT-block objective at the equilibrated
+    metric (E = I unless ``metric``), then a sweep capped at
+    ``MPC_MAX_ITERS`` over ``log_gamma_grid(gamma_min, gamma_max, points)``,
+    a missing bound taken as the objective's step size."""
+    obj = mpc_metric_objective(problem, identity=not metric)
+    g = gamma_from_metric(obj)
+    grid = log_gamma_grid(g if gamma_min is None else gamma_min,
+                          g if gamma_max is None else gamma_max, points)
+    return obj, run_sweep(problem, alpha, grid,
+                          metric=obj.metric if metric else None, tol=tol,
+                          max_iters=MPC_MAX_ITERS)
+
+
 def mpc_compare(spec: MpcSpec, x0, reference, alpha: float = 0.5,
                 tol: float = 1e-5) -> dict:
     """Single-sample solve with and without the selected metric at gamma*.
 
     Returns per-setting step sizes, measured iterations, and convergence
     flags; the step size in each setting is the one recommended by its own
-    pseudo condition objective.  Each solve is capped at ``MPC_MAX_ITERS``.
+    pseudo condition objective; the one-point grid sqrt(gamma* gamma*) of
+    :func:`mpc_sweep` is gamma* in binary floating point.
     """
     problem = gen_mpc(spec, x0, reference)
-    obj_id = mpc_metric_objective(problem, identity=True)
-    obj_eq = mpc_metric_objective(problem)
     out = {}
-    for name, obj, metric in (
-            ("identity", obj_id, None),
-            ("metric", obj_eq, obj_eq.metric)):
-        gamma = gamma_from_metric(obj)
-        sweep = run_sweep(problem, alpha, [gamma], metric=metric, tol=tol,
-                          max_iters=MPC_MAX_ITERS)
+    for name in ("identity", "metric"):
+        obj, sweep = mpc_sweep(problem, alpha, tol, name == "metric",
+                               None, None, 1)
         entry = sweep.entries[0]
         out[name] = {
-            "gamma_star": gamma,
+            "gamma_star": entry.gamma,
             "condition_number": obj.value,
             "iterations": entry.iterations_actual,
             "converged": entry.converged,

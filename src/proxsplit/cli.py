@@ -20,7 +20,6 @@ import numpy as np
 from . import bench, worstcase
 from .admm import EqConstrainedProblem
 from .errors import CapabilityError, ProxsplitError
-from .metric import gamma_from_metric
 from .prox import QuadraticAffine
 from .rates import DualRegularity, competing_rates
 from .splitting import CSV_SCHEMA_TAG
@@ -132,16 +131,10 @@ def _cmd_mpc(args) -> int:
             for t, count in enumerate(result["iterations"]):
                 fh.write(f"{t},{count}\n")
         return EXIT_OK
-    problem = bench.gen_mpc(spec, x0, ref)
-    obj = bench.mpc_metric_objective(problem, identity=args.metric != "auto")
-    metric = obj.metric if args.metric == "auto" else None
-    gamma_star = gamma_from_metric(obj)
-    gmin = args.gamma_min if args.gamma_min is not None else gamma_star
-    gmax = args.gamma_max if args.gamma_max is not None else gamma_star
     points = 1 if args.gamma_points is None else args.gamma_points
-    grid = bench.log_gamma_grid(gmin, gmax, points)
-    sweep = bench.run_sweep(problem, args.alpha, grid, metric=metric,
-                            tol=args.tol, max_iters=bench.MPC_MAX_ITERS)
+    _, sweep = bench.mpc_sweep(bench.gen_mpc(spec, x0, ref), args.alpha,
+                               args.tol, args.metric == "auto",
+                               args.gamma_min, args.gamma_max, points)
     with open(args.out, "w") as fh:
         sweep.to_csv(fh)
     return EXIT_OK

@@ -1,7 +1,7 @@
 """JSON matrix format and the spectral quantities the rate theory needs.
 
 Everything here targets desk-scale problems: spectral computations densify
-their input.  Eigenvalue-only work goes through one kernel: LAPACK's
+their input.  Every eigenvalue computation goes through one kernel: LAPACK's
 ``syevr``, bound at import and called as ``scipy.linalg.eigh(s,
 eigvals_only=True)`` calls it, so with eigh's bits and ascending order.
 """
@@ -42,6 +42,13 @@ def _positive(value: float, what: str) -> None:
     """Raise ValueError unless value > 0, which NaN is not."""
     if not value > 0:
         raise ValueError(f"{what} must be positive")
+
+
+def _normal_step(gamma: float) -> None:
+    """Raise ValueError unless gamma is a positive normal float (NaN is
+    not): below that, the 1.0 / gamma that the proxes take overflows."""
+    if not gamma >= 2.0 ** -1022:
+        raise ValueError(f"gamma must be positive and normal, got {gamma}")
 
 
 def _json_index(v, what: str) -> int:
@@ -187,7 +194,10 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
     """Symmetrized s; asymmetry above 1e-10 * max(1, max|s_ij|) raises."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
-    scale = max(1.0, float(np.abs(s).max(initial=0.0)))
+    peak = float(np.abs(s).max(initial=0.0))
+    if not peak < math.inf:  # NaN too; an inf would make s - s.T warn
+        raise ValueError("array must not contain infs or NaNs")
+    scale = max(1.0, peak)
     if np.abs(s - s.T).max(initial=0.0) > 1e-10 * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
     if scale >= 2.0 ** 1023:  # above max/2: only there can s + s.T overflow
@@ -261,16 +271,6 @@ def kkt_p11(q, l) -> np.ndarray:
     return sol[:n, :]
 
 
-def pseudo_inverse(q, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """Dense Moore-Penrose pseudo-inverse of a symmetric psd matrix."""
-    q = _check_symmetric(_as_dense(q))
-    eigvals, eigvecs = scipy.linalg.eigh(q)
-    tol_abs = zero_tol * max(float(eigvals[-1]), 0.0)
-    inv = np.where(eigvals > tol_abs, 1.0 / np.where(eigvals > tol_abs,
-                                                     eigvals, 1.0), 0.0)
-    return (eigvecs * inv) @ eigvecs.T
-
-
 def _row_rank_svdvals(a) -> np.ndarray:
     """Descending singular values of a full-row-rank m x n matrix (m <= n).
 
@@ -289,11 +289,3 @@ def _row_rank_svdvals(a) -> np.ndarray:
             f"(smallest singular value {svals[-1]:.3e})")
     return svals
 
-
-def smallest_singular_value(a) -> float:
-    """Smallest singular value of a full-row-rank m x n matrix (m <= n).
-
-    This is the largest constant t with ||A^T mu|| >= t ||mu|| for all mu.
-    Raises RankDeficiencyError when s_min <= ``DEFAULT_ZERO_TOL * s_max``.
-    """
-    return float(_row_rank_svdvals(a)[-1])

@@ -4,9 +4,9 @@ The step-size theory says the dual condition number, the ratio of the
 extreme eigenvalues of E S E^T for the dual curvature S = A H^-1 A^T,
 governs the certified rate, so a diagonal E is chosen to shrink it.  When
 the regularity assumptions fail, the same recipe runs on a pseudo condition
-number (smallest nonzero eigenvalue in the denominator) with A Q^+ A^T or
-A P11 A^T in place of S, P11 the top-left block of the inverse KKT matrix;
-the KKT-block heuristic is :func:`proxsplit.bench.mpc_metric_objective`.
+number (smallest nonzero eigenvalue in the denominator) of a formed psd
+matrix such as A P11 A^T, P11 the top-left block of the inverse KKT matrix:
+the KKT-block heuristic of :func:`proxsplit.bench.mpc_metric_objective`.
 Each objective classifies eigenvalues computed once per metric (MetricSpectra).
 
 The minimizer used here is iterated symmetric row-norm equilibration with a
@@ -24,14 +24,14 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .linmetric import (
+    DEFAULT_ZERO_TOL,
     DiagonalMetric,
     MetricSpectra,
-    _as_dense,
     kkt_p11,  # unused here, but perfbench/tracer.py patches metric.kkt_p11
-    pseudo_inverse,
     spectral_summary,  # unused here; perfbench/tracer.py patches it
 )
-from .rates import DualRegularity, dual_regularity, geometric_mean
+from .rates import (DualRegularity, dual_curvature, dual_of_spectrum,
+                    geometric_mean)
 
 PSEUDO_ZERO_TOL = 1e-9
 #: row-norm equilibration sweeps of :func:`select_diagonal_metric`
@@ -79,25 +79,10 @@ def gamma_from_metric(obj: MetricObjective) -> float:
 
 
 def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
-    """Exact objective lambda_max / lambda_min of E S E^T, S = A H^-1 A^T.
-
-    The two eigenvalues are the metric-form dual constants of
-    :func:`~proxsplit.rates.dual_regularity`.
-    """
-    return MetricObjective.exact(
-        metric, dual_regularity(None, a, metric=metric, h=h))
-
-
-def pseudo_condition_number(metric: DiagonalMetric, a, q) -> MetricObjective:
-    """Pseudo condition number lambda_max / lambda_min>0 of E A Q^+ A^T E^T.
-
-    ``q`` is the symmetric psd curvature matrix; its pseudo-inverse is
-    formed once, treating eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max``
-    as zero.
-    """
-    a = _as_dense(a)
-    s = a @ pseudo_inverse(q, PSEUDO_ZERO_TOL) @ a.T
-    return pseudo_condition_of(metric, 0.5 * (s + s.T))
+    """Exact objective lambda_max / lambda_min of E S E^T, S = A H^-1 A^T."""
+    summary = MetricSpectra(dual_curvature(a, h)).summary(metric,
+                                                          DEFAULT_ZERO_TOL)
+    return MetricObjective.exact(metric, dual_of_spectrum(summary, 1.0, 1.0))
 
 
 def pseudo_condition_of(metric: DiagonalMetric, s,

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
                         _json_index, _json_object, _json_scalar_or_vector,
-                        _json_vector, _positive, matrix_from_json,
+                        _json_vector, _normal_step, matrix_from_json,
                         matrix_to_json, spectral_summary)
 from .rates import dual_curvature
 
@@ -133,7 +133,7 @@ class ProxFn:
 
     def conjugate_prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """Prox of gamma times the convex conjugate, via Moreau's identity."""
-        _positive(gamma, "gamma")
+        _normal_step(gamma)
         z = np.asarray(z, dtype=float)
         return z - gamma * self.prox(1.0 / gamma, z / gamma)
 

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, UnboundedIterationError
-from .linmetric import (DiagonalMetric, _as_dense, _positive,
-                        _row_rank_svdvals, spectral_summary)
+from .linmetric import _as_dense, _positive, _row_rank_svdvals
+from .linmetric import spectral_summary  # perfbench/tracer.py patches it
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class DualRegularity:
     """Regularity constants of the negative Fenchel dual of the smooth term.
 
     sigma_hat = theta^2 / beta and beta_hat = ||A||^2 / sigma in the
-    Euclidean case; under a metric E they are the extreme eigenvalues of the
-    scaled operators (see :func:`dual_regularity`).
+    Euclidean case; under a metric E they come from the extreme eigenvalues
+    of E S E^T (see :func:`dual_of_spectrum`).
     """
 
     sigma_hat: float
@@ -162,37 +162,13 @@ def dual_curvature(a, h) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def dual_regularity(reg: Regularity | None, a, *,
-                    metric: DiagonalMetric | None = None,
-                    h=None) -> DualRegularity:
-    """Regularity constants of the dual smooth term for constraint matrix A.
-
-    Euclidean form (no metric): beta_hat = ||A||_2^2 / sigma and
-    sigma_hat = theta^2 / beta with theta the smallest singular value of A
-    (requires A full row rank); both come from one set of singular values.
-
-    Metric form (metric E given): beta_hat and sigma_hat are the largest and
-    smallest eigenvalues of E S E^T for the dual curvature
-    S = A H^-1 A^T (:func:`dual_curvature`), where H makes the smooth term
-    1-strongly convex and 1-smooth; for a quadratic with positive definite
-    Hessian Q, H = Q.  Without ``h``, S = A A^T and the two eigenvalues are
-    divided by sigma and beta from ``reg``.
-    """
-    a = _as_dense(a)
-    if metric is None:
-        if reg is None:
-            raise ValueError("Euclidean form needs regularity constants")
-        svals = _row_rank_svdvals(a)
-        return DualRegularity(sigma_hat=float(svals[-1])**2 / reg.beta,
-                              beta_hat=float(svals[0])**2 / reg.sigma)
-    if h is not None:
-        s, sigma, beta = dual_curvature(a, h), 1.0, 1.0
-    elif reg is not None:
-        s, sigma, beta = a @ a.T, reg.sigma, reg.beta
-    else:
-        raise ValueError("metric form needs H or regularity constants")
-    summary = spectral_summary(metric.scale_spectrum_matrix(s))
-    return dual_of_spectrum(summary, sigma, beta)
+def dual_regularity(reg: Regularity, a) -> DualRegularity:
+    """Euclidean dual constants beta_hat = ||A||_2^2 / sigma and
+    sigma_hat = theta^2 / beta, theta the smallest singular value of A
+    (A must have full row rank); under a metric see dual_of_spectrum."""
+    svals = _row_rank_svdvals(a)
+    return DualRegularity(sigma_hat=float(svals[-1])**2 / reg.beta,
+                          beta_hat=float(svals[0])**2 / reg.sigma)
 
 
 def dual_of_spectrum(summary, sigma: float, beta: float) -> DualRegularity:

@@ -306,6 +306,16 @@ class TestMpcBenchmark:
         assert out["metric"]["converged"]
         assert out["metric"]["iterations"] < out["identity"]["iterations"]
 
+    def test_compare_steps_at_each_objectives_gamma_star(self):
+        # the shared sweep's one-point grid sqrt(g*g) is g, bit for bit
+        x0, reference = np.zeros(4), np.array([0.0, 0.0, 0.0, 10.0])
+        problem = gen_mpc(MpcSpec(), x0, reference)
+        out = mpc_compare(MpcSpec(), x0, reference)
+        for name in ("identity", "metric"):
+            obj = mpc_metric_objective(problem, identity=name == "identity")
+            assert out[name]["gamma_star"] == gamma_from_metric(obj)
+            assert out[name]["condition_number"] == obj.value
+
     def test_lasso_metric_requires_strong_convexity(self):
         problem = gen_mpc(MpcSpec(horizon=1), np.zeros(4), np.zeros(4))
         with pytest.raises(CapabilityError):

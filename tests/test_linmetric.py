@@ -1,4 +1,4 @@
-"""JSON matrix format, spectral summaries, KKT block, pseudo-inverse."""
+"""JSON matrix format, spectral summaries, KKT block, singular values."""
 
 import hashlib
 import json
@@ -28,11 +28,10 @@ from proxsplit.linmetric import (
     _as_dense,
     _check_symmetric,
     _eigvalsh,
+    _row_rank_svdvals,
     kkt_p11,
     matrix_from_json,
     matrix_to_json,
-    pseudo_inverse,
-    smallest_singular_value,
     spectral_summary,
 )
 
@@ -217,13 +216,13 @@ class TestSummaryClassification:
     @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
     def test_matches_the_where_min_oracle(self, case):
         s, zero_tol = SUMMARY_CASES[case]
-        # an inf entry warns in the symmetry check (inf - inf), on both
-        # paths, before it is refused there
-        with (pytest.warns(RuntimeWarning, match="invalid value")
-              if case == "inf" else warnings.catch_warnings()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             expect = outcome(lambda: where_min_summary(s, zero_tol))
             got = outcome(lambda: spectral_summary(s, zero_tol))
         assert got == expect
+        if case in ("inf", "nan"):  # refused by name, before s - s.T
+            assert got == (ValueError, "array must not contain infs or NaNs")
         if case.endswith("_tol"):  # the spectrum is the diagonal, exactly
             assert _eigvalsh(s).tobytes() == np.sort(np.diag(s)).tobytes()
 
@@ -293,63 +292,30 @@ class TestKktP11:
         assert err.value.rank < err.value.size
 
 
-class TestPseudoInverse:
-    def test_diagonal_examples(self):
-        q = np.diag([2.0, 0.0])
-        assert np.allclose(pseudo_inverse(q) @ np.array([4.0, 0.0]),
-                           [2.0, 0.0], atol=1e-12)
-        assert np.allclose(pseudo_inverse(np.eye(3)) @ np.arange(3.0),
-                           np.arange(3.0), atol=1e-12)
-        # component outside the range is projected away
-        assert np.allclose(pseudo_inverse(q) @ np.array([4.0, 3.0]),
-                           [2.0, 0.0], atol=1e-12)
-
-    def test_range_consistency(self, rng):
-        for _ in range(10):
-            n = 6
-            basis = rng.normal(size=(n, 3))
-            q = basis @ basis.T  # rank 3 psd
-            v = q @ rng.normal(size=n)  # guaranteed in range(Q)
-            qv = q @ (pseudo_inverse(q) @ v)
-            assert np.allclose(qv, v, rtol=1e-8, atol=1e-10)
-
-    def test_linearity_and_weak_inverse(self, rng):
-        n = 5
-        basis = rng.normal(size=(n, 2))
-        q = basis @ basis.T
-        v, w = rng.normal(size=n), rng.normal(size=n)
-        lhs = pseudo_inverse(q) @ (2.0 * v - 3.0 * w)
-        rhs = (2.0 * (pseudo_inverse(q) @ v)
-               - 3.0 * (pseudo_inverse(q) @ w))
-        assert np.allclose(lhs, rhs, atol=1e-10)
-        qd = pseudo_inverse(q)
-        assert np.allclose(qd @ q @ qd, qd, atol=1e-8)
-
-
 class TestSmallestSingularValue:
     def test_examples(self):
-        assert smallest_singular_value(np.diag([1.0, 3.0])) == pytest.approx(
+        assert _row_rank_svdvals(np.diag([1.0, 3.0]))[-1] == pytest.approx(
             1.0, rel=1e-12)
-        assert smallest_singular_value(np.eye(4)) == pytest.approx(1.0)
-        assert smallest_singular_value(np.array([[3.0, 4.0]])) == (
+        assert _row_rank_svdvals(np.eye(4))[-1] == pytest.approx(1.0)
+        assert _row_rank_svdvals(np.array([[3.0, 4.0]]))[-1] == (
             pytest.approx(5.0, rel=1e-12))
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficiencyError):
-            smallest_singular_value(np.array([[1.0, 0.0], [2.0, 0.0]]))
+            _row_rank_svdvals(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
     def test_matches_gram_eigenvalue(self, rng):
         for _ in range(10):
             m = int(rng.integers(1, 5))
             n = int(rng.integers(m, 8))
             a = rng.normal(size=(m, n))
-            theta = smallest_singular_value(a)
+            theta = _row_rank_svdvals(a)[-1]
             lam = spectral_summary(a @ a.T).lambda_min
             assert theta**2 == pytest.approx(lam, rel=1e-8)
 
     def test_is_a_lower_bound_on_adjoint_norm(self, rng):
         a = rng.normal(size=(3, 6))
-        theta = smallest_singular_value(a)
+        theta = _row_rank_svdvals(a)[-1]
         for _ in range(50):
             mu = rng.normal(size=3)
             assert np.linalg.norm(a.T @ mu) >= theta * np.linalg.norm(
@@ -410,6 +376,19 @@ class TestCheckSymmetric:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "symmetrized matrix 0.5*(S + S^T) overflows")):
+                _check_symmetric(s)
+
+    @pytest.mark.parametrize("s", [
+        np.diag([np.inf, 1.0]),
+        np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+    ], ids=["diag_inf", "off_neg_inf", "asym_nan"])
+    def test_non_finite_entry_is_refused_before_the_difference(self, s):
+        # s - s.T would warn on inf - inf; the input itself is at fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "array must not contain infs or NaNs")):
                 _check_symmetric(s)
 
     @pytest.mark.parametrize("s", [

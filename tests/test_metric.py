@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 
 from proxsplit.admm import EqConstrainedProblem
-from proxsplit.bench import mpc_metric_objective
+from proxsplit.bench import (LassoSpec, gen_lasso, lasso_condition_report,
+                             lasso_metric, mpc_metric_objective,
+                             problem_dual_regularity)
 from proxsplit.errors import RankDeficiencyError
-from proxsplit.linmetric import DiagonalMetric, pseudo_inverse
+from proxsplit.linmetric import DiagonalMetric
 from proxsplit.metric import (
+    PSEUDO_ZERO_TOL,
     dual_condition_number,
     gamma_from_metric,
-    pseudo_condition_number,
     pseudo_condition_of,
     select_diagonal_metric,
 )
-from proxsplit.prox import QuadraticAffine, Zero
-from proxsplit.rates import dual_regularity, optimal_parameters
+from proxsplit.prox import Quadratic, QuadraticAffine, Zero
+from proxsplit.rates import optimal_parameters
+
+
+def pinv_objective(metric, a, q):
+    """Pseudo condition objective of E A Q^+ A^T E^T, Q^+ by numpy's pinv
+    with eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max`` counted zero."""
+    s = a @ np.linalg.pinv(q, rcond=PSEUDO_ZERO_TOL, hermitian=True) @ a.T
+    return pseudo_condition_of(metric, 0.5 * (s + s.T))
 
 
 class TestDualConditionNumber:
@@ -42,22 +51,28 @@ class TestDualConditionNumber:
         with pytest.raises(RankDeficiencyError):
             dual_condition_number(DiagonalMetric.identity(2), a, np.eye(2))
 
+    def test_matches_the_problem_memo_bit_for_bit(self):
+        problem = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10))
+        e = lasso_metric(problem)
+        obj = dual_condition_number(e, problem.A, problem.f.Q)
+        memo = lasso_condition_report(problem, e)
+        assert (obj.numerator, obj.denominator, obj.value) == (
+            memo.numerator, memo.denominator, memo.value)
+
 
 class TestPseudoConditionNumber:
     def test_rank_one_curvature(self):
-        obj = pseudo_condition_number(DiagonalMetric.identity(2), np.eye(2),
-                                      np.diag([1.0, 0.0]))
+        obj = pinv_objective(DiagonalMetric.identity(2), np.eye(2),
+                             np.diag([1.0, 0.0]))
         assert obj.value == pytest.approx(1.0, rel=1e-10)
 
     def test_identity(self):
-        obj = pseudo_condition_number(DiagonalMetric.identity(2), np.eye(2),
-                                      np.eye(2))
+        obj = pinv_objective(DiagonalMetric.identity(2), np.eye(2), np.eye(2))
         assert obj.value == pytest.approx(1.0, rel=1e-10)
 
     def test_diag_1_2(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
-        obj = pseudo_condition_number(DiagonalMetric.identity(2), a,
-                                      np.eye(2))
+        obj = pinv_objective(DiagonalMetric.identity(2), a, np.eye(2))
         assert obj.value == pytest.approx(4.0, rel=1e-10)
 
     def test_zero_matrix_rejected(self):
@@ -115,7 +130,9 @@ class TestGammaFromMetric:
         h = m @ m.T + np.eye(5)
         e = DiagonalMetric(rng.uniform(0.5, 2.0, size=3))
         obj = dual_condition_number(e, a, h)
-        dual = dual_regularity(None, a, metric=e, h=h)
+        problem = EqConstrainedProblem(f=Quadratic(h), g=Zero(3), A=a,
+                                       B=-np.eye(3), c=np.zeros(3))
+        dual = problem_dual_regularity(problem, e)
         gamma_star = optimal_parameters(dual.as_regularity())[0]
         assert gamma_from_metric(obj) == pytest.approx(gamma_star,
                                                        rel=1e-12)
@@ -165,20 +182,18 @@ class TestHeuristicAffineCase:
         s = a @ np.linalg.inv(q) @ a.T
         heur = pseudo_condition_of(e, 0.5 * (s + s.T))
         assert heur.value == pytest.approx(exact.value, rel=1e-8)
-        # same through the pseudo-inverse route
-        heur2 = pseudo_condition_number(e, a, q)
+        # same through the pseudo-inverse
+        heur2 = pinv_objective(e, a, q)
         assert heur2.value == pytest.approx(exact.value, rel=1e-8)
 
-    def test_pinv_route_matches_dense_pinv(self, rng):
+    def test_rank_deficient_pinv_counts_nonzero_eigenvalues(self, rng):
         basis = rng.normal(size=(4, 2))
         q = basis @ basis.T  # rank deficient
         a = rng.normal(size=(3, 4))
-        s_direct = a @ pseudo_inverse(q) @ a.T
-        obj = pseudo_condition_number(DiagonalMetric.identity(3), a,
-                                      q)
-        expect = pseudo_condition_of(DiagonalMetric.identity(3),
-                                     0.5 * (s_direct + s_direct.T))
-        assert obj.value == pytest.approx(expect.value, rel=1e-8)
+        obj = pinv_objective(DiagonalMetric.identity(3), a, q)
+        s = a @ np.linalg.pinv(q, rcond=PSEUDO_ZERO_TOL, hermitian=True) @ a.T
+        eigs = np.linalg.eigvalsh(0.5 * (s + s.T))  # one zero, two positive
+        assert obj.value == pytest.approx(eigs[2] / eigs[1], rel=1e-8)
 
     def test_report_schema(self, rng):
         obj = kkt_block_objective(np.diag([2.0, 8.0]), np.zeros((0, 2)),

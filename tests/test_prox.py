@@ -44,6 +44,7 @@ from proxsplit.prox import (
     dual_quadratic,
     proxfn_from_json,
 )
+from proxsplit.splitting import dr_solve
 
 
 def anisotropic_quadratic(beta=4.0, sigma=1.0) -> Quadratic:
@@ -225,6 +226,15 @@ class TestConjugateProx:
             lhs = f.prox(gamma, z) + gamma * f.conjugate_prox(
                 1.0 / gamma, z / gamma)
             assert np.allclose(lhs, z, atol=1e-10)
+
+    def test_subnormal_gamma_is_refused_by_name(self):
+        # 1.0 / gamma and z / gamma would overflow and be misreported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "gamma must be positive and normal, got 1e-320")):
+                dr_solve(ConjugateOf(WeightedL1(np.ones(2))), Zero(2),
+                         1e-320, 1.0, np.ones(2))
 
 
 class TestDualProx:
@@ -754,10 +764,13 @@ class TestNonFiniteParameters:
         lambda: Box([0.0, 0.0], [1.0, np.nan]),
         lambda: WeightedL1([np.nan, 1.0]),
         lambda: WeightedL1([np.inf, 1.0]),
+        lambda: Quadratic(np.diag([np.inf, 1.0])),
     ])
     def test_refused(self, make):
-        with pytest.raises(ValueError):
-            make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ValueError):
+                make()
 
     def test_infinite_edges_stay_legal(self):
         f = PwlPenalty(-np.inf, [np.inf, 1.0], 2.0)

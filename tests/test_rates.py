@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsplit.errors import RankDeficiencyError, UnboundedIterationError
-from proxsplit import rates
 from proxsplit.linmetric import DiagonalMetric
-from proxsplit.metric import MetricObjective, gamma_from_metric
+from proxsplit.metric import (MetricObjective, dual_condition_number,
+                             gamma_from_metric)
 from proxsplit.rates import (
     DualRegularity,
     Regularity,
@@ -183,9 +183,11 @@ class TestDualRegularity:
         a = rng.normal(size=(3, 5))
         reg = Regularity(0.5, 2.0)
         eu = dual_regularity(reg, a)
-        me = dual_regularity(reg, a, metric=DiagonalMetric.identity(3))
-        assert me.sigma_hat == pytest.approx(eu.sigma_hat, rel=1e-10)
-        assert me.beta_hat == pytest.approx(eu.beta_hat, rel=1e-10)
+        me = dual_condition_number(DiagonalMetric.identity(3), a, np.eye(5))
+        assert me.denominator / reg.beta == pytest.approx(eu.sigma_hat,
+                                                          rel=1e-10)
+        assert me.numerator / reg.sigma == pytest.approx(eu.beta_hat,
+                                                         rel=1e-10)
 
     def test_jacobi_scaling_improves_on_fixed_seed(self):
         rng = np.random.default_rng(42)
@@ -193,31 +195,14 @@ class TestDualRegularity:
         h = np.eye(3)
         gram = a @ a.T
         e = DiagonalMetric(1.0 / np.sqrt(np.diag(gram)))
-        base = dual_regularity(None, a, metric=DiagonalMetric.identity(3),
-                               h=h)
-        scaled = dual_regularity(None, a, metric=e, h=h)
-        assert scaled.kappa_hat <= base.kappa_hat
+        base = dual_condition_number(DiagonalMetric.identity(3), a, h)
+        scaled = dual_condition_number(e, a, h)
+        assert scaled.value <= base.value
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficiencyError):
             dual_regularity(Regularity(1, 2),
                             np.array([[1.0, 0.0], [2.0, 0.0]]))
-
-    def test_metric_form_is_one_eigendecomposition(self, monkeypatch, rng):
-        calls = []
-        real = rates.spectral_summary
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rates, "spectral_summary", counting)
-        a = rng.normal(size=(3, 5))
-        m = rng.normal(size=(5, 5))
-        q = m @ m.T + np.eye(5)
-        e = DiagonalMetric(rng.uniform(0.5, 2.0, size=3))
-        dual_regularity(None, a, metric=e, h=q)
-        assert len(calls) == 1
 
 
 class TestIterationBound:
