@@ -53,7 +53,7 @@ _, _, _, measured = admm_solve(problem, gamma_star, alpha=1.0, tol=1e-12,
                                max_iters=5000, z0=z0,
                                reference=trace.z_final)
 bound = rate_bound(contraction_factor(dual.as_regularity(), gamma_star), 1.0)
-dist = measured.distances_to(trace.z_final)
+dist = measured.distances
 ratios = [r for k, r in enumerate(measured.contraction_ratios)
           if not np.isnan(r) and dist[k] > 0.03 * dist[0]]
 print(f"certified rate bound {bound:.4f}; measured ratios: "

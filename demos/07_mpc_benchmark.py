@@ -31,7 +31,7 @@ for label, identity in (("identity metric", True), ("equilibrated", False)):
     print(f"\n{label}: pseudo condition number {obj.value:10.2f}, "
           f"gamma* = {1.0 / np.sqrt(obj.numerator * obj.denominator):.4f}")
 
-out = bench.mpc_compare(spec, x0, reference, alpha=0.5, tol=1e-5)
+out = bench.mpc_compare(spec, x0, reference)
 print("\nsingle-sample solve at each setting's gamma*:")
 for name in ("identity", "metric"):
     r = out[name]

@@ -242,7 +242,6 @@ class AdmmEngine:
 
 def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
                tol: float = 1e-8, max_iters: int = 10_000, *,
-               y0: np.ndarray | None = None, u0: np.ndarray | None = None,
                z0: np.ndarray | None = None,
                reference: np.ndarray | None = None,
                engine: AdmmEngine | None = None
@@ -259,11 +258,9 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
 
     Parameters
     ----------
-    y0, u0 : arrays, optional
-        Explicit start (defaults to zeros).
     z0 : array, optional
-        Start specified in the dual coordinate; overrides y0/u0 with the
-        consistent initialization.
+        Start in the dual coordinate, taken through the consistent
+        initialization; without it y and u start at zero.
     reference : array, optional
         Known dual fixed point; when given, ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
@@ -274,13 +271,12 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     engine = engine or AdmmEngine(problem, gamma, alpha)
     if (engine.problem, engine.gamma, engine.alpha) != (problem, gamma, alpha):
         raise ValueError("engine built for another problem, gamma or alpha")
-    if z0 is not None:
-        y, u = engine.consistent_init(z0)
-    else:
-        y = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
-        u = np.zeros(problem.p) if u0 is None else np.asarray(u0, dtype=float)
-    if y.shape != (problem.m,) or u.shape != (problem.p,):
+    if z0 is None:
+        y, u = np.zeros(problem.m), np.zeros(problem.p)
+    elif np.shape(z0) != (problem.p,):
         raise DimensionMismatchError("the start must match B's columns/rows")
+    else:
+        y, u = engine.consistent_init(z0)
     x, by = np.zeros(problem.n), engine.b * y
 
     def step(_z):

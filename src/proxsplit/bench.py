@@ -40,7 +40,7 @@ from .rates import (
     rate_bound,
 )
 from .rng import RngStream, normals, samples, uniforms
-from .splitting import CSV_SCHEMA_TAG, HISTORY_SCALAR_BUDGET
+from .splitting import CSV_SCHEMA_TAG, HISTORY_SCALAR_BUDGET, _norm
 
 
 # -------------------------------------------------------------------- lasso
@@ -134,10 +134,10 @@ class MpcSpec:
     """Horizon and constraint data of the aircraft control benchmark."""
 
     horizon: int = 10
-    input_bound: float = 25.0
-    soft_penalty: float = 1e6
-    y1_band: tuple[float, float] = (-0.5, 0.5)
-    y2_band: tuple[float, float] = (-100.0, 100.0)
+    input_bound = 25.0
+    soft_penalty = 1e6
+    y1_band = (-0.5, 0.5)
+    y2_band = (-100.0, 100.0)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -229,7 +229,7 @@ def mpc_metric_objective(problem: EqConstrainedProblem,
     spectra = MetricSpectra(0.5 * (s + s.T))
     e = (DiagonalMetric.identity(problem.p) if identity
          else select_diagonal_metric(spectra, mode="heuristic"))
-    return pseudo_condition_of(e, spectra, mode="heuristic_p11")
+    return pseudo_condition_of(e, spectra)
 
 
 # -------------------------------------------------------------------- sweep
@@ -289,8 +289,8 @@ def log_gamma_grid(gamma_min: float, gamma_max: float,
                    points: int) -> np.ndarray:
     if not 0 < gamma_min <= gamma_max < math.inf:
         raise ValueError("need 0 < gamma_min <= gamma_max < inf")
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    if not isinstance(points, (int, np.integer)) or points < 1:
+        raise ValueError(f"points must be an integer >= 1, got {points!r}")
     if points == 1:
         return np.array([geometric_mean(gamma_min, gamma_max,
                                         "gamma_min*gamma_max")])
@@ -351,13 +351,9 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                     if max_iters_eff < max_iters else
                     f"stopped at the max_iters={max_iters} cap")
         if trace.converged and trace.z_history:
-            distances = trace.distances_to(trace.z_final)
-            d0 = distances[0]
-            if d0 == 0.0:
-                actual = 0
-            else:
-                crossed = np.nonzero(distances <= tol * d0)[0]
-                actual = int(crossed[0]) if crossed.size else None
+            # the last z is z_final, so every run crosses
+            d = np.array([_norm(z - trace.z_final) for z in trace.z_history])
+            actual = int(np.argmax(d <= tol * d[0]))
         result.entries.append(SweepEntry(
             gamma=float(gamma), iterations_actual=actual,
             iterations_bound=bound, converged=trace.converged, note=note))
@@ -382,9 +378,9 @@ def mpc_sweep(problem: EqConstrainedProblem, alpha: float, tol: float,
                           max_iters=MPC_MAX_ITERS)
 
 
-def mpc_compare(spec: MpcSpec, x0, reference, alpha: float = 0.5,
-                tol: float = 1e-5) -> dict:
-    """Single-sample solve with and without the selected metric at gamma*.
+def mpc_compare(spec: MpcSpec, x0, reference) -> dict:
+    """Single-sample solve with and without the selected metric at gamma*,
+    classical ADMM (alpha = 0.5) to tolerance 1e-5.
 
     Returns per-setting step sizes, measured iterations, and convergence
     flags; the step size in each setting is the one recommended by its own
@@ -394,7 +390,7 @@ def mpc_compare(spec: MpcSpec, x0, reference, alpha: float = 0.5,
     problem = gen_mpc(spec, x0, reference)
     out = {}
     for name in ("identity", "metric"):
-        obj, sweep = mpc_sweep(problem, alpha, tol, name == "metric",
+        obj, sweep = mpc_sweep(problem, 0.5, 1e-5, name == "metric",
                                None, None, 1)
         entry = sweep.entries[0]
         out[name] = {

@@ -14,7 +14,7 @@ class NonSymmetricError(ProxsplitError, ValueError):
 
 
 class RankDeficiencyError(ProxsplitError, ValueError):
-    """A constraint operator required to have full row rank does not."""
+    """A constraint operator lacks full row rank, or H is singular."""
 
 
 class SingularKktError(ProxsplitError, ValueError):

@@ -207,10 +207,10 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def spectral_summary(s, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
+def spectral_summary(s) -> SpectralSummary:
     """Extreme eigenvalues of symmetric psd ``s`` or of a MetricSpectra's S."""
     spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
-    return spectra.summary(None, zero_tol)
+    return spectra.summary(None, DEFAULT_ZERO_TOL)
 
 
 class MetricSpectra:

@@ -37,7 +37,7 @@ PSEUDO_ZERO_TOL = 1e-9
 #: row-norm equilibration sweeps of :func:`select_diagonal_metric`
 EQUILIBRATION_SWEEPS = 10
 
-Mode = Literal["exact", "heuristic_pinv", "heuristic_p11"]
+Mode = Literal["exact", "heuristic_p11"]
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,24 @@ class MetricObjective:
 
     ``numerator`` is the largest eigenvalue of the scaled smoothness
     operator, ``denominator`` the smallest (or smallest nonzero, in the
-    heuristic modes) eigenvalue of the scaled curvature operator, ``value``
+    heuristic mode) eigenvalue of the scaled curvature operator, ``value``
     their ratio, and ``metric`` the diagonal scaling it was evaluated at.
     """
 
     mode: Mode
     numerator: float
     denominator: float
-    value: float
     metric: DiagonalMetric
+
+    @property
+    def value(self) -> float:
+        den = self.denominator
+        return self.numerator / den if den > 0 else math.inf
 
     @classmethod
     def exact(cls, e: DiagonalMetric, dual: DualRegularity) -> MetricObjective:
         """beta_hat / sigma_hat of the metric-form dual constants at E."""
-        return cls("exact", dual.beta_hat, dual.sigma_hat, dual.kappa_hat, e)
+        return cls("exact", dual.beta_hat, dual.sigma_hat, e)
 
     def report(self) -> dict:
         return {
@@ -85,13 +89,12 @@ def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
     return MetricObjective.exact(metric, dual_of_spectrum(summary, 1.0, 1.0))
 
 
-def pseudo_condition_of(metric: DiagonalMetric, s,
-                        mode: Mode = "heuristic_pinv") -> MetricObjective:
+def pseudo_condition_of(metric: DiagonalMetric, s) -> MetricObjective:
     """Pseudo condition number of an already-formed symmetric psd S (or its
     MetricSpectra), eigenvalues below ``PSEUDO_ZERO_TOL * lambda_max``
     counted as zero."""
     spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
-    obj = _objective_value(metric, spectra, mode)
+    obj = _objective_value(metric, spectra, "heuristic_p11")
     if obj.numerator <= 0:
         raise RankDeficiencyError("matrix has no nonzero eigenvalues")
     return obj
@@ -107,9 +110,8 @@ def _objective_value(metric: DiagonalMetric, spectra: MetricSpectra,
     """
     summary = spectra.summary(metric, PSEUDO_ZERO_TOL)
     den = summary.lambda_min if mode == "exact" else summary.lambda_min_pos
-    value = summary.lambda_max / den if den > 0 else math.inf
     return MetricObjective(mode=mode, numerator=summary.lambda_max,
-                           denominator=den, value=value, metric=metric)
+                           denominator=den, metric=metric)
 
 
 def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
@@ -139,7 +141,7 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
         e[nonzero] /= np.sqrt(norms[nonzero])
     candidate = DiagonalMetric(e)
     identity = DiagonalMetric.identity(n)
-    obj_mode = "exact" if mode == "exact" else "heuristic_pinv"
+    obj_mode = "exact" if mode == "exact" else "heuristic_p11"
     if (_objective_value(candidate, spectra, obj_mode).value
             <= _objective_value(identity, spectra, obj_mode).value):
         return candidate

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError, UnboundedIterationError
+from .errors import (DimensionMismatchError, RankDeficiencyError,
+                     UnboundedIterationError)
 from .linmetric import _as_dense, _positive, _row_rank_svdvals
 from .linmetric import spectral_summary  # perfbench/tracer.py patches it
 
@@ -157,8 +158,13 @@ def certificate(reg: Regularity, gamma: float) -> RateCertificate:
 
 def dual_curvature(a, h) -> np.ndarray:
     """S = A H^-1 A^T, symmetrized, formed with one solve against H."""
-    a = _as_dense(a)
-    s = a @ np.linalg.solve(_as_dense(h), a.T)
+    a, h = _as_dense(a), _as_dense(h)
+    if a.ndim != 2 or h.shape != (a.shape[1], a.shape[1]):
+        raise DimensionMismatchError(f"A {a.shape} does not match H {h.shape}")
+    try:
+        s = a @ np.linalg.solve(h, a.T)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("singular H in S = A H^-1 A^T") from None
     return 0.5 * (s + s.T)
 
 
@@ -187,6 +193,8 @@ def iteration_bound(rate: float, tol: float) -> int:
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
+    if math.isnan(rate):
+        raise ValueError("rate must not be NaN")
     if rate <= 0:
         return 1
     if rate >= 1:

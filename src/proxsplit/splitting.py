@@ -45,10 +45,13 @@ class SolveTrace:
     residuals: list[float] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     z_history: list[np.ndarray] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     z_final: np.ndarray | None = None
     x_final: np.ndarray | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def contraction_ratios(self) -> list[float]:
@@ -57,13 +60,6 @@ class SolveTrace:
         d = self.distances
         return [num / den if den > 1e-300 else float("nan")
                 for den, num in zip(d, d[1:])]
-
-    def distances_to(self, ref: np.ndarray) -> np.ndarray:
-        """||z^k - ref|| over the stored history (needs full history)."""
-        if not self.z_history:
-            raise ValueError("z_history was thinned away; nothing to measure")
-        ref = np.asarray(ref, dtype=float)
-        return np.array([_norm(z - ref) for z in self.z_history])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -129,7 +125,6 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
         trace.distances.append(_norm(z - ref))
     for _ in range(max_iters):
         z_next = step(z)
-        trace.iterations += 1
         res = _norm(z_next - z)
         trace.residuals.append(res)
         size = _norm(z_next) if origin else None

@@ -65,7 +65,7 @@ def test_criterion_02_optimal_rate():
                            coordinate=2)
     trace1 = dr_solve(flat.f, flat.g, 1.0, 1.0, flat.z0, tol=1e-15,
                       max_iters=5, reference=np.zeros(2))
-    one_step = trace1.distances_to(np.zeros(2))[1]
+    one_step = trace1.distances[1]
 
     ok = worst <= 1e-10 and one_step <= 1e-15
     _report("2", ok,
@@ -221,8 +221,7 @@ def test_criterion_08_lasso_desk():
 
 def test_criterion_09_mpc_desk():
     out = bench.mpc_compare(bench.MpcSpec(), np.zeros(4),
-                            np.array([0.0, 0.0, 0.0, 10.0]),
-                            alpha=0.5, tol=1e-5)
+                            np.array([0.0, 0.0, 0.0, 10.0]))
     ok = (out["identity"]["converged"] and out["metric"]["converged"]
           and out["metric"]["iterations"] < out["identity"]["iterations"])
     _report("9", ok,

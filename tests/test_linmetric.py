@@ -42,7 +42,7 @@ class TestSpectralSummary:
         assert (s.lambda_max, s.lambda_min, s.lambda_min_pos) == (1, 1, 1)
 
     def test_diagonal_with_zero(self):
-        s = spectral_summary(np.diag([4.0, 1.0, 0.0]), zero_tol=1e-12)
+        s = MetricSpectra(np.diag([4.0, 1.0, 0.0])).summary(None, 1e-12)
         assert s.lambda_max == pytest.approx(4.0, rel=1e-12)
         assert s.lambda_min == 0.0
         assert s.lambda_min_pos == pytest.approx(1.0, rel=1e-12)
@@ -219,7 +219,7 @@ class TestSummaryClassification:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expect = outcome(lambda: where_min_summary(s, zero_tol))
-            got = outcome(lambda: spectral_summary(s, zero_tol))
+            got = outcome(lambda: MetricSpectra(s).summary(None, zero_tol))
         assert got == expect
         if case in ("inf", "nan"):  # refused by name, before s - s.T
             assert got == (ValueError, "array must not contain infs or NaNs")
@@ -246,13 +246,12 @@ class TestSummaryClassification:
 
     def test_nan_zero_tol_is_refused(self):
         with pytest.raises(ValueError, match="zero_tol must be >= 0"):
-            spectral_summary(np.eye(2), np.nan)
+            MetricSpectra(np.eye(2)).summary(None, np.nan)
 
     def test_spectra_and_their_matrix_summarize_alike(self, rng):
         m = rng.normal(size=(4, 4))
         spectra = MetricSpectra(m @ m.T)
-        assert spectral_summary(spectra, 1e-10) == spectral_summary(
-            m @ m.T, 1e-10)
+        assert spectral_summary(spectra) == spectral_summary(m @ m.T)
 
 
 class TestKktP11:

@@ -1,5 +1,7 @@
 """Metric selection: objectives, equilibration, step-size consistency."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ class TestDualConditionNumber:
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(RankDeficiencyError):
             dual_condition_number(DiagonalMetric.identity(2), a, np.eye(2))
+        # a singular H is refused by name, not by numpy's solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficiencyError) as err:
+                dual_condition_number(DiagonalMetric.identity(2), np.eye(2),
+                                      np.zeros((2, 2)))
+        assert str(err.value) == "singular H in S = A H^-1 A^T"
 
     def test_matches_the_problem_memo_bit_for_bit(self):
         problem = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10))

@@ -2,13 +2,15 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsplit.errors import RankDeficiencyError, UnboundedIterationError
+from proxsplit.errors import (DimensionMismatchError, RankDeficiencyError,
+                             UnboundedIterationError)
 from proxsplit.linmetric import DiagonalMetric
 from proxsplit.metric import (MetricObjective, dual_condition_number,
                              gamma_from_metric)
@@ -18,6 +20,7 @@ from proxsplit.rates import (
     certificate,
     competing_rates,
     contraction_factor,
+    dual_curvature,
     dual_regularity,
     feasible_alpha_interval,
     geometric_mean,
@@ -158,7 +161,7 @@ class TestGeometricMean:
             optimal_parameters(Regularity(1e-300, 1e-300))
         with pytest.raises(ValueError, match="beta\\*sigma"):
             adversarial_case(1.0, 1.0, Regularity(1e-300, 1e-300))
-        obj = MetricObjective("exact", 1e-200, 1e-200, 1.0,
+        obj = MetricObjective("exact", 1e-200, 1e-200,
                               DiagonalMetric.identity(1))
         with pytest.raises(ValueError, match="numerator\\*denominator"):
             gamma_from_metric(obj)
@@ -203,6 +206,12 @@ class TestDualRegularity:
         with pytest.raises(RankDeficiencyError):
             dual_regularity(Regularity(1, 2),
                             np.array([[1.0, 0.0], [2.0, 0.0]]))
+        # an H that does not match A is refused before the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError) as err:
+                dual_curvature(np.eye(2), np.eye(3))
+        assert str(err.value) == "A (2, 2) does not match H (3, 3)"
 
 
 class TestIterationBound:
@@ -216,6 +225,11 @@ class TestIterationBound:
             iteration_bound(1.0, 1e-3)
         with pytest.raises(UnboundedIterationError):
             iteration_bound(1.2, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                iteration_bound(float("nan"), 0.1)
+        assert str(err.value) == "rate must not be NaN"
 
     def test_bound_is_sufficient(self, rng):
         for _ in range(100):

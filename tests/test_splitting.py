@@ -151,7 +151,7 @@ class TestDrSolve:
                     trace = dr_solve(f, g, *params, rng.normal(size=2),
                                      tol=1e-14, max_iters=iters,
                                      reference=ref)
-                    dist = trace.distances_to(ref)
+                    dist = trace.distances
                     # the reference itself carries ~1e-13 error, so only
                     # ratios with a comfortably large denominator resolve
                     # the 1e-10 slack
