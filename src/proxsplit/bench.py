@@ -19,7 +19,7 @@ import numpy as np
 from .admm import AdmmEngine, EqConstrainedProblem, admm_solve
 from .errors import CapabilityError, ProxsplitError, RankDeficiencyError
 from .linmetric import (DEFAULT_ZERO_TOL, DiagonalMetric, MetricSpectra,
-                        kkt_p11)
+                        _count, kkt_p11)
 from .metric import (
     MetricObjective,
     dual_condition_number,  # unused here; perfbench/tracer.py patches it
@@ -40,7 +40,7 @@ from .rates import (
     rate_bound,
 )
 from .rng import RngStream, normals, samples, uniforms
-from .splitting import CSV_SCHEMA_TAG, HISTORY_SCALAR_BUDGET, _norm
+from .splitting import HISTORY_SCALAR_BUDGET, _norm, write_csv
 
 
 # -------------------------------------------------------------------- lasso
@@ -62,11 +62,11 @@ class LassoSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError("n and m must be positive")
-        if not 0 < self.nnz_per_row <= self.n:
+        for what in ("n", "m", "nnz_per_row"):
+            _count(getattr(self, what), what, 1)
+        if self.nnz_per_row > self.n:
             raise ValueError("need 0 < nnz_per_row <= n")
-        RngStream(self.seed)  # refuses a seed outside [0, 2**64)
+        RngStream(self.seed)  # refuses a seed outside the integers [0, 2**64)
 
 
 def gen_lasso(spec: LassoSpec) -> EqConstrainedProblem:
@@ -140,8 +140,7 @@ class MpcSpec:
     y2_band = (-100.0, 100.0)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _count(self.horizon, "horizon", 1)
 
 
 def _mpc_vectors(spec: MpcSpec, x0: np.ndarray,
@@ -251,17 +250,14 @@ class SweepResult:
     entries: list[SweepEntry] = field(default_factory=list)
 
     def to_csv(self, fileobj: io.TextIOBase) -> None:
-        fileobj.write(CSV_SCHEMA_TAG + "\n")
         metric_txt = ("identity" if self.metric is None
                       else f"diagonal[{self.metric.dim}]")
-        fileobj.write(f"# kind=sweep alpha={self.alpha:.17g} "
-                      f"tol={self.tol:.17g} metric={metric_txt}\n")
-        fileobj.write("gamma,iterations_actual,iterations_bound,converged\n")
-        for e in self.entries:
-            actual = "" if e.iterations_actual is None else e.iterations_actual
-            bound = "" if e.iterations_bound is None else e.iterations_bound
-            fileobj.write(f"{e.gamma:.17g},{actual},{bound},"
-                          f"{int(e.converged)}\n")
+        write_csv(fileobj, [{"kind": "sweep", "alpha": self.alpha,
+                             "tol": self.tol, "metric": metric_txt}],
+                  ("gamma", "iterations_actual", "iterations_bound",
+                   "converged"),
+                  ((e.gamma, e.iterations_actual, e.iterations_bound,
+                    e.converged) for e in self.entries))
 
 
 def problem_dual_regularity(problem: EqConstrainedProblem,
@@ -289,8 +285,7 @@ def log_gamma_grid(gamma_min: float, gamma_max: float,
                    points: int) -> np.ndarray:
     if not 0 < gamma_min <= gamma_max < math.inf:
         raise ValueError("need 0 < gamma_min <= gamma_max < inf")
-    if not isinstance(points, (int, np.integer)) or points < 1:
-        raise ValueError(f"points must be an integer >= 1, got {points!r}")
+    _count(points, "points", 1)
     if points == 1:
         return np.array([geometric_mean(gamma_min, gamma_max,
                                         "gamma_min*gamma_max")])
@@ -405,6 +400,9 @@ def mpc_compare(spec: MpcSpec, x0, reference) -> dict:
 def pitch_reference(n_samples: int = 120, target_deg: float = 10.0,
                     up_at: int = 10, down_at: int = 70) -> np.ndarray:
     """Scripted pitch maneuver: step to the target and back to level."""
+    _count(n_samples, "n_samples", 0)
+    _count(up_at, "up_at", 0)
+    _count(down_at, "down_at", 0)
     refs = np.zeros((n_samples, N_STATES))
     refs[up_at:down_at, 3] = target_deg
     return refs

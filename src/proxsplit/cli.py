@@ -14,23 +14,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from typing import Callable, TextIO
 
 from . import bench, worstcase
 from .admm import EqConstrainedProblem
 from .errors import CapabilityError, ProxsplitError
 from .prox import QuadraticAffine
 from .rates import DualRegularity, competing_rates
-from .splitting import CSV_SCHEMA_TAG
+from .splitting import write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _sweep_flags(parser, alpha: float, points: int | None, metric: str,
+                 full_help: str) -> None:
+    """The eight flags of the ``lasso`` and ``mpc`` sweeps."""
+    parser.add_argument("--tol", type=float, default=1e-5)
+    parser.add_argument("--alpha", type=float, default=alpha)
+    parser.add_argument("--gamma-min", type=float, default=None)
+    parser.add_argument("--gamma-max", type=float, default=None)
+    parser.add_argument("--gamma-points", type=int, default=points)
+    parser.add_argument("--metric", choices=("identity", "auto"),
+                        default=metric)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--full", action="store_true", help=full_help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,28 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lasso = sub.add_parser("lasso", help="weighted sparse least squares sweep")
     lasso.add_argument("--seed", type=int, default=0)
-    lasso.add_argument("--tol", type=float, default=1e-5)
-    lasso.add_argument("--alpha", type=float, default=1.0)
-    lasso.add_argument("--gamma-min", type=float, default=None)
-    lasso.add_argument("--gamma-max", type=float, default=None)
-    lasso.add_argument("--gamma-points", type=int, default=9)
-    lasso.add_argument("--metric", choices=("identity", "auto"),
-                       default="identity")
-    lasso.add_argument("--out", required=True)
-    lasso.add_argument("--full", action="store_true",
-                       help="full-scale 300x200 instance instead of desk")
+    _sweep_flags(lasso, 1.0, 9, "identity",
+                 "full-scale 300x200 instance instead of desk")
 
     mpc = sub.add_parser("mpc", help="aircraft control benchmark")
-    mpc.add_argument("--tol", type=float, default=1e-5)
-    mpc.add_argument("--alpha", type=float, default=0.5)
-    mpc.add_argument("--gamma-min", type=float, default=None)
-    mpc.add_argument("--gamma-max", type=float, default=None)
-    mpc.add_argument("--gamma-points", type=int, default=None)
-    mpc.add_argument("--metric", choices=("identity", "auto"),
-                     default="auto")
-    mpc.add_argument("--out", required=True)
-    mpc.add_argument("--full", action="store_true",
-                     help="closed-loop 120-sample pitch maneuver")
+    _sweep_flags(mpc, 0.5, None, "auto",
+                 "closed-loop 120-sample pitch maneuver")
 
     wc = sub.add_parser("worstcase-verify",
                         help="measured vs exact rates on extremal instances")
@@ -87,95 +80,78 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(payload) -> Callable[[TextIO], None]:
+    """The writer of ``payload`` as sorted, indented JSON."""
+    return lambda fh: fh.write(json.dumps(payload, sort_keys=True,
+                                          indent=2) + "\n")
+
+
 def _lasso_spec(args) -> bench.LassoSpec:
-    if args.full:
-        return bench.LassoSpec(seed=args.seed or 0)
-    return bench.LassoSpec(n=50, m=75, nnz_per_row=10, seed=args.seed or 0)
+    desk = {} if args.full else {"n": 50, "m": 75, "nnz_per_row": 10}
+    return bench.LassoSpec(**desk, seed=args.seed or 0)
 
 
-def _cmd_lasso(args) -> int:
+def _cmd_lasso(args) -> Callable[[TextIO], None]:
     problem = bench.gen_lasso(_lasso_spec(args))
     metric = bench.lasso_metric(problem) if args.metric == "auto" else None
     gamma_star = bench.sweep_gamma_star(problem, metric)
     gmin = args.gamma_min if args.gamma_min is not None else 1e-2 * gamma_star
     gmax = args.gamma_max if args.gamma_max is not None else 1e2 * gamma_star
     grid = bench.log_gamma_grid(gmin, gmax, args.gamma_points)
-    sweep = bench.run_sweep(problem, args.alpha, grid, metric=metric,
-                            tol=args.tol)
-    with open(args.out, "w") as fh:
-        sweep.to_csv(fh)
-    return EXIT_OK
+    return bench.run_sweep(problem, args.alpha, grid, metric=metric,
+                           tol=args.tol).to_csv
 
 
-def _cmd_mpc(args) -> int:
+def _cmd_mpc(args) -> Callable[[TextIO], None]:
     spec = bench.MpcSpec()
-    x0 = np.zeros(bench.N_STATES)
-    ref = np.array([0.0, 0.0, 0.0, 10.0])
     if args.full:
         if any(v is not None for v in (args.gamma_min, args.gamma_max,
                                        args.gamma_points)):
             raise ValueError("--full runs the closed loop at its own gamma; "
                              "drop --gamma-min/--gamma-max/--gamma-points")
-        refs = bench.pitch_reference()
-        result = bench.mpc_closed_loop(spec, refs, alpha=args.alpha,
-                                       tol=args.tol,
+        result = bench.mpc_closed_loop(spec, bench.pitch_reference(),
+                                       alpha=args.alpha, tol=args.tol,
                                        metric=args.metric == "auto")
-        with open(args.out, "w") as fh:
-            fh.write(CSV_SCHEMA_TAG + "\n")
-            fh.write(f"# kind=mpc-closed-loop alpha={_fmt(args.alpha)} "
-                     f"tol={_fmt(args.tol)} metric={args.metric}\n")
-            fh.write(f"# mean_iterations={_fmt(result['mean_iterations'])} "
-                     f"median_iterations="
-                     f"{_fmt(result['median_iterations'])}\n")
-            fh.write("sample,iterations\n")
-            for t, count in enumerate(result["iterations"]):
-                fh.write(f"{t},{count}\n")
-        return EXIT_OK
+        comments = [{"kind": "mpc-closed-loop", "alpha": args.alpha,
+                     "tol": args.tol, "metric": args.metric},
+                    {k: result[k] for k in ("mean_iterations",
+                                            "median_iterations")}]
+        return lambda fh: write_csv(fh, comments, ("sample", "iterations"),
+                                    enumerate(result["iterations"]))
     points = 1 if args.gamma_points is None else args.gamma_points
-    _, sweep = bench.mpc_sweep(bench.gen_mpc(spec, x0, ref), args.alpha,
-                               args.tol, args.metric == "auto",
-                               args.gamma_min, args.gamma_max, points)
-    with open(args.out, "w") as fh:
-        sweep.to_csv(fh)
-    return EXIT_OK
+    problem = bench.gen_mpc(spec, [0.0] * bench.N_STATES,
+                            [0.0, 0.0, 0.0, 10.0])
+    _, sweep = bench.mpc_sweep(problem, args.alpha, args.tol,
+                               args.metric == "auto", args.gamma_min,
+                               args.gamma_max, points)
+    return sweep.to_csv
 
 
-def _cmd_worstcase(args) -> int:
+def _cmd_worstcase(args) -> Callable[[TextIO], None]:
     betas = None if args.beta is None else (args.beta,)
     rows = worstcase.verify_grid(betas, sigma=args.sigma)
-    with open(args.out, "w") as fh:
-        fh.write(CSV_SCHEMA_TAG + "\n")
-        cols = ("beta", "sigma", "gamma", "alpha", "variant", "bound",
-                "exact_rate", "measured_rate", "max_abs_diff")
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(r[c] if c == "variant" else _fmt(r[c])
-                              for c in cols) + "\n")
-    return EXIT_OK
+    cols = ("beta", "sigma", "gamma", "alpha", "variant", "bound",
+            "exact_rate", "measured_rate", "max_abs_diff")
+    return lambda fh: write_csv(fh, (), cols,
+                                ([r[c] for c in cols] for r in rows))
 
 
-def _cmd_rates_table(args) -> int:
+def _cmd_rates_table(args) -> Callable[[TextIO], None]:
     try:
         kappas = [float(tok) for tok in args.kappa_grid.split(",") if tok]
     except ValueError:
-        print("invalid --kappa-grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("invalid --kappa-grid") from None
     if not kappas or not all(1 <= k < float("inf") for k in kappas):
-        print("--kappa-grid needs finite values >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--kappa-grid needs finite values >= 1")
     curves: dict[str, list[float]] = {}
     for kappa in kappas:
         rates = competing_rates(DualRegularity(sigma_hat=1.0, beta_hat=kappa))
         for name, value in rates.items():
             curves.setdefault(name, []).append(value)
-    payload = {"kappa_hat": kappas, "curves": curves}
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return EXIT_OK
+    return _json({"kappa_hat": kappas, "curves": curves})
 
 
-def _cmd_metric_report(args) -> int:
+def _cmd_metric_report(args) -> Callable[[TextIO], None]:
     if args.problem is not None:
         if args.full or args.seed is not None:
             raise ValueError("--problem takes neither --full nor --seed")
@@ -186,12 +162,9 @@ def _cmd_metric_report(args) -> int:
     if isinstance(problem.f, QuadraticAffine):
         obj = bench.mpc_metric_objective(problem)
     else:
-        metric = bench.lasso_metric(problem)
-        obj = bench.lasso_condition_report(problem, metric)
-    with open(args.out, "w") as fh:
-        json.dump(obj.report(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return EXIT_OK
+        obj = bench.lasso_condition_report(problem,
+                                           bench.lasso_metric(problem))
+    return _json(obj.report())
 
 
 _COMMANDS = {
@@ -204,14 +177,18 @@ _COMMANDS = {
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    """Parse arguments and run one subcommand; returns the exit code."""
+    """Parse arguments, run one subcommand, then open ``--out`` and write
+    the subcommand's output into it; returns the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        write = _COMMANDS[args.command](args)
+        with open(args.out, "w") as fh:
+            write(fh)
+        return EXIT_OK
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
@@ -228,7 +205,3 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -44,6 +44,13 @@ def _positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive")
 
 
+def _count(value, what: str, least: int) -> None:
+    """Raise ValueError unless value is an int or numpy integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, "
+                         f"got {value!r}")
+
+
 def _normal_step(gamma: float) -> None:
     """Raise ValueError unless gamma is a positive normal float (NaN is
     not): below that, the 1.0 / gamma that the proxes take overflows."""

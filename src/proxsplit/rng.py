@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .linmetric import _count
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
@@ -41,8 +43,9 @@ class RngStream:
     """Seedable counter-based stream; ``_i`` counts the words consumed."""
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _MASK:
+        if not 0 <= seed <= _MASK:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        _count(seed, "seed", 0)
         self.seed = int(seed)
         self._i = 0
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linmetric import _positive
+from .linmetric import _count, _positive
 from .prox import ProxFn
 
 #: scalars of full z-history kept before thinning to residuals only
@@ -71,15 +71,33 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _cell(value) -> str:
+    """One v1 CSV cell: a float as .17g, None empty, a bool (Python or
+    numpy) as 0 or 1, anything else through ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_csv(fileobj: io.TextIOBase, comments, columns, rows) -> None:
+    """Write one v1 CSV: the schema tag, a ``# k=v ...`` line per dict in
+    ``comments``, the header of ``columns``, then one line per row."""
+    fileobj.write(CSV_SCHEMA_TAG + "\n")
+    for comment in comments:
+        fileobj.write("# " + " ".join(f"{k}={_cell(v)}"
+                                      for k, v in comment.items()) + "\n")
+    for row in (columns, *rows):
+        fileobj.write(",".join(map(_cell, row)) + "\n")
+
+
 def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
     """Emit iter,residual,contraction_ratio rows; ratio empty when unmeasured."""
-    fileobj.write(CSV_SCHEMA_TAG + "\n")
-    fileobj.write("iter,residual,contraction_ratio\n")
-    ratios = trace.contraction_ratios
-    for k, res in enumerate(trace.residuals):
-        ratio = ratios[k] if ratios else math.nan
-        ratio_txt = "" if math.isnan(ratio) else f"{ratio:.17g}"
-        fileobj.write(f"{k},{res:.17g},{ratio_txt}\n")
+    ratios = trace.contraction_ratios or [math.nan] * trace.iterations
+    write_csv(fileobj, (), ("iter", "residual", "contraction_ratio"),
+              ((k, res, None if math.isnan(r) else r)
+               for k, (res, r) in enumerate(zip(trace.residuals, ratios))))
 
 
 def dr_step(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
@@ -108,8 +126,7 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     when given, and the z-history within ``HISTORY_SCALAR_BUDGET``.  With
     ``reference`` at the origin, ||z+|| (the same bits) serves both.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    _count(max_iters, "max_iters", 1)
     _positive(tol, "tol")
     z = np.asarray(z0, dtype=float)
     ref = None if reference is None else np.asarray(reference, dtype=float)
@@ -165,7 +182,7 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     z0 : array
         Starting iterate.
     tol, max_iters
-        Stopping rule; needs tol > 0 and max_iters >= 1.
+        Stopping rule; needs tol > 0 and an integer max_iters >= 1.
     reference : array, optional
         Known fixed point of z0's shape; ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.

@@ -614,6 +614,13 @@ class TestAdmmSolve:
         for bad in (0, -3):
             with pytest.raises(ValueError):
                 admm_solve(problem, gamma=1.0, alpha=0.5, max_iters=bad)
+        for bad in (2.5, float("nan")):  # refused by name, not by range()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as err:
+                    admm_solve(problem, gamma=1.0, alpha=0.5, max_iters=bad)
+            assert str(err.value) == (
+                f"max_iters must be an integer >= 1, got {bad!r}")
 
     def test_contraction_ratios_match_z_history(self, rng):
         problem = random_qp(rng)

@@ -138,6 +138,31 @@ class TestGenMpc:
         assert np.allclose(problem.f.q[4:8],
                            -np.diag([0, 100, 0, 100]) @ refs[1])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: gen_mpc(MpcSpec(horizon=2.5), np.zeros(4), np.zeros(4)),
+         "horizon must be an integer >= 1, got 2.5"),
+        (lambda: gen_lasso(LassoSpec(n=4.5, m=3, nnz_per_row=1)),
+         "n must be an integer >= 1, got 4.5"),
+        (lambda: gen_lasso(LassoSpec(n=4, m=3.0, nnz_per_row=1)),
+         "m must be an integer >= 1, got 3.0"),
+        (lambda: gen_lasso(LassoSpec(n=4, m=3, nnz_per_row=1.5)),
+         "nnz_per_row must be an integer >= 1, got 1.5"),
+        (lambda: pitch_reference(2.5),
+         "n_samples must be an integer >= 0, got 2.5"),
+        (lambda: pitch_reference(20, 1.0, 2.5, 8),
+         "up_at must be an integer >= 0, got 2.5"),
+        (lambda: pitch_reference(20, 1.0, 2, 8.0),
+         "down_at must be an integer >= 0, got 8.0"),
+    ], ids=["horizon", "n", "m", "nnz_per_row", "n_samples", "up_at",
+            "down_at"])
+    def test_non_integer_count_is_refused_by_name(self, make, message):
+        # not numpy's raw TypeError from inside the generator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                make()
+        assert str(err.value) == message
+
     def test_pitch_reference_shape(self):
         refs = pitch_reference(120)
         assert refs.shape == (120, 4)

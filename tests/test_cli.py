@@ -196,12 +196,16 @@ _USAGE_MESSAGES = {
     "lasso --gamma-min 1e-320 --gamma-max 1e-310 --gamma-points 2":
         "gamma must be positive and normal, got 1e-320",
     "metric-report --problem {zero_by_zero}": "expected a nonempty matrix",
+    "rates-table --kappa-grid abc": "invalid --kappa-grid",
+    "rates-table --kappa-grid 0.5": "--kappa-grid needs finite values >= 1",
 }
 
 
 @pytest.mark.parametrize("args", [
     ["rates-table", "--kappa-grid", "nan"],
     ["rates-table", "--kappa-grid", "inf"],
+    ["rates-table", "--kappa-grid", "abc"],
+    ["rates-table", "--kappa-grid", "0.5"],
     ["lasso", "--gamma-points", "0"],
     ["lasso", "--tol", "0"],
     ["lasso", "--tol", "2"],

@@ -1,6 +1,7 @@
 """The stream definition is the contract; re-derive it independently here."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,12 +99,18 @@ def test_block_words_are_the_scalar_stream(seed):
     assert stream.words(1)[0] == splitmix64(seed, ref.i)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
 def test_out_of_range_seed_is_refused(seed):
-    with pytest.raises(ValueError, match="seed must lie in"):
-        RngStream(seed)
-    with pytest.raises(ValueError, match="seed must lie in"):
-        LassoSpec(seed=seed)
+    # a fractional seed is refused, not truncated to another seed's stream
+    message = (f"seed must lie in [0, 2**64), got {seed}"
+               if isinstance(seed, int)
+               else f"seed must be an integer >= 0, got {seed!r}")
+    for make in (RngStream, lambda s: LassoSpec(seed=s)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                make(seed)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n, m, k, seed", [

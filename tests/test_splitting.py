@@ -24,9 +24,10 @@ from proxsplit.splitting import (
     _norm,
     dr_solve,
     dr_step,
+    write_csv,
     write_trace_csv,
 )
-from proxsplit.worstcase import adversarial_case, exact_rate
+from proxsplit.worstcase import adversarial_case, exact_rate, verify_point
 
 
 def worst_quadratic(beta=4.0, sigma=1.0):
@@ -230,6 +231,26 @@ class TestTrace:
         assert trace.distances == dist
         np.testing.assert_array_equal(trace.contraction_ratios, expect)
 
+    def test_csv_cell_rule(self):
+        """Every v1 CSV cell: a float (numpy's too) as .17g, None empty, a
+        bool as 0 or 1, anything else through str.  A numpy bool is written
+        as 0 or 1 like a Python one, not as "True"."""
+        buf = io.StringIO()
+        write_csv(buf, [{"kind": "sweep", "alpha": 0.5, "tol": 1e-5},
+                        {"metric": "identity", "note": None, "flag": True}],
+                  ("a", "b", "c", "d"),
+                  [(None, True, False, np.bool_(True)),
+                   (0.1, math.nan, math.inf, -0.0),
+                   (np.float64(1.0) / 3.0, 7, np.int64(12), "g1")])
+        assert buf.getvalue() == (
+            f"{CSV_SCHEMA_TAG}\n"
+            "# kind=sweep alpha=0.5 tol=1.0000000000000001e-05\n"
+            "# metric=identity note= flag=1\n"
+            "a,b,c,d\n"
+            ",1,0,1\n"
+            "0.10000000000000001,nan,inf,-0\n"
+            "0.33333333333333331,7,12,g1\n")
+
     def test_csv_ratio_column_empty_without_reference(self):
         trace = dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0,
                          np.array([0.0, 1.0]), tol=1e-15, max_iters=5)
@@ -310,6 +331,18 @@ class TestConfigValidation:
             dr_solve(f, Zero(2), 1.0, 0.0, z0)
         with pytest.raises(ValueError):
             dr_solve(f, Zero(2), 1.0, 1.0, z0, tol=0.0)
+        # a count that is not an integer is refused by name, not by range()
+        for bad in (2.5, float("nan")):
+            for solve in (
+                    lambda: dr_solve(WeightedL1(np.ones(2)), Zero(2), 1.0,
+                                     1.0, np.ones(2), max_iters=bad),
+                    lambda: verify_point(4.0, 1.0, 0.5, 1.0, iters=bad)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError) as err:
+                        solve()
+                assert str(err.value) == (
+                    f"max_iters must be an integer >= 1, got {bad!r}")
 
 
 def _one_member_per_kind() -> dict:
