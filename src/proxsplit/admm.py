@@ -130,18 +130,15 @@ def _gram(a: np.ndarray, sig, gamma: float) -> np.ndarray:
     return gamma * (a.T @ a) if sig is None else np.diag(gamma * (sig * sig))
 
 
-def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v, where a 1-d m stands for diag(m)."""
-    return m * v if m.ndim == 1 else m @ v
-
-
 class _XUpdate:
     """Closed-form solver for argmin_x f(x) + (gamma/2)||A x - v||^2."""
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         f, a = problem.f, problem.A
-        self.gamma = gamma
+        self.gamma = np.asarray(gamma, dtype=float)
+        self.prox_step = 1.0 / gamma
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
+        self.times_at = self.at.__matmul__ if sig is None else sig.__mul__
         if isinstance(f, Quadratic):
             self.mode = "quadratic"
             self._solve = _named_factor(_cho_solver, f.Q + _gram(
@@ -166,11 +163,11 @@ class _XUpdate:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.mode == "quadratic":
-            return self._solve(self.gamma * _apply(self.at, v) - self.q)
+            return self._solve(self.gamma * self.times_at(v) - self.q)
         if self.mode == "quadratic_affine":
             return self._solve(np.concatenate([
-                self.gamma * _apply(self.at, v) - self.q, self.b]))[:self.n]
-        return self.scaled_f.prox(1.0 / self.gamma, v) / self.at
+                self.gamma * self.times_at(v) - self.q, self.b]))[:self.n]
+        return self.scaled_f.prox(self.prox_step, v) / self.at
 
 
 class _YUpdate:
@@ -181,11 +178,11 @@ class _YUpdate:
             raise CapabilityError(
                 "y-update has no closed form: B must be +/- identity or "
                 "+/- a positive diagonal so the update reduces to a prox")
-        self.gamma, self.s = gamma, sig
+        self.prox_step, self.s = 1.0 / gamma, sig
         self.scaled_g = diag_scale(problem.g, sig)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.scaled_g.prox(1.0 / self.gamma, v) / self.s
+        return self.scaled_g.prox(self.prox_step, v) / self.s
 
 
 class AdmmEngine:
@@ -197,6 +194,14 @@ class AdmmEngine:
     diag(gamma s^2): the GEMM gamma A^T A has the same bits, as each of its
     diagonal entries has one nonzero product and every other entry is +0.0.
     An overflowing factor matrix raises ValueError naming it and gamma.
+
+    The per-step constants are bound once, at build: gamma, 2*alpha and
+    1 - 2*alpha as 0-d float64 arrays (an array times one has the bits of
+    the product with the float, at less dispatch), and the A and A^T
+    products as the array's ``__mul__`` (diagonal) or ``__matmul__``.  When
+    every entry of c is +0.0 (``zero_c``), ``v - c`` is v to the bit and
+    the step skips both such subtractions; ``c - v`` stays, as 0.0 - v is
+    not -v for v = +0.0.
     """
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
@@ -209,21 +214,28 @@ class AdmmEngine:
         self.y_update = _YUpdate(problem, gamma, sig_b)
         self.a = problem.A if sig_a is None else self.x_update.at
         self.b = self.y_update.s
+        self.times_a = self.a.__matmul__ if sig_a is None else self.a.__mul__
+        self.gamma_0d, self.two_alpha, self.one_minus_two_alpha = (
+            np.asarray(v, dtype=float)
+            for v in (gamma, 2.0 * alpha, 1.0 - 2.0 * alpha))
+        c = problem.c
+        self.zero_c = not (c.any() or np.signbit(c).any())
 
     def step(self, y: np.ndarray, u: np.ndarray, by: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One full iteration from (y, u), given by = B y as ``self.b * y``;
         returns (x+, y+, u+, B y+), so each iteration forms B y once."""
-        c, alpha = self.problem.c, self.alpha
+        c = self.problem.c
         x_new = self.x_update.solve(c - by - u)
-        xa = 2.0 * alpha * _apply(self.a, x_new) - (1.0 - 2.0 * alpha) * (
-            by - c)
+        xa = (self.two_alpha * self.times_a(x_new)
+              - self.one_minus_two_alpha * (by if self.zero_c else by - c))
         y_new = self.y_update.solve(c - xa - u)
         by_new = self.b * y_new
-        return x_new, y_new, u + xa + by_new - c, by_new
+        u_new = u + xa + by_new
+        return x_new, y_new, u_new if self.zero_c else u_new - c, by_new
 
     def z_equiv(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.gamma * (u - self.b * y)
+        return self.gamma_0d * (u - self.b * y)
 
     def consistent_init(self, z0: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +294,10 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     def step(_z):
         nonlocal x, y, u, by
         x, y, u, by = engine.step(y, u, by)
-        return engine.gamma * (u - by)  # z_equiv(y, u), B y formed once
+        return engine.gamma_0d * (u - by)  # z_equiv(y, u), B y formed once
 
     def primal_small():
-        return _norm(_apply(engine.a, x) + by - problem.c) <= tol
+        return _norm(engine.times_a(x) + by - problem.c) <= tol
 
     trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
                          reference, primal_small)

@@ -399,10 +399,15 @@ def mpc_compare(spec: MpcSpec, x0, reference) -> dict:
 
 def pitch_reference(n_samples: int = 120, target_deg: float = 10.0,
                     up_at: int = 10, down_at: int = 70) -> np.ndarray:
-    """Scripted pitch maneuver: step to the target and back to level."""
+    """Scripted pitch maneuver: step to the target at sample ``up_at`` and
+    back to level at ``down_at``, which must come later.  Steps at or past
+    ``n_samples`` are cut off (``pitch_reference(3)`` is level)."""
     _count(n_samples, "n_samples", 0)
     _count(up_at, "up_at", 0)
     _count(down_at, "down_at", 0)
+    if down_at <= up_at:
+        raise ValueError(f"down_at must exceed up_at, got up_at={up_at}, "
+                         f"down_at={down_at}")
     refs = np.zeros((n_samples, N_STATES))
     refs[up_at:down_at, 3] = target_deg
     return refs

@@ -43,9 +43,9 @@ class RngStream:
     """Seedable counter-based stream; ``_i`` counts the words consumed."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK:
+        if isinstance(seed, (int, np.integer)) and not 0 <= seed <= _MASK:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-        _count(seed, "seed", 0)
+        _count(seed, "seed", 0)  # a str, None or float seed, by name
         self.seed = int(seed)
         self._i = 0
 

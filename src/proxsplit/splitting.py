@@ -109,7 +109,7 @@ def dr_step(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     """
     z = np.asarray(z, dtype=float)
     x = f.prox(gamma, z)
-    y = g.prox(gamma, 2.0 * x - z)
+    y = g.prox(gamma, x + x - z)  # x + x is 2.0 * x to the bit
     return z + 2.0 * alpha * (y - x), x, y
 
 

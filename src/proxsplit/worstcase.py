@@ -18,6 +18,7 @@ the stiff (beta_hat) curvature at index 1.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,7 @@ def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,
 
     Ratios are taken from iteration 1 onward; the first transition is kept
     only when it is the sole available one (single-step convergence).
+    Their median has ``np.median``'s bits, without numpy's dispatch.
     """
     ratios_all, dist = trace.contraction_ratios, trace.distances
     ratios = _valid_ratios(ratios_all[1:], dist[1:])
@@ -169,7 +171,8 @@ def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,
     return {
         "bound": rate_bound(contraction_factor(reg, gamma), alpha),
         "exact_rate": rate,
-        "measured_rate": float(np.median(ratios)) if ratios else float("nan"),
+        "measured_rate": (statistics.median(ratios) if ratios
+                          else float("nan")),
         "max_abs_diff": max((abs(r - rate) for r in ratios),
                             default=float("nan")),
     }

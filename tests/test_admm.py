@@ -11,7 +11,6 @@ from proxsplit import admm, worstcase
 from proxsplit.admm import (
     AdmmEngine,
     EqConstrainedProblem,
-    _apply,
     _diagonal_signature,
     admm_solve,
     verify_dual_equivalence,
@@ -237,15 +236,16 @@ class TestStructuredStep:
 
 def reference_solve(engine, z0, iters):
     """admm_solve's iteration written out with B y formed afresh at every
-    use: (x, y, u, [z^0, ..., z^iters])."""
+    use, float scalars, an unbound A product and every ``- c``:
+    (x, y, u, [z^0, ..., z^iters])."""
     prob, gamma, alpha = engine.problem, engine.gamma, engine.alpha
-    b, c = engine.b, prob.c
+    a, b, c = engine.a, engine.b, prob.c
     y, u = engine.consistent_init(z0)
     x, zs = np.zeros(prob.n), [gamma * (u - b * y)]
     for _ in range(iters):
         x = engine.x_update.solve(c - b * y - u)
-        xa = 2.0 * alpha * _apply(engine.a, x) - (1.0 - 2.0 * alpha) * (
-            b * y - c)
+        ax = a * x if a.ndim == 1 else a @ x
+        xa = 2.0 * alpha * ax - (1.0 - 2.0 * alpha) * (b * y - c)
         y = engine.y_update.solve(c - xa - u)
         u = u + xa + b * y - c
         zs.append(gamma * (u - b * y))
@@ -301,6 +301,36 @@ class TestCarriedBy:
             assert g.tobytes() == w.tobytes()
         assert trace.z_final.tobytes() == zs[-1].tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("a_kind", ["diagonal", "dense"])
+    @pytest.mark.parametrize("c_kind", ["zero", "minus_zero", "nonzero"])
+    def test_bound_constants_keep_the_bits(self, c_kind, a_kind, alpha):
+        # the engine's 0-d scalars, bound A products and the `- c` it skips
+        # when c is all +0.0, against float scalars and every `- c`; on the
+        # diagonal instance, coordinate 1 (box bound -0.0, start 0.0) makes
+        # exact zeros, whose sign the -0.0 in c flips at alpha 0.5 and 1.7
+        rng = np.random.default_rng(7)
+        c = {"zero": np.zeros(3), "minus_zero": np.array([0.0, -0.0, 0.0]),
+             "nonzero": rng.normal(size=3)}[c_kind]
+        if a_kind == "diagonal":
+            f, a = Box([-1.0] * 3, [1.0, -0.0, 2.0]), np.diag([0.5, 1.0, 2.0])
+        else:
+            m = rng.normal(size=(3, 3))
+            f = Quadratic(m @ m.T + np.eye(3), rng.normal(size=3))
+            a = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        problem = EqConstrainedProblem(f, Zero(3), a, -np.eye(3), c)
+        engine = AdmmEngine(problem, 0.9, alpha)
+        assert engine.zero_c == (c_kind == "zero")
+        assert (engine.a.ndim == 1) == (a_kind == "diagonal")
+        z0 = rng.normal(size=3)
+        z0[1] = 0.0
+        *got, trace = admm_solve(problem, 0.9, alpha, tol=1e-300,
+                                 max_iters=40, z0=z0, engine=engine)
+        *want, zs = reference_solve(engine, z0, trace.iterations)
+        assert len(trace.z_history) == len(zs)
+        for g, w in zip(got + trace.z_history, want + zs):
+            assert g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("kind", ["desk_lasso", "desk_mpc"])
     def test_vectors_rewritten_in_place_match_a_fresh_problem(self, kind):
         # the MPC closed loop rewrites f.q and f.b in place and solves again
@@ -350,7 +380,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(5)
         for _ in range(3):
             v = rng.normal(size=problem.p)
-            rhs = gamma * _apply(xu.at, v) - xu.q
+            rhs = gamma * (xu.at * v if xu.at.ndim == 1 else xu.at @ v) - xu.q
             if mode == "quadratic":
                 expect = scipy.linalg.cho_solve(fac, rhs)
             else:

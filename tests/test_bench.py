@@ -153,8 +153,13 @@ class TestGenMpc:
          "up_at must be an integer >= 0, got 2.5"),
         (lambda: pitch_reference(20, 1.0, 2, 8.0),
          "down_at must be an integer >= 0, got 8.0"),
+        # a maneuver with no step at all
+        (lambda: pitch_reference(10, 1.0, 5, 3),
+         "down_at must exceed up_at, got up_at=5, down_at=3"),
+        (lambda: pitch_reference(10, 1.0, 4, 4),
+         "down_at must exceed up_at, got up_at=4, down_at=4"),
     ], ids=["horizon", "n", "m", "nnz_per_row", "n_samples", "up_at",
-            "down_at"])
+            "down_at", "down_before_up", "down_at_up"])
     def test_non_integer_count_is_refused_by_name(self, make, message):
         # not numpy's raw TypeError from inside the generator
         with warnings.catch_warnings():

@@ -99,9 +99,10 @@ def test_block_words_are_the_scalar_stream(seed):
     assert stream.words(1)[0] == splitmix64(seed, ref.i)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, "3", None])
 def test_out_of_range_seed_is_refused(seed):
-    # a fractional seed is refused, not truncated to another seed's stream
+    # a fractional seed is refused, not truncated to another seed's stream;
+    # a str or None is refused by name, not by the range test's TypeError
     message = (f"seed must lie in [0, 2**64), got {seed}"
                if isinstance(seed, int)
                else f"seed must be an integer >= 0, got {seed!r}")

@@ -62,6 +62,23 @@ class TestDrStep:
             expect = (1 - alpha) * z + alpha * composed
             assert np.allclose(z_next, expect, atol=1e-12)
 
+    def test_reflection_keeps_the_bits_of_doubling(self, rng):
+        # dr_step reflects with x + x, which is 2.0 * x to the bit
+        for dim in (1, 2, 5):
+            for scale in (1e-200, 1e-5, 1.0, 1e5, 1e200):
+                f, g = sample_catalog_fn(rng, dim), sample_catalog_fn(rng, dim)
+                z = scale * rng.normal(size=dim)
+                z[0] = -0.0
+                for alpha in (0.4, 1.0, 1.3):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = dr_step(f, g, 0.8, alpha, z)
+                        x = f.prox(0.8, z)
+                        y = g.prox(0.8, 2.0 * x - z)
+                    want = (z + 2.0 * alpha * (y - x), x, y)
+                    for have, expect in zip(got, want):
+                        assert have.tobytes() == expect.tobytes()
+
     def test_fixed_point_is_invariant(self, rng):
         # z with z = R_g(R_f(z)): the origin for the extremal instances
         f = worst_quadratic()

@@ -1,14 +1,18 @@
 """Extremal instances: construction, exact rates, tightness, divergence."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxsplit.prox import IndicatorZero, Quadratic, Zero
 from proxsplit.rates import Regularity, contraction_factor, rate_bound
 from proxsplit.splitting import dr_step
 from proxsplit.worstcase import (
+    _measured_columns,
     adversarial_case,
     build,
     divergence_distances,
@@ -176,3 +180,20 @@ class TestVerification:
                                                 zeta, gamma, alpha)
                         assert row["max_abs_diff"] <= 1e-8, row
                         assert abs(row["exact_rate"] - row["bound"]) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1,
+                max_size=9))
+@example([0.5, math.inf]).via("even count with inf")
+@example([math.inf, 0.25, 0.5]).via("odd count with inf")
+@example([0.3, 0.1, 0.2, 0.4]).via("even count")
+def test_measured_rate_is_numpy_median_to_the_bit(ratios):
+    # the median of the valid ratios (here all of them, from iteration 1)
+    # has np.median's bits: the middle element, or (a + b) / 2
+    trace = SimpleNamespace(contraction_ratios=[math.nan] + ratios,
+                            distances=[1.0] * (len(ratios) + 1))
+    got = _measured_columns(trace, REG, "g1", 0.5, 1.0, 2)["measured_rate"]
+    with np.errstate(over="ignore"):  # (a + b) of two huge ratios
+        want = float(np.median(ratios))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
