@@ -361,9 +361,10 @@ def mpc_sweep(problem: EqConstrainedProblem, alpha: float, tol: float,
               metric: bool, gamma_min: float | None, gamma_max: float | None,
               points: int) -> tuple[MetricObjective, SweepResult]:
     """The desk MPC experiment: the KKT-block objective at the equilibrated
-    metric (E = I unless ``metric``), then a sweep capped at
-    ``MPC_MAX_ITERS`` over ``log_gamma_grid(gamma_min, gamma_max, points)``,
-    a missing bound taken as the objective's step size."""
+    metric (E = I unless ``metric``), then a sweep over ``log_gamma_grid(
+    gamma_min, gamma_max, points)``, a missing bound taken as the objective's
+    step size; :func:`run_sweep` caps it at ``HISTORY_SCALAR_BUDGET // p - 1``
+    (249,999 at the desk p = 40), below ``MPC_MAX_ITERS``."""
     obj = mpc_metric_objective(problem, identity=not metric)
     g = gamma_from_metric(obj)
     grid = log_gamma_grid(g if gamma_min is None else gamma_min,

@@ -60,7 +60,7 @@ def _normal_step(gamma: float) -> None:
 
 def _json_index(v, what: str) -> int:
     try:
-        i = int(v)
+        i = None if isinstance(v, bool) else int(v)  # True == 1 is no index
     except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != v or i < 0:
@@ -76,6 +76,9 @@ def _json_object(obj, what: str) -> dict:
 
 def _json_vector(v, what: str) -> np.ndarray:
     """Float vector from a JSON list of finite numbers, else ValueError."""
+    if isinstance(v, list) and any(isinstance(t, bool) for t in v):
+        raise ValueError(f"{what} must be a list of finite numbers, "
+                         f"not booleans")
     if not isinstance(v, list) or not all(
             isinstance(t, numbers.Real) and math.isfinite(t) for t in v):
         raise ValueError(f"{what} must be a list of finite numbers")
@@ -86,6 +89,9 @@ def _json_scalar_or_vector(v, what: str):
     """One finite number, or a float vector from a list of them."""
     if isinstance(v, list):
         return _json_vector(v, what)
+    if isinstance(v, bool):
+        raise ValueError(f"{what} must be a finite number or a list of "
+                         f"them, not a boolean")
     if not isinstance(v, numbers.Real) or not math.isfinite(v):
         raise ValueError(f"{what} must be a finite number or a list of them")
     return v
@@ -128,6 +134,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         j = _json_index(t[1], "triplet index")
         if i >= rows or j >= cols:
             raise ValueError("triplet indices out of range")
+        if isinstance(t[2], bool):
+            raise ValueError("matrix entries must be numbers, not booleans")
         if not isinstance(t[2], numbers.Real):
             raise ValueError("matrix entries must be numbers")
         out[i, j] += t[2]

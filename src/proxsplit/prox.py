@@ -138,7 +138,18 @@ class ProxFn:
         return z - gamma * self.prox(1.0 / gamma, z / gamma)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``{"kind": kind, field: value, ...}`` with the fields of
+        ``_WIRE[kind]`` in order: a matrix in :func:`matrix_to_json`'s
+        format, a vector as a list, a scalar or ``dim`` as it is."""
+        if self.kind not in _WIRE:
+            raise NotImplementedError
+        out = {"kind": self.kind}
+        for name in _WIRE[self.kind][1]:
+            v = getattr(self, name)
+            if isinstance(v, np.ndarray):
+                v = matrix_to_json(v) if v.ndim == 2 else v.tolist()
+            out[name] = v
+        return out
 
     def __repr__(self) -> str:
         dim = "*" if self.dim is None else self.dim
@@ -177,10 +188,6 @@ class Quadratic(ProxFn):
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
         return _per_gamma(self, gamma, self._factor)(z - gamma * self.q)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "Q": matrix_to_json(self.Q),
-                "q": self.q.tolist()}
 
 
 class QuadraticAffine(ProxFn):
@@ -232,11 +239,6 @@ class QuadraticAffine(ProxFn):
                                    size=self.dim + p)
         return x
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "Q": matrix_to_json(self.Q),
-                "q": self.q.tolist(), "L": matrix_to_json(self.L),
-                "b": self.b.tolist()}
-
 
 class Zero(ProxFn):
     """The identically-zero function; its prox is the identity map."""
@@ -253,9 +255,6 @@ class Zero(ProxFn):
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         return self._check(gamma, z).copy()
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
 
 class IndicatorZero(ProxFn):
     """Indicator of the origin; prox maps everything to 0."""
@@ -271,9 +270,6 @@ class IndicatorZero(ProxFn):
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         return np.zeros(self._check(gamma, z).shape)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
 
 
 class IndicatorAffine(ProxFn):
@@ -309,10 +305,6 @@ class IndicatorAffine(ProxFn):
         z = self._check(gamma, z)
         return z - self._pinv @ (self.L @ z - self.b)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "L": matrix_to_json(self.L),
-                "b": self.b.tolist()}
-
 
 class Box(ProxFn):
     """Indicator of the box [lo, hi]; prox clips coordinatewise."""
@@ -336,10 +328,6 @@ class Box(ProxFn):
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(self._check(gamma, z), self.lo), self.hi)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo.tolist(),
-                "hi": self.hi.tolist()}
-
 
 class WeightedL1(ProxFn):
     """f(x) = sum_i w_i |x_i| with nonnegative weights; prox soft-thresholds."""
@@ -360,9 +348,6 @@ class WeightedL1(ProxFn):
         z = self._check(gamma, z)
         thresh = _per_gamma(self, gamma, lambda g: g * self.w)
         return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "w": self.w.tolist()}
 
 
 class PwlPenalty(ProxFn):
@@ -418,13 +403,6 @@ class PwlPenalty(ProxFn):
         np.copyto(out, self.hi, where=z > self.hi)
         np.copyto(out, z - t, where=z > above)
         return out
-
-    def to_json(self) -> dict:
-        # tolist() gives back a plain float for the scalar form
-        lo, hi, slope = (np.asarray(v).tolist()
-                         for v in (self.lo, self.hi, self.slope))
-        return {"kind": self.kind, "lo": lo, "hi": hi, "slope": slope,
-                "dim": self.dim}
 
 
 class Separable(ProxFn):
@@ -573,34 +551,33 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
         f"no diagonal scaling rule for catalog kind {f.kind!r}")
 
 
+#: the JSON wire format of every kind but "separable": its class and the
+#: attributes that ``ProxFn.to_json`` writes after "kind", in the order
+#: the constructor takes them; ``Q`` and ``L`` are matrices
+_WIRE = {cls.kind: (cls, fields) for cls, fields in (
+    (Quadratic, ("Q", "q")),
+    (QuadraticAffine, ("Q", "q", "L", "b")),
+    (Zero, ("dim",)),
+    (IndicatorZero, ("dim",)),
+    (IndicatorAffine, ("L", "b")),
+    (Box, ("lo", "hi")),
+    (WeightedL1, ("w",)),
+    (PwlPenalty, ("lo", "hi", "slope", "dim")),
+)}
+
+
 def proxfn_from_json(obj: dict) -> ProxFn:
     """Rebuild a catalog member from its tagged-union JSON encoding."""
     kind = _json_object(obj, "a ProxFn").get("kind")
     dim = obj.get("dim")
     dim = None if dim is None else _json_index(dim, "dim")
-    if kind == "quadratic":
-        return Quadratic(matrix_from_json(obj["Q"]),
-                         _json_vector(obj["q"], "q"))
-    if kind == "quadratic_affine":
-        return QuadraticAffine(matrix_from_json(obj["Q"]),
-                               _json_vector(obj["q"], "q"),
-                               matrix_from_json(obj["L"]),
-                               _json_vector(obj["b"], "b"))
-    if kind == "zero":
-        return Zero(dim)
-    if kind == "indicator_zero":
-        return IndicatorZero(dim)
-    if kind == "indicator_affine":
-        return IndicatorAffine(matrix_from_json(obj["L"]),
-                               _json_vector(obj["b"], "b"))
-    if kind == "box":
-        return Box(_json_vector(obj["lo"], "lo"),
-                   _json_vector(obj["hi"], "hi"))
-    if kind == "weighted_l1":
-        return WeightedL1(_json_vector(obj["w"], "w"))
-    if kind == "pwl_penalty":
-        return PwlPenalty(*(_json_scalar_or_vector(obj[k], k)
-                            for k in ("lo", "hi", "slope")), dim)
+    if isinstance(kind, str) and kind in _WIRE:  # a list kind is unhashable
+        cls, fields = _WIRE[kind]
+        vector = (_json_scalar_or_vector if cls is PwlPenalty
+                  else _json_vector)
+        return cls(*(dim if k == "dim" else matrix_from_json(obj[k])
+                     if k in ("Q", "L") else vector(obj[k], k)
+                     for k in fields))
     if kind == "separable":
         if not isinstance(obj["members"], list):
             raise ValueError("members must be a list")

@@ -72,6 +72,9 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
         raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if setting != "dual" and (theta is not None or zeta is not None):
+        raise ValueError(f"theta and zeta belong to the dual setting, got "
+                         f"theta={theta}, zeta={zeta} with {setting!r}")
     f = Quadratic(np.diag([reg.beta, reg.sigma]))
     if setting == "primal":
         g = _nonsmooth(variant)

@@ -7,9 +7,10 @@
 # The rule that CLI outputs and v1 CSVs keep their bits is checked by running
 # this script in two trees (say a base commit and a change) and comparing the
 # two directories with `diff -r`.  The script only reads the tree it runs in,
-# so it can come from either tree.  The two problem-file reports print
+# so it can come from either tree.  The three problem-file reports print
 # eigenvalues at full precision, on the exact 2x2 path (the dual extremal
-# instance) and on the KKT-block heuristic path (the desk MPC problem).
+# instance), on the KKT-block heuristic path (the desk MPC problem) and on
+# the lasso path with a weighted l1 term (a small lasso problem).
 # Iteration counts depend on the BLAS reduction order, so every BLAS and
 # OpenMP runtime gets one thread, as in CI and perfbench/run.py.
 set -euo pipefail
@@ -53,6 +54,8 @@ python -c 'import json, sys; from proxsplit.rates import Regularity; from proxsp
 python -m proxsplit metric-report --problem "$out/extremal-problem.json" --out "$out/metric-report-extremal.json"
 python -c 'import json, sys, numpy as np; from proxsplit import bench; json.dump(bench.gen_mpc(bench.MpcSpec(), np.zeros(4), np.array([0.0, 0.0, 0.0, 10.0])).to_json(), open(sys.argv[1], "w"))' "$out/mpc-problem.json"
 python -m proxsplit metric-report --problem "$out/mpc-problem.json" --out "$out/metric-report-mpc.json"
+python -c 'import json, sys; from proxsplit import bench; json.dump(bench.gen_lasso(bench.LassoSpec(n=8, m=12, nnz_per_row=3)).to_json(), open(sys.argv[1], "w"))' "$out/lasso-problem.json"
+python -m proxsplit metric-report --problem "$out/lasso-problem.json" --out "$out/metric-report-lasso.json"
 for demo in demos/*.py; do
   python "$demo" > "$out/$(basename "$demo" .py).txt"
 done

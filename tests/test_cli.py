@@ -1,14 +1,22 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxsplit import bench, worstcase
 from proxsplit.admm import EqConstrainedProblem
 from proxsplit.cli import EXIT_CAPABILITY, EXIT_OK, EXIT_USAGE, cli_main
-from proxsplit.prox import Quadratic, WeightedL1, Zero
+from proxsplit.prox import (IndicatorAffine, IndicatorZero, PwlPenalty,
+                            Quadratic, Separable, WeightedL1, Zero)
+from proxsplit.rates import Regularity
 from proxsplit.splitting import CSV_SCHEMA_TAG
 
 
@@ -179,6 +187,7 @@ _MALFORMED_A = {
     "index_fraction": {**_EYE2, "triplets": [[0.5, 0, 1.0], [1, 1, 1.0]]},
     "rows_fraction": {**_EYE2, "rows": 2.7},
     "cols_negative": {**_EYE2, "cols": -1},
+    "value_true": {**_EYE2, "triplets": [[0, 0, True], [1, 1, 1.0]]},
     "matrix_not_object": 5,
 }
 
@@ -198,6 +207,16 @@ _USAGE_MESSAGES = {
     "metric-report --problem {zero_by_zero}": "expected a nonempty matrix",
     "rates-table --kappa-grid abc": "invalid --kappa-grid",
     "rates-table --kappa-grid 0.5": "--kappa-grid needs finite values >= 1",
+    "metric-report --problem {value_true}":
+        "matrix entries must be numbers, not booleans",
+    "metric-report --problem {w_true}":
+        "w must be a list of finite numbers, not booleans",
+    "metric-report --problem {dim_true}":
+        "dim must be a non-negative integer, got True",
+    "metric-report --problem {slope_true}":
+        "slope must be a finite number or a list of them, not a boolean",
+    "metric-report --problem {kind_list}": "unknown ProxFn kind ['x']",
+    "metric-report --problem {kind_object}": "unknown ProxFn kind {'a': 1}",
 }
 
 
@@ -243,6 +262,12 @@ _USAGE_MESSAGES = {
     ["metric-report", "--problem", "{members_not_list}"],
     ["metric-report", "--problem", "{pwl_dim_list}"],
     ["metric-report", "--problem", "{zero_by_zero}"],
+    ["metric-report", "--problem", "{value_true}"],
+    ["metric-report", "--problem", "{w_true}"],
+    ["metric-report", "--problem", "{dim_true}"],
+    ["metric-report", "--problem", "{slope_true}"],
+    ["metric-report", "--problem", "{kind_list}"],
+    ["metric-report", "--problem", "{kind_object}"],
     ["mpc", "--tol", "-1"],
     ["lasso", "--alpha", "nan"],
     ["mpc", "--alpha", "nan"],
@@ -301,6 +326,12 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
         zero_by_zero={"f": {"kind": "quadratic", "Q": empty, "q": []},
                       "g": {"kind": "weighted_l1", "w": []},
                       "A": empty, "B": empty, "c": []},
+        w_true={**problem, "g": {"kind": "weighted_l1", "w": [True, 0.5]}},
+        dim_true={**problem, "g": {"kind": "zero", "dim": True}},
+        slope_true={**problem, "g": {"kind": "pwl_penalty", "lo": -1.0,
+                                     "hi": 1.0, "slope": True, "dim": 2}},
+        kind_list={**problem, "g": {"kind": ["x"]}},
+        kind_object={**problem, "g": {"kind": {"a": 1}}},
     )
     for name, payload in bad.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -314,3 +345,66 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
     assert not out.exists()
     if message is not None:
         assert err == f"error: {message}\n"
+
+
+def _json_paths(node, path=()):
+    """The path of every member and element of a JSON tree, root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+#: small valid problem files: a lasso, a desk MPC problem of horizon 1, the
+#: dual extremal instance and a quadratic with every other kind in its g
+_SMALL_PROBLEMS = [
+    bench.gen_lasso(bench.LassoSpec(n=4, m=6, nnz_per_row=2)).to_json(),
+    bench.gen_mpc(bench.MpcSpec(horizon=1), np.zeros(4),
+                  np.zeros(4)).to_json(),
+    worstcase.build(Regularity(1.0, 4.0), "g1", "dual", theta=0.5,
+                    zeta=3.0).problem.to_json(),
+    EqConstrainedProblem(
+        f=Quadratic(np.eye(6)), g=Separable([
+            (0, 1, Zero(1)), (1, 2, IndicatorZero(1)),
+            (2, 4, IndicatorAffine(np.array([[1.0, -2.0]]), [0.5])),
+            (4, 6, PwlPenalty([-1.0, 0.0], [1.0, 2.0], [1.0, 0.5]))]),
+        A=np.eye(6), B=-np.eye(6), c=np.zeros(6)).to_json(),
+]
+_MISSING = object()
+#: a nested list stands for a matrix where a vector belongs, and a list
+#: in a matrix's size; no replacement is a size above 8
+_BAD_VALUES = st.sampled_from([
+    None, True, False, "x", [[1.0]], [1.0, [2.0]], {"a": 1},
+    float("nan"), -1, -8, 0.5, 2.5, 7.5, _MISSING])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_problem_file_with_one_bad_field_is_refused_in_one_line(data):
+    problem = data.draw(st.sampled_from(_SMALL_PROBLEMS))
+    problem = json.loads(json.dumps(problem))
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(problem))))
+    node = problem
+    for k in parents:
+        node = node[k]
+    value = data.draw(_BAD_VALUES)
+    if value is _MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "problem.json"), Path(tmp, "out.json")
+        path.write_text(json.dumps(problem))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["metric-report", "--problem", str(path),
+                             "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPABILITY)
+        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code == EXIT_OK)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from proxsplit import linmetric
 from proxsplit.bench import LassoSpec, MpcSpec, gen_lasso, gen_mpc
-from proxsplit.prox import Quadratic
+from proxsplit.prox import (IndicatorAffine, IndicatorZero, PwlPenalty,
+                            Quadratic, Separable, Zero)
 from proxsplit.errors import (
     DimensionMismatchError,
     EigenConvergenceError,
@@ -352,7 +353,13 @@ class TestMatrix:
          "c9b16b77c25916016d26fbfe9caafecdf2cbabf59e38f50f51bb4f91f2d85042"),
         (lambda: gen_mpc(MpcSpec(), np.zeros(4), np.array([0, 0, 0, 10.0])),
          "2060fecae5cf36fab61ad8867e08527aff619bcefd2b77ecdc0516cb2598e703"),
-    ], ids=["desk_lasso", "mpc"])
+        (lambda: Separable([
+            (0, 2, Zero(2)), (2, 3, IndicatorZero(1)),
+            (3, 5, IndicatorAffine(np.array([[1.0, -2.0]]), [0.5])),
+            (5, 8, PwlPenalty([-1.0, -0.5, 0.0], [1.0, 0.25, 2.0],
+                              [1.0, 3.0, 0.5]))]),
+         "3dc1d64565792b5cf14f41c92b6be532fa9d5890de6f7771fe25456fa9dfff21"),
+    ], ids=["desk_lasso", "mpc", "other_kinds"])
     def test_wire_format_pinned(self, make, digest):
         text = json.dumps(make().to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -747,6 +747,32 @@ class TestJsonRoundtrip:
         wrapped = ConjugateOf(f)
         z = rng.normal(size=2) * 3
         assert np.allclose(wrapped.prox(0.7, z), f.conjugate_prox(0.7, z))
+        with pytest.raises(NotImplementedError):
+            wrapped.to_json()
+
+    @pytest.mark.parametrize("obj, message", [
+        # dim is read first, for a kind that ignores it too
+        ({"kind": "quadratic", "dim": -1}, "dim must be a non-negative "
+         "integer, got -1"),
+        ({"kind": "weighted_l1", "dim": 0.5, "w": None}, "dim must be a "
+         "non-negative integer, got 0.5"),
+        # then the fields in constructor order
+        ({"kind": "box", "lo": None, "hi": None}, "lo must be a list of "
+         "finite numbers"),
+        ({"kind": "quadratic_affine", "Q": 5, "q": None, "L": 5, "b": None},
+         "a matrix must be a JSON object"),
+        ({"kind": "quadratic_affine", "Q": {"rows": 1, "cols": 1,
+                                            "triplets": []},
+          "q": [0.0], "L": 5, "b": None}, "a matrix must be a JSON object"),
+        ({"kind": "pwl_penalty", "lo": 0.0, "hi": "1", "slope": None},
+         "hi must be a finite number or a list of them"),
+        ({"kind": "quadratic"}, "'Q'"),
+        ({"kind": "conjugate"}, "unknown ProxFn kind 'conjugate'"),
+    ])
+    def test_first_error_in_field_order(self, obj, message):
+        with pytest.raises((ValueError, KeyError)) as info:
+            proxfn_from_json(obj)
+        assert str(info.value) == message
 
 
 class TestNonFiniteParameters:

@@ -66,6 +66,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(REG, "g1", "dual", theta=3.0, zeta=1.0)
 
+    @pytest.mark.parametrize("theta, zeta", [(1.0, 3.0), (1.0, None),
+                                             (None, 3.0)])
+    def test_primal_refuses_dual_gains(self, theta, zeta):
+        with pytest.raises(ValueError) as info:
+            build(REG, "g1", "primal", theta=theta, zeta=zeta)
+        assert str(info.value) == (
+            "theta and zeta belong to the dual setting, got "
+            f"theta={theta}, zeta={zeta} with 'primal'")
+
 
 class TestExactRate:
     def test_matches_bound_below_kink(self):
