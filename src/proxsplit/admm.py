@@ -27,6 +27,7 @@ from .linmetric import (
     DiagonalMetric,
     MetricSpectra,
     _as_dense,
+    _count,
     _json_object,
     _json_vector,
     _normal_step,
@@ -39,9 +40,7 @@ from .prox import (
     ProxFn,
     Quadratic,
     QuadraticAffine,
-    _cho_solver,
-    _lu_solver,
-    _named_factor,
+    _smooth_solver,
     diag_scale,
     dual_quadratic,
     proxfn_from_json,
@@ -139,22 +138,13 @@ class _XUpdate:
         self.prox_step = 1.0 / gamma
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         self.times_at = self.at.__matmul__ if sig is None else sig.__mul__
-        if isinstance(f, Quadratic):
-            self.mode = "quadratic"
-            self._solve = _named_factor(_cho_solver, f.Q + _gram(
-                a, sig, gamma), "Q + gamma*A^T A", gamma, ValueError)
+        if isinstance(f, (Quadratic, QuadraticAffine)):
+            self._solve = _smooth_solver(f, f.Q + _gram(a, sig, gamma),
+                                         "Q + gamma*A^T A", gamma, ValueError)
             self.q = f.q
-        elif isinstance(f, QuadraticAffine):
-            self.mode = "quadratic_affine"
-            p = f.L.shape[0]
-            self._solve = _named_factor(_lu_solver, np.block([
-                [f.Q + _gram(a, sig, gamma), f.L.T], [f.L, np.zeros((p, p))]]),
-                "[[Q + gamma*A^T A, L^T], [L, 0]]", gamma, ValueError)
-            self.q, self.b, self.n = f.q, f.b, f.dim
         elif sig is not None:
             # A = diag(s): substitute t = A x and prox the rescaled f.
-            self.mode = "prox"
-            self.scaled_f = diag_scale(f, sig)
+            self._solve, self.scaled_f = None, diag_scale(f, sig)
         else:
             raise CapabilityError(
                 "x-update has no closed form: f must be quadratic (optionally "
@@ -162,11 +152,8 @@ class _XUpdate:
                 f"diagonal for catalog proxes (got f kind {f.kind!r})")
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if self.mode == "quadratic":
+        if self._solve is not None:
             return self._solve(self.gamma * self.times_at(v) - self.q)
-        if self.mode == "quadratic_affine":
-            return self._solve(np.concatenate([
-                self.gamma * self.times_at(v) - self.q, self.b]))[:self.n]
         return self.scaled_f.prox(self.prox_step, v) / self.at
 
 
@@ -317,6 +304,7 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
     convex quadratic f; d2(mu) = g^*(-B^T mu) is g^* for B = -I, the only
     B implemented.
     """
+    _count(iters, "iters", 0)
     z0 = np.asarray(z0, dtype=float)
     b = problem.B
     if b.shape[0] != b.shape[1] or not np.array_equal(b, -np.eye(b.shape[0])):

@@ -45,8 +45,10 @@ def _positive(value: float, what: str) -> None:
 
 
 def _count(value, what: str, least: int) -> None:
-    """Raise ValueError unless value is an int or numpy integer >= least."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Raise ValueError unless value is an int or numpy integer >= least;
+    a bool is neither, though True == 1."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
         raise ValueError(f"{what} must be an integer >= {least}, "
                          f"got {value!r}")
 
@@ -118,15 +120,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Dense matrix from the :func:`matrix_to_json` format.
 
     Duplicate triplets are summed.  Raises ValueError on malformed input:
-    a non-object, non-integral or out-of-range indices or sizes, or
-    non-finite entries.
+    a non-object, non-integral or out-of-range indices or sizes, sizes too
+    large to allocate, or non-finite entries.
     """
     rows = _json_index(_json_object(obj, "a matrix")["rows"], "rows")
     cols = _json_index(obj["cols"], "cols")
     triplets = obj["triplets"]
     if not isinstance(triplets, list):
         raise ValueError("triplets must be a list")
-    out = np.zeros((rows, cols))
+    try:
+        out = np.zeros((rows, cols))
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ValueError(f"a matrix of rows={rows}, cols={cols} is too large "
+                         f"to allocate") from exc
     for t in triplets:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise ValueError("each triplet must be [i, j, value]")
@@ -263,7 +269,8 @@ def kkt_p11(q, l) -> np.ndarray:
 
     ``q`` is n x n psd and ``l`` is p x n; p = 0 reduces to inv(Q).  Raises
     SingularKktError naming the rank defect when the block matrix is
-    singular (Q not positive definite on ker(L), or L row-rank deficient).
+    singular (Q not positive definite on ker(L), or L row-rank deficient),
+    and ValueError on NaN/inf in ``l``, before the rank is computed.
     """
     q = _check_symmetric(_as_dense(q))
     l = _as_dense(l)
@@ -272,7 +279,7 @@ def kkt_p11(q, l) -> np.ndarray:
         l = l.reshape(0, n)
     if l.ndim != 2 or l.shape[1] != n:
         raise DimensionMismatchError("L must have as many columns as Q")
-    p = l.shape[0]
+    p = _finite(l).shape[0]
     kkt = np.block([[q, l.T], [l, np.zeros((p, p))]])
     rank = np.linalg.matrix_rank(kkt)
     if rank < n + p:

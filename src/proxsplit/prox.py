@@ -35,53 +35,49 @@ from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
 from .rates import dual_curvature
 
 
-def _cho_solver(a: np.ndarray) -> Callable:
-    """x = solve(rhs) for a x = rhs through scipy's Cholesky factor of a.
+def _smooth_solver(f, top: np.ndarray, name: str, gamma: float,
+                   error: type) -> Callable:
+    """x = solve(rhs) for the system of f's smooth term whose matrix is
+    ``top``: gamma*Q + I for the prox, Q + gamma*A^T A for ADMM's x-update.
 
-    ``solve`` checks rhs for NaN/inf and calls the LAPACK ``potrs`` that
-    ``scipy.linalg.cho_solve(cho_factor(a), rhs)`` calls, bound here once,
-    so it returns the same bits without the wrapper's per-call cost.
+    A ``Quadratic`` f factors ``top`` by Cholesky; a ``QuadraticAffine`` f
+    factors the saddle [[top, L^T], [L, 0]] by LU, and each solve appends
+    f.b (read then: the closed loop rewrites it) and returns x[:n].  Solves
+    check rhs for NaN/inf and call the LAPACK ``potrs``/``getrs`` of
+    scipy's ``cho_solve``/``lu_solve``, bound once: their bits, without the
+    wrappers' per-call cost.  A factorization that fails on a non-finite
+    matrix raises ``error`` naming the matrix and gamma.
     """
-    c, lower = scipy.linalg.cho_factor(a)
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+    n, cholesky = top.shape[0], isinstance(f, Quadratic)
+    if not cholesky:
+        p = f.L.shape[0]
+        top = np.block([[top, f.L.T], [f.L, np.zeros((p, p))]])
+        name = f"[[{name}, L^T], [L, 0]]"
+    try:
+        fac, aux = (scipy.linalg.cho_factor if cholesky  # (c, lower)
+                    else scipy.linalg.lu_factor)(top)  # (lu, piv)
+    except ValueError as exc:
+        if np.isfinite(top).all():
+            raise
+        raise error(f"{name} is not finite at gamma = {gamma}") from exc
+    if not fac.size:  # LAPACK refuses n = 0, where scipy solves to empty
+        return lambda rhs: np.empty_like(_finite(rhs))
+    lapack, = scipy.linalg.get_lapack_funcs(
+        ("potrs" if cholesky else "getrs",), (fac,))
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = potrs(c, _finite(rhs), lower=lower)
+    def potrs(rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack(fac, _finite(rhs), lower=aux)
         if info:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return x
 
-    return solve
-
-
-def _lu_solver(a: np.ndarray) -> Callable:
-    """x = solve(rhs) for a x = rhs through scipy's LU factor of a.
-
-    As :func:`_cho_solver`, with the ``getrs`` of ``scipy.linalg.lu_solve``.
-    """
-    lu, piv = scipy.linalg.lu_factor(a)
-    if not lu.size:  # LAPACK refuses n = 0, where scipy solves to empty
-        return lambda rhs: np.empty_like(_finite(rhs))
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = getrs(lu, piv, _finite(rhs))
+    def getrs(rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack(fac, aux, _finite(np.concatenate([rhs, f.b])))
         if info:
             raise ValueError(f"illegal value in argument {-info} of getrs")
-        return x
+        return x[:n]
 
-    return solve
-
-
-def _named_factor(solver: Callable, a: np.ndarray, name: str, gamma: float,
-                  error: type) -> Callable:
-    """solver(a); if that fails on a non-finite a, ``error`` names a, gamma."""
-    try:
-        return solver(a)
-    except ValueError as exc:
-        if np.isfinite(a).all():
-            raise
-        raise error(f"{name} is not finite at gamma = {gamma}") from exc
+    return potrs if cholesky else getrs
 
 
 def _per_gamma(fn, gamma: float, build: Callable):
@@ -182,8 +178,8 @@ class Quadratic(ProxFn):
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def _factor(self, gamma: float) -> Callable:
-        return _named_factor(_cho_solver, gamma * self.Q + np.eye(self.dim),
-                             "gamma*Q + I", gamma, ValueError)
+        return _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+                              "gamma*Q + I", gamma, ValueError)
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
@@ -209,7 +205,8 @@ class QuadraticAffine(ProxFn):
         if lm.size == 0:
             lm = lm.reshape(0, n)
         bv = np.asarray(b_vector, dtype=float).ravel()
-        if qv.shape != (n,) or lm.shape[1] != n or bv.shape != lm.shape[:1]:
+        if (qv.shape != (n,) or lm.ndim != 2 or lm.shape[1] != n
+                or bv.shape != lm.shape[:1]):
             raise DimensionMismatchError("q, L, b shapes inconsistent with Q")
         self.Q, self.q, self.L, self.b, self.dim = qm, qv, lm, bv, n
         self._cache, self._lock = {}, threading.Lock()
@@ -223,17 +220,13 @@ class QuadraticAffine(ProxFn):
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def _factor(self, gamma: float) -> Callable:
-        p = self.L.shape[0]
-        return _named_factor(_lu_solver, np.block([
-            [gamma * self.Q + np.eye(self.dim), self.L.T],
-            [self.L, np.zeros((p, p))]]), "[[gamma*Q + I, L^T], [L, 0]]",
-            gamma, SingularKktError)
+        return _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+                              "gamma*Q + I", gamma, SingularKktError)
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
         p = self.L.shape[0]
-        rhs = np.concatenate([z - gamma * self.q, self.b])
-        x = _per_gamma(self, gamma, self._factor)(rhs)[:self.dim]
+        x = _per_gamma(self, gamma, self._factor)(z - gamma * self.q)
         if p and np.count_nonzero(np.isfinite(x)) != x.size:
             raise SingularKktError("prox system solved to non-finite values",
                                    size=self.dim + p)
@@ -276,7 +269,7 @@ class IndicatorAffine(ProxFn):
     """Indicator of {x : L x = b}; prox is Euclidean projection onto it.
 
     Raises InfeasibleConstraintError at construction when the set is empty
-    (b outside the range of L).
+    (b outside the range of L), and ValueError on NaN/inf in L or b.
     """
 
     kind = "indicator_affine"
@@ -286,7 +279,7 @@ class IndicatorAffine(ProxFn):
         bv = np.asarray(b_vector, dtype=float).ravel()
         if lm.ndim != 2 or bv.shape[0] != lm.shape[0]:
             raise DimensionMismatchError("L and b shapes are inconsistent")
-        self.L, self.b, self.dim = lm, bv, lm.shape[1]
+        self.L, self.b, self.dim = _finite(lm), _finite(bv), lm.shape[1]
         self._pinv = np.linalg.pinv(lm)
         if np.linalg.norm(lm @ (self._pinv @ bv) - bv) > 1e-8 * max(
                 1.0, float(np.linalg.norm(bv))):

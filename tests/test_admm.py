@@ -167,12 +167,13 @@ def dense_step(engine, y, u):
     xu, yu = engine.x_update, engine.y_update
     by = prob.B @ y
     v = prob.c - by - u
-    if xu.mode == "quadratic":
+    if isinstance(prob.f, Quadratic):
         x = scipy.linalg.cho_solve(x_update_factor(prob, gamma),
-                                   gamma * (prob.A.T @ v) - xu.q)
-    elif xu.mode == "quadratic_affine":
-        rhs = np.concatenate([gamma * (prob.A.T @ v) - xu.q, xu.b])
-        x = scipy.linalg.lu_solve(x_update_factor(prob, gamma), rhs)[:xu.n]
+                                   gamma * (prob.A.T @ v) - prob.f.q)
+    elif isinstance(prob.f, QuadraticAffine):
+        rhs = np.concatenate([gamma * (prob.A.T @ v) - prob.f.q, prob.f.b])
+        x = scipy.linalg.lu_solve(x_update_factor(prob, gamma),
+                                  rhs)[:prob.n]
     else:
         x = xu.scaled_f.prox(1.0 / gamma, v) / _diagonal_signature(prob.A)
     xa = 2.0 * alpha * (prob.A @ x) - (1.0 - 2.0 * alpha) * (by - prob.c)
@@ -375,7 +376,7 @@ class TestDirectSolve:
     def test_x_update_matches_scipy_solve(self, make, mode):
         problem, gamma = make()
         xu = AdmmEngine(problem, gamma, alpha=1.0).x_update
-        assert xu.mode == mode
+        assert problem.f.kind == mode and xu._solve is not None
         fac = x_update_factor(problem, gamma)
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -385,7 +386,7 @@ class TestDirectSolve:
                 expect = scipy.linalg.cho_solve(fac, rhs)
             else:
                 expect = scipy.linalg.lu_solve(
-                    fac, np.concatenate([rhs, xu.b]))[:xu.n]
+                    fac, np.concatenate([rhs, problem.f.b]))[:problem.n]
             assert np.array_equal(xu.solve(v), expect)
             v[1] = np.nan
             with pytest.raises(ValueError,
@@ -474,13 +475,14 @@ def _x_update_problem(kind, a):
 
 
 def _recorded_factor_matrices(monkeypatch):
-    """Every matrix the engine hands to a factorization, in call order."""
+    """Every matrix factored from here on, in call order: the engine's
+    Cholesky matrix or full saddle matrix, as scipy receives it."""
     seen = []
-    for name in ("_cho_solver", "_lu_solver"):
-        def record(m, real=getattr(admm, name)):
+    for name in ("cho_factor", "lu_factor"):
+        def record(m, *args, real=getattr(scipy.linalg, name), **kwargs):
             seen.append(m.copy())
-            return real(m)
-        monkeypatch.setattr(admm, name, record)
+            return real(m, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, record)
     return seen
 
 
@@ -499,7 +501,8 @@ class TestDiagonalNormalMatrix:
         gamma = 0.7
         seen = _recorded_factor_matrices(monkeypatch)
         xu = AdmmEngine(problem, gamma, alpha=1.0).x_update
-        assert xu.mode == kind and xu.at.ndim == 1
+        assert problem.f.kind == kind and xu._solve is not None
+        assert xu.at.ndim == 1
         dense = x_update_matrix(problem, gamma)
         assert len(seen) == 1 and seen[0].tobytes() == dense.tobytes()
         f, a = problem.f, problem.A
@@ -644,7 +647,7 @@ class TestAdmmSolve:
         for bad in (0, -3):
             with pytest.raises(ValueError):
                 admm_solve(problem, gamma=1.0, alpha=0.5, max_iters=bad)
-        for bad in (2.5, float("nan")):  # refused by name, not by range()
+        for bad in (2.5, float("nan"), True):  # by name, not by range()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as err:
@@ -732,6 +735,13 @@ class TestDualEquivalence:
             dev = verify_dual_equivalence(problem, gamma=2.0, alpha=alpha,
                                           iters=40, z0=z0)
             assert dev <= 1e-9
+
+    @pytest.mark.parametrize("bad", [2.5, -3, True])
+    def test_iters_is_a_count(self, rng, bad):
+        problem = random_qp(rng)
+        with pytest.raises(ValueError) as err:
+            verify_dual_equivalence(problem, 1.0, 1.0, bad, np.ones(5))
+        assert str(err.value) == f"iters must be an integer >= 0, got {bad!r}"
 
     def test_requires_strongly_convex_quadratic(self, rng):
         problem = EqConstrainedProblem(

@@ -188,6 +188,8 @@ _MALFORMED_A = {
     "rows_fraction": {**_EYE2, "rows": 2.7},
     "cols_negative": {**_EYE2, "cols": -1},
     "value_true": {**_EYE2, "triplets": [[0, 0, True], [1, 1, 1.0]]},
+    # too big for numpy to even try: nothing is allocated
+    "size_too_big": {"rows": 10 ** 11, "cols": 10 ** 11, "triplets": []},
     "matrix_not_object": 5,
 }
 
@@ -216,6 +218,8 @@ _USAGE_MESSAGES = {
     "metric-report --problem {slope_true}":
         "slope must be a finite number or a list of them, not a boolean",
     "metric-report --problem {kind_list}": "unknown ProxFn kind ['x']",
+    "metric-report --problem {size_too_big}": "a matrix of rows=100000000000, "
+        "cols=100000000000 is too large to allocate",
     "metric-report --problem {kind_object}": "unknown ProxFn kind {'a': 1}",
 }
 
@@ -268,6 +272,7 @@ _USAGE_MESSAGES = {
     ["metric-report", "--problem", "{slope_true}"],
     ["metric-report", "--problem", "{kind_list}"],
     ["metric-report", "--problem", "{kind_object}"],
+    ["metric-report", "--problem", "{size_too_big}"],
     ["mpc", "--tol", "-1"],
     ["lasso", "--alpha", "nan"],
     ["mpc", "--alpha", "nan"],

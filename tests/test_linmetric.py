@@ -283,6 +283,16 @@ class TestKktP11:
             assert np.allclose(q @ p11 + l.T @ p21, np.eye(n), atol=1e-8)
             assert np.allclose(l @ p11, np.zeros((p, n)), atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_l_is_refused_before_the_rank(self, capfd, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                kkt_p11(np.eye(2), [[bad, 1.0]])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "array must not contain infs or NaNs"
+        assert capfd.readouterr() == ("", "")  # no LAPACK complaint
+
     def test_singular_kkt_reports_rank(self):
         # duplicated constraint row makes L rank deficient
         l = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -347,6 +357,18 @@ class TestMatrix:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2,
                               "triplets": [[0, 0, float("nan")]]})
+
+    def test_unallocatable_size_is_refused_by_name(self, monkeypatch):
+        # numpy's MemoryError, simulated: no test allocates a large array
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate array with shape {shape}")
+
+        monkeypatch.setattr(linmetric.np, "zeros", refuse)
+        with pytest.raises(ValueError) as err:
+            matrix_from_json({"rows": 10 ** 11, "cols": 2, "triplets": []})
+        assert type(err.value) is ValueError
+        assert str(err.value) == ("a matrix of rows=100000000000, cols=2 is "
+                                  "too large to allocate")
 
     @pytest.mark.parametrize("make, digest", [
         (lambda: gen_lasso(LassoSpec(50, 75, 10, 0)),

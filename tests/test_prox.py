@@ -389,6 +389,11 @@ class TestAffineKinds:
             assert np.allclose(x, expect, atol=1e-9)
 
 
+def smooth_solver(f, top):
+    """The bound solve of f's system with matrix ``top``."""
+    return prox._smooth_solver(f, top, "top", 1.0, ValueError)
+
+
 class TestDirectSolve:
     """The cached LAPACK solves return scipy's cho_solve/lu_solve bits."""
 
@@ -433,8 +438,9 @@ class TestDirectSolve:
     @pytest.mark.parametrize("n", [1, 2, 200])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_anywhere_in_rhs_raises(self, n, bad):
-        solves = [prox._cho_solver(np.eye(n)),
-                  prox._lu_solver(np.eye(n))]
+        solves = [smooth_solver(f, np.eye(n)) for f in (
+            Quadratic(np.eye(n)), QuadraticAffine(np.eye(n), None, [], []),
+            QuadraticAffine(np.eye(n), None, np.eye(n)[:1], [1.0]))]
         for i in range(n):
             rhs = np.ones(n)
             rhs[i] = bad
@@ -451,10 +457,13 @@ class TestDirectSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert prox._finite(rhs) is rhs
-            assert np.array_equal(prox._lu_solver(np.eye(n))(rhs), rhs)
+            assert np.array_equal(smooth_solver(QuadraticAffine(
+                np.eye(n), None, [], []), np.eye(n))(rhs), rhs)
             if n:
-                assert np.array_equal(prox._cho_solver(np.eye(n))(rhs),
-                                      rhs)
+                assert np.array_equal(smooth_solver(
+                    Quadratic(np.eye(n)), np.eye(n))(rhs), rhs)
+                row = QuadraticAffine(np.eye(n), None, np.eye(n)[:1], rhs[:1])
+                assert np.array_equal(smooth_solver(row, np.eye(n))(rhs), rhs)
 
     @pytest.mark.parametrize("z", [[3.0, -0.0, np.nan], [-0.0], [], [1, 2]])
     def test_indicator_zero_prox_is_a_fresh_positive_zero(self, z):
@@ -797,6 +806,26 @@ class TestNonFiniteParameters:
             warnings.simplefilter("error")  # refused, not warned about
             with pytest.raises(ValueError):
                 make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: IndicatorAffine(np.array([[np.nan]]), [1.0]),
+        lambda: IndicatorAffine([[np.inf, 1.0]], [1.0]),
+        lambda: IndicatorAffine([[-np.inf, 1.0]], [1.0]),
+        lambda: IndicatorAffine(np.eye(1), [np.nan]),
+        lambda: IndicatorAffine(np.eye(1), [np.inf]),
+    ], ids=["l_nan", "l_inf", "l_minus_inf", "b_nan", "b_inf"])
+    def test_affine_set_data_is_refused_by_name(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before pinv warns
+            with pytest.raises(ValueError) as err:
+                make()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "array must not contain infs or NaNs"
+
+    def test_one_dimensional_l_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^q, L, b shapes inconsistent with Q$"):
+            QuadraticAffine(np.eye(2), None, np.ones(2), [1.0])
 
     def test_infinite_edges_stay_legal(self):
         f = PwlPenalty(-np.inf, [np.inf, 1.0], 2.0)

@@ -349,7 +349,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             dr_solve(f, Zero(2), 1.0, 1.0, z0, tol=0.0)
         # a count that is not an integer is refused by name, not by range()
-        for bad in (2.5, float("nan")):
+        for bad in (2.5, float("nan"), True):
             for solve in (
                     lambda: dr_solve(WeightedL1(np.ones(2)), Zero(2), 1.0,
                                      1.0, np.ones(2), max_iters=bad),
