@@ -158,7 +158,9 @@ class _XUpdate:
 
 
 class _YUpdate:
-    """Closed-form solver for argmin_y g(y) + (gamma/2)||B y - v||^2."""
+    """Closed-form solver for argmin_y g(y) + (gamma/2)||B y - v||^2: the
+    prox of g scaled by B's diagonal, divided by it (for the MPC g, bands
+    and a box, that prox is one band select over every coordinate)."""
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         if sig is None:

@@ -9,7 +9,8 @@ coordinate), and separable compositions.
 
 All instances are immutable and safe to share between threads.  A prox's
 step-size constants are cached per gamma (a quadratic's factorization and
-bound LAPACK solve, WeightedL1's thresholds, PwlPenalty's shift and edges),
+bound LAPACK solve, WeightedL1's thresholds, the band select's constants
+of a PwlPenalty or of a Separable of bands and boxes),
 read without a lock, which is taken only to build a missing entry.  Nothing
 derived from ``q`` or ``b`` is cached: they may be rewritten in place.
 """
@@ -192,7 +193,8 @@ class QuadraticAffine(ProxFn):
     f(x) = 0.5 x^T Q x + q^T x restricted to L x = b.  The prox is the
     equality-constrained least squares solve through the saddle system
     [[gamma*Q + I, L^T], [L, 0]], whose LU factorization and LAPACK solve
-    are cached per gamma.
+    are cached per gamma.  NaN/inf in L or b raise ValueError at
+    construction.
     """
 
     kind = "quadratic_affine"
@@ -208,7 +210,8 @@ class QuadraticAffine(ProxFn):
         if (qv.shape != (n,) or lm.ndim != 2 or lm.shape[1] != n
                 or bv.shape != lm.shape[:1]):
             raise DimensionMismatchError("q, L, b shapes inconsistent with Q")
-        self.Q, self.q, self.L, self.b, self.dim = qm, qv, lm, bv, n
+        self.Q, self.q, self.dim = qm, qv, n
+        self.L, self.b = _finite(lm), _finite(bv)
         self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
@@ -321,6 +324,17 @@ class Box(ProxFn):
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(self._check(gamma, z), self.lo), self.hi)
 
+    def _edges(self, gamma: float) -> tuple:
+        """``_band_select``'s constants for the box as a band of infinite
+        slope, with this prox's bits: the shifted edges are -inf and inf,
+        and z <= lo and z >= hi are tested as z < nextafter(lo, inf) and
+        z > nextafter(hi, -inf), since a point on a bound takes the bound
+        (below lo, the bound is min(lo, hi): hi when lo == hi)."""
+        inf = np.full(self.dim, np.inf)
+        return (inf, -inf, np.nextafter(self.lo, inf),
+                np.minimum(self.lo, self.hi), np.nextafter(self.hi, -inf),
+                self.hi, inf)
+
 
 class WeightedL1(ProxFn):
     """f(x) = sum_i w_i |x_i| with nonnegative weights; prox soft-thresholds."""
@@ -343,6 +357,19 @@ class WeightedL1(ProxFn):
         return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
+def _band_select(z, t, below, lo, lo_to, hi, hi_to, above) -> np.ndarray:
+    """A band's prox: z - t where z > above, else hi_to where z > hi, else
+    z + t where z < below, else lo_to where z < lo, else z.  A select, not
+    a clamp (np.maximum(-0.0, 0.0) is +0.0), written last case first; z +/- t
+    is formed only on the rows that take it."""
+    out = z.copy()
+    np.copyto(out, lo_to, where=z < lo)
+    np.add(z, t, out=out, where=z < below)
+    np.copyto(out, hi_to, where=z > hi)
+    np.subtract(z, t, out=out, where=z > above)
+    return out
+
+
 class PwlPenalty(ProxFn):
     """Penalty sum_i s_i * max(0, x_i - hi_i, lo_i - x_i) (soft band [lo, hi]).
 
@@ -352,7 +379,8 @@ class PwlPenalty(ProxFn):
     the band: with t = gamma*s, points beyond the band by more than t move in
     by t, points within t of the band land on the nearest edge, and points
     inside the band stay put.  :func:`diag_scale` merges adjacent members of
-    a ``Separable`` into one.
+    a ``Separable`` into one; a ``Separable`` of bands and boxes runs this
+    select (``_band_select``) once over all its coordinates.
     """
 
     kind = "pwl_penalty"
@@ -382,27 +410,22 @@ class PwlPenalty(ProxFn):
         return float(np.sum(self.slope * (over + under)))
 
     def _edges(self, gamma: float) -> tuple:
+        """``_band_select``'s constants after z."""
         t = gamma * self.slope
-        return t, self.hi + t, self.lo - t
+        return t, self.lo - t, self.lo, self.lo, self.hi, self.hi, self.hi + t
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        t, above, below = _per_gamma(self, gamma, self._edges)
-        # a select, not a clamp (np.maximum(-0.0, 0.0) is +0.0): the first
-        # true case of the four wins, so they are written last to first
-        out = z.copy()
-        np.copyto(out, self.lo, where=z < self.lo)
-        np.copyto(out, z + t, where=z < below)
-        np.copyto(out, self.hi, where=z > self.hi)
-        np.copyto(out, z - t, where=z > above)
-        return out
+        return _band_select(z, *_per_gamma(self, gamma, self._edges))
 
 
 class Separable(ProxFn):
     """Sum of catalog members acting on disjoint index ranges.
 
     ``members`` is a list of (start, stop, fn) covering [0, dim) without
-    gaps or overlaps; the prox applies each member prox on its slice.
+    gaps or overlaps; the prox applies each member prox on its slice, or,
+    when every member is a ``PwlPenalty`` or a ``Box`` (a band of infinite
+    slope), one ``_band_select`` over all coordinates, with the same bits.
     """
 
     kind = "separable"
@@ -425,13 +448,24 @@ class Separable(ProxFn):
             pos = stop
         self.members = tuple(members)
         self.dim = pos
+        self._bands = all(type(fn) in (PwlPenalty, Box)
+                          for _, _, fn in members)
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
         return float(sum(fn(x[a:b]) for a, b, fn in self.members))
 
+    def _edges(self, gamma: float) -> tuple:
+        """``_band_select``'s constants over all coordinates."""
+        return tuple(map(np.concatenate, zip(*(
+            [np.broadcast_to(v, b - a) for v in fn._edges(gamma)]
+            for a, b, fn in self.members))))
+
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
+        if self._bands:
+            return _band_select(z, *_per_gamma(self, gamma, self._edges))
         out = np.empty_like(z)
         for a, b, fn in self.members:
             out[a:b] = fn.prox(gamma, z[a:b])
@@ -507,6 +541,7 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     variables, which is what makes diagonal constraint scalings solvable in
     prox form.  Adjacent ``PwlPenalty`` members of a ``Separable`` merge
     into one, with the same prox bits; ``f`` and its wire format stay as is.
+    The MPC g, bands and a box, scales to one select (see ``Separable``).
     """
     s = np.asarray(s, dtype=float).ravel()
     if not np.all(np.abs(s) > 0):

@@ -813,7 +813,12 @@ class TestNonFiniteParameters:
         lambda: IndicatorAffine([[-np.inf, 1.0]], [1.0]),
         lambda: IndicatorAffine(np.eye(1), [np.nan]),
         lambda: IndicatorAffine(np.eye(1), [np.inf]),
-    ], ids=["l_nan", "l_inf", "l_minus_inf", "b_nan", "b_inf"])
+        # refused at construction, not blamed on a harmless gamma at the prox
+        lambda: QuadraticAffine(np.eye(2), None, [[np.nan, 1.0]],
+                                [1.0]).prox(1.0, np.ones(2)),
+        lambda: QuadraticAffine(np.eye(2), None, [[1.0, 1.0]], [np.inf]),
+    ], ids=["l_nan", "l_inf", "l_minus_inf", "b_nan", "b_inf",
+            "quadratic_l_nan", "quadratic_b_inf"])
     def test_affine_set_data_is_refused_by_name(self, make):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before pinv warns
@@ -947,6 +952,53 @@ class TestKernelBits:
             assert box.prox(1.0, z).tobytes() == np.clip(
                 z, box.lo, box.hi).tobytes()
 
+    def separable_points(self, f, gammas):
+        """One row per candidate point for every coordinate of f: its edges
+        and the edges shifted by gamma*slope at each of gammas, their float
+        neighbours, and the specials (NaN of either sign among them)."""
+        lo, hi, slope = (np.concatenate([
+            np.broadcast_to(getattr(fn, name, 0.0), b - a)
+            for a, b, fn in f.members]) for name in ("lo", "hi", "slope"))
+        marks = np.stack([lo, hi] + [m for g in gammas
+                                     for m in (lo - g * slope, hi + g * slope)])
+        special = np.array(self.SPECIAL + (-np.nan,))
+        return np.concatenate([marks, np.nextafter(marks, np.inf),
+                               np.nextafter(marks, -np.inf),
+                               np.repeat(special[:, None], f.dim, axis=1)])
+
+    def test_separable_bands_and_boxes_match_their_members(self):
+        # the one select over a Separable of bands and boxes against each
+        # member's own prox on its slice, at alternating gammas
+        gammas = (1e-300, 1e-3, 0.3, 1.0, 1e3, 1e300)
+        pairs = [(lo, hi) for lo, hi in itertools.product(self.EDGES,
+                                                          self.EDGES)
+                 if lo <= hi]  # [0.0, -0.0], [inf, inf], [-inf, -inf] too
+        bands = [(lo, hi, slope) for lo, hi in pairs
+                 if lo < np.inf and hi > -np.inf for slope in (0.0, 0.5, 1.0)]
+        scalar = Separable([(4 * i + 2 * is_box, 4 * i + 2 * is_box + 2, fn)
+                            for i, (band, box) in enumerate(zip(
+                                bands, itertools.cycle(pairs)))
+                            for is_box, fn in (
+                                (0, PwlPenalty(*band)),
+                                (1, Box(*np.repeat([box], 2, axis=0).T)))])
+        band_lo, band_hi, slope = np.array(bands).T
+        box_lo, box_hi = np.array(pairs).T
+        per_coordinate = Separable([
+            (0, len(bands), PwlPenalty(band_lo, band_hi, slope)),
+            (len(bands), len(bands) + len(pairs), Box(box_lo, box_hi))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (scalar, per_coordinate):
+                signs = np.resize([-2.0, 0.5, -1.0, 4.0, -0.5, 1.0], f.dim)
+                for g in (f, diag_scale(f, signs)):
+                    assert g._bands
+                    points = self.separable_points(g, gammas)
+                    for gamma in gammas * 2:
+                        for z in points:
+                            want = np.concatenate([fn.prox(gamma, z[a:b])
+                                                   for a, b, fn in g.members])
+                            assert same_bits(g.prox(gamma, z), want), gamma
+
 
 class TestSoftBandMerge:
     """diag_scale merges adjacent PwlPenalty members of a Separable."""
@@ -999,13 +1051,17 @@ class TestSoftBandMerge:
 
     @pytest.mark.parametrize("which", ["metric", "identity"])
     def test_one_band_prox_per_y_update(self, monkeypatch, rng, which):
+        # one select over the bands and the input box, no member prox
         problem = self.desk_problem()
         if which == "metric":
             problem = problem.scaled(mpc_metric_objective(problem).metric)
         engine = AdmmEngine(problem, 1.0, 0.5)
-        calls = []
-        band_prox = PwlPenalty.prox
-        monkeypatch.setattr(PwlPenalty, "prox", lambda self, gamma, z: (
-            calls.append(z.size), band_prox(self, gamma, z))[1])
+        calls, member_calls = [], []
+        select = prox._band_select
+        monkeypatch.setattr(prox, "_band_select", lambda z, *edges: (
+            calls.append(z.size), select(z, *edges))[1])
+        for cls in (PwlPenalty, Box):
+            monkeypatch.setattr(cls, "prox", lambda self, gamma, z: (
+                member_calls.append(self.kind)))
         engine.y_update.solve(rng.normal(size=problem.p))
-        assert calls == [2 * self.SPEC.horizon]
+        assert calls == [4 * self.SPEC.horizon] and not member_calls
