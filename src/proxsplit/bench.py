@@ -346,9 +346,10 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                     if max_iters_eff < max_iters else
                     f"stopped at the max_iters={max_iters} cap")
         if trace.converged and trace.z_history:
-            # the last z is z_final, so every run crosses
-            d = np.array([_norm(z - trace.z_final) for z in trace.z_history])
-            actual = int(np.argmax(d <= tol * d[0]))
+            # the last z is z_final, so every run crosses; stop at the first
+            bar = tol * _norm(trace.z_history[0] - trace.z_final)
+            actual = next(k for k, z in enumerate(trace.z_history)
+                          if _norm(z - trace.z_final) <= bar)
         result.entries.append(SweepEntry(
             gamma=float(gamma), iterations_actual=actual,
             iterations_bound=bound, converged=trace.converged, note=note))

@@ -44,6 +44,12 @@ def _positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive")
 
 
+def _step(gamma: float) -> None:
+    """Raise ValueError unless 0 < gamma < inf (ProxFn._check inlines it)."""
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+
+
 def _count(value, what: str, least: int) -> None:
     """Raise ValueError unless value is an int or numpy integer >= least;
     a bool is neither, though True == 1."""
@@ -54,9 +60,9 @@ def _count(value, what: str, least: int) -> None:
 
 
 def _normal_step(gamma: float) -> None:
-    """Raise ValueError unless gamma is a positive normal float (NaN is
-    not): below that, the 1.0 / gamma that the proxes take overflows."""
-    if not gamma >= 2.0 ** -1022:
+    """Raise ValueError unless 2^-1022 <= gamma < inf (NaN is not): the
+    proxes take 1.0 / gamma, which overflows below and is 0.0 at inf."""
+    if not 2.0 ** -1022 <= gamma < np.inf:
         raise ValueError(f"gamma must be positive and normal, got {gamma}")
 
 

@@ -303,7 +303,7 @@ class IndicatorAffine(ProxFn):
 
 
 class Box(ProxFn):
-    """Indicator of the box [lo, hi]; prox clips coordinatewise."""
+    """Indicator of the box [lo, hi], lo < inf, hi > -inf; prox clips."""
 
     kind = "box"
 
@@ -312,8 +312,8 @@ class Box(ProxFn):
         hi = np.asarray(hi, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise DimensionMismatchError("lo and hi must have equal length")
-        if not np.all(lo <= hi):  # NaN fails too
-            raise ValueError("need lo <= hi elementwise")
+        if not np.all((lo <= hi) & (lo < np.inf) & (-np.inf < hi)):  # NaN too
+            raise ValueError("need lo <= hi elementwise, lo < inf, hi > -inf")
         self.lo, self.hi, self.dim = lo, hi, lo.shape[0]
 
     def __call__(self, x: np.ndarray) -> float:
@@ -378,8 +378,7 @@ class PwlPenalty(ProxFn):
     inferred from the array parameters when omitted.  The prox shrinks toward
     the band: with t = gamma*s, points beyond the band by more than t move in
     by t, points within t of the band land on the nearest edge, and points
-    inside the band stay put.  :func:`diag_scale` merges adjacent members of
-    a ``Separable`` into one; a ``Separable`` of bands and boxes runs this
+    inside the band stay put.  A ``Separable`` of bands and boxes runs this
     select (``_band_select``) once over all its coordinates.
     """
 
@@ -425,7 +424,7 @@ class Separable(ProxFn):
     ``members`` is a list of (start, stop, fn) covering [0, dim) without
     gaps or overlaps; the prox applies each member prox on its slice, or,
     when every member is a ``PwlPenalty`` or a ``Box`` (a band of infinite
-    slope), one ``_band_select`` over all coordinates, with the same bits.
+    slope), one ``_band_select`` over all members' coordinates, same bits.
     """
 
     kind = "separable"
@@ -539,9 +538,8 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     ``s`` is one signed vector: each coordinate may have its own sign.
     Every catalog kind stays inside the catalog under this change of
     variables, which is what makes diagonal constraint scalings solvable in
-    prox form.  Adjacent ``PwlPenalty`` members of a ``Separable`` merge
-    into one, with the same prox bits; ``f`` and its wire format stay as is.
-    The MPC g, bands and a box, scales to one select (see ``Separable``).
+    prox form.  A ``Separable`` scales member by member, so the MPC g, bands
+    and a box, proxes by one select (see ``Separable``).
     """
     s = np.asarray(s, dtype=float).ravel()
     if not np.all(np.abs(s) > 0):
@@ -566,15 +564,8 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
     if isinstance(f, IndicatorAffine):
         return IndicatorAffine(f.L / s[None, :], f.b)
     if isinstance(f, Separable):
-        out = []
-        for a, b, fn in f.members:
-            fn, last = diag_scale(fn, s[a:b]), out and out[-1][2]
-            if isinstance(fn, PwlPenalty) and isinstance(last, PwlPenalty):
-                a = out.pop()[0]
-                fn = PwlPenalty(*map(np.concatenate, zip(
-                    (last.lo, last.hi, last.slope), (fn.lo, fn.hi, fn.slope))))
-            out.append((a, b, fn))
-        return Separable(out)
+        return Separable([(a, b, diag_scale(fn, s[a:b]))
+                          for a, b, fn in f.members])
     raise CapabilityError(
         f"no diagonal scaling rule for catalog kind {f.kind!r}")
 

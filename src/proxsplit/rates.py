@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, RankDeficiencyError,
                      UnboundedIterationError)
-from .linmetric import _as_dense, _positive, _row_rank_svdvals
+from .linmetric import _as_dense, _row_rank_svdvals, _step
 from .linmetric import spectral_summary  # perfbench/tracer.py patches it
 
 
@@ -72,7 +72,7 @@ def contraction_factor(reg: Regularity, gamma: float) -> float:
     gamma >= 1/sqrt(beta*sigma), the second below the kink; at the kink both
     agree to within one ulp and the max is returned.
     """
-    _positive(gamma, "gamma")
+    _step(gamma)
     gb = gamma * reg.beta
     gs = gamma * reg.sigma
     value = max((gb - 1.0) / (gb + 1.0), (1.0 - gs) / (gs + 1.0))

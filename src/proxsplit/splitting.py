@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linmetric import _count, _positive
+from .linmetric import _count, _positive, _step
 from .prox import ProxFn
 
 #: scalars of full z-history kept before thinning to residuals only
@@ -178,7 +178,7 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
         The two operators; prox_f runs first.  Swap the arguments to apply
         prox_g first.
     gamma, alpha : float
-        Step size and relaxation; each must be > 0, which NaN is not.
+        Step size in (0, inf) and relaxation > 0; NaN is neither.
     z0 : array
         Starting iterate.
     tol, max_iters
@@ -187,7 +187,7 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
         Known fixed point of z0's shape; ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
     """
-    _positive(gamma, "gamma")
+    _step(gamma)
     _positive(alpha, "alpha")
     x = None
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import EqConstrainedProblem, admm_solve
-from .linmetric import _positive
+from .linmetric import _step
 from .prox import IndicatorZero, ProxFn, Quadratic, Zero
 from .rates import (DualRegularity, Regularity, contraction_factor,
                     geometric_mean, rate_bound)
@@ -112,7 +112,7 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     |1 - alpha - alpha*(1-gamma*lam)/(1+gamma*lam)| for variant g2, with
     lam = beta on coordinate 1 and lam = sigma on coordinate 2.
     """
-    _positive(gamma, "gamma")
+    _step(gamma)
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
     if coordinate not in (BETA_COORD, SIGMA_COORD):
@@ -135,7 +135,7 @@ def adversarial_case(alpha: float, gamma: float, reg: Regularity
     variant is extremal; the other three quadrants follow by swapping the
     variant and/or the excited coordinate.
     """
-    _positive(gamma, "gamma")
+    _step(gamma)
     if alpha == 0 or math.isnan(alpha):
         raise ValueError("alpha must be nonzero and not NaN")
     kink = 1.0 / geometric_mean(reg.beta, reg.sigma, "beta*sigma")

@@ -271,6 +271,20 @@ class TestSubnormalStep:
                     f"gamma must be positive and normal, got {gamma}")):
                 AdmmEngine(problem, gamma, alpha=1.0)
 
+    @pytest.mark.parametrize("make", [diagonal_prox_problem,
+                                      scaled_desk_lasso])
+    def test_infinite_gamma_is_refused_by_name(self, make):
+        # unchecked, the diagonal-A prox x-update builds at inf, and the
+        # solve warns and then fails at a prox step of 1.0 / inf = 0.0
+        problem, _ = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build_or_solve in (AdmmEngine, admm_solve):
+                with pytest.raises(ValueError) as info:
+                    build_or_solve(problem, np.inf, 1.0)
+                assert str(info.value) == (
+                    "gamma must be positive and normal, got inf")
+
     def test_smallest_normal_gamma_keeps_its_bits(self):
         problem, _ = diagonal_prox_problem()
         gamma = self.SMALLEST_NORMAL

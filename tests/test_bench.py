@@ -23,6 +23,7 @@ from proxsplit.bench import (
     mpc_closed_loop,
     mpc_compare,
     mpc_metric_objective,
+    mpc_sweep,
     pitch_reference,
     problem_dual_regularity,
     run_sweep,
@@ -50,7 +51,7 @@ from proxsplit.prox import (
     Zero,
     dual_quadratic,
 )
-from proxsplit.splitting import CSV_SCHEMA_TAG
+from proxsplit.splitting import CSV_SCHEMA_TAG, _norm
 from proxsplit.worstcase import build
 from proxsplit.rates import Regularity
 
@@ -204,6 +205,31 @@ class TestSweep:
             assert e.note == "stopped at the max_iters=5 cap"
         for e in run_sweep(problem, 1.0, grid).entries:
             assert e.converged and e.note == ""
+
+    def test_crossing_is_the_first_iterate_within_tol(self, monkeypatch):
+        # the scan that stops at the crossing against the reference formula,
+        # the argmax over the distances of the whole kept history
+        traces, solve = [], bench.admm_solve
+
+        def recording_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            traces.append(out[-1])
+            return out
+
+        monkeypatch.setattr(bench, "admm_solve", recording_solve)
+        lasso = gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10))
+        gamma = sweep_gamma_star(lasso)
+        sweeps = [run_sweep(lasso, 1.0, log_gamma_grid(gamma / 10,
+                                                       10 * gamma, 3))]
+        mpc = gen_mpc(MpcSpec(), np.zeros(4), np.array([0.0, 0.0, 0.0, 10.0]))
+        sweeps += [mpc_sweep(mpc, 0.5, 1e-5, metric, None, None, 1)[1]
+                   for metric in (True, False)]
+        entries = [(e, s.tol) for s in sweeps for e in s.entries]
+        assert len(entries) == len(traces) == 5
+        for (entry, tol), trace in zip(entries, traces):
+            assert entry.converged
+            d = np.array([_norm(z - trace.z_final) for z in trace.z_history])
+            assert entry.iterations_actual == int(np.argmax(d <= tol * d[0]))
 
     def test_log_grid(self):
         grid = log_gamma_grid(0.01, 100.0, 5)

@@ -236,6 +236,18 @@ class TestConjugateProx:
                 dr_solve(ConjugateOf(WeightedL1(np.ones(2))), Zero(2),
                          1e-320, 1.0, np.ones(2))
 
+    def test_infinite_gamma_is_refused_by_name(self):
+        # unchecked, the conjugate prox fails at a prox step of 1.0 / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "gamma must be positive and normal, got inf")):
+                WeightedL1([1.0]).conjugate_prox(np.inf, np.ones(1))
+            with pytest.raises(ValueError, match=re.escape(
+                    "gamma must be positive and finite")):
+                dr_solve(Quadratic(np.eye(2)), Zero(2), np.inf, 1.0,
+                         np.ones(2))
+
 
 class TestDualProx:
     def test_diagonal_instance(self, rng):
@@ -832,6 +844,17 @@ class TestNonFiniteParameters:
                            match=r"^q, L, b shapes inconsistent with Q$"):
             QuadraticAffine(np.eye(2), None, np.ones(2), [1.0])
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+        ([0.0, np.inf], [1.0, np.inf]), ([-np.inf, 0.0], [-np.inf, 1.0])],
+        ids=["inf", "-inf", "inf_row", "-inf_row"])
+    def test_box_with_no_real_point_is_refused(self, lo, hi):
+        # such a box would send every finite point to inf or -inf
+        with pytest.raises(ValueError) as info:
+            Box(lo, hi)
+        assert str(info.value) == (
+            "need lo <= hi elementwise, lo < inf, hi > -inf")
+
     def test_infinite_edges_stay_legal(self):
         f = PwlPenalty(-np.inf, [np.inf, 1.0], 2.0)
         assert np.array_equal(f.prox(0.5, np.array([5.0, 5.0])), [5.0, 4.0])
@@ -885,13 +908,17 @@ class TestKernelBits:
 
     GAMMAS = (1.0, 0.3)
 
+    def legal_pairs(self):
+        """Every (lo, hi) of EDGES that a Box or PwlPenalty takes."""
+        return [(lo, hi) for lo, hi in itertools.product(self.EDGES,
+                                                         self.EDGES)
+                if lo <= hi and lo < np.inf and hi > -np.inf]
+
     def cases(self):
         """(lo, hi, slope, points) for every legal pair of edges: points at
         lo, hi, lo - t and hi + t for t = gamma*slope at each of GAMMAS,
         their float neighbours, and the specials."""
-        for lo, hi in itertools.product(self.EDGES, self.EDGES):
-            if not (lo <= hi and lo < np.inf and hi > -np.inf):
-                continue
+        for lo, hi in self.legal_pairs():
             for slope in (0.0, 0.5, 2.0):
                 marks = np.array([m for g in self.GAMMAS for m in (
                     lo, hi, lo - g * slope, hi + g * slope)])
@@ -939,9 +966,7 @@ class TestKernelBits:
             assert same_bits(f.prox(gamma, z), want), gamma
 
     def test_box_matches_clip(self):
-        pairs = [(lo, hi) for lo, hi in itertools.product(self.EDGES,
-                                                          self.EDGES)
-                 if lo <= hi]
+        pairs = self.legal_pairs()
         boxes = [(Box(np.full(40, lo), np.full(40, hi)),
                   np.resize(np.array(self.SPECIAL + (lo, hi)), 40))
                  for lo, hi in pairs]
@@ -970,11 +995,9 @@ class TestKernelBits:
         # the one select over a Separable of bands and boxes against each
         # member's own prox on its slice, at alternating gammas
         gammas = (1e-300, 1e-3, 0.3, 1.0, 1e3, 1e300)
-        pairs = [(lo, hi) for lo, hi in itertools.product(self.EDGES,
-                                                          self.EDGES)
-                 if lo <= hi]  # [0.0, -0.0], [inf, inf], [-inf, -inf] too
+        pairs = self.legal_pairs()  # [0.0, -0.0] and [-0.0, 0.0] too
         bands = [(lo, hi, slope) for lo, hi in pairs
-                 if lo < np.inf and hi > -np.inf for slope in (0.0, 0.5, 1.0)]
+                 for slope in (0.0, 0.5, 1.0)]
         scalar = Separable([(4 * i + 2 * is_box, 4 * i + 2 * is_box + 2, fn)
                             for i, (band, box) in enumerate(zip(
                                 bands, itertools.cycle(pairs)))
@@ -1001,7 +1024,8 @@ class TestKernelBits:
 
 
 class TestSoftBandMerge:
-    """diag_scale merges adjacent PwlPenalty members of a Separable."""
+    """diag_scale keeps every member of the MPC g, whose scaled prox is
+    one select over its bands and its input box."""
 
     SPEC = MpcSpec()
 
@@ -1015,39 +1039,20 @@ class TestSoftBandMerge:
         return {"metric": -metric.diag, "identity": -np.ones(problem.m)}
 
     @pytest.mark.parametrize("which", ["metric", "identity"])
-    def test_desk_mpc_bands_merge(self, rng, which):
+    def test_diag_scale_keeps_every_member(self, which):
         g, s = self.desk_problem().g, self.signs()[which]
         n_h = self.SPEC.horizon
-        merged = diag_scale(g, s)
-        assert [(a, b, fn.kind) for a, b, fn in merged.members] == [
-            (0, 2 * n_h, "pwl_penalty"), (2 * n_h, 4 * n_h, "box")]
-        by_member = Separable([(a, b, diag_scale(fn, s[a:b]))
-                               for a, b, fn in g.members])
-        assert len(by_member.members) == 3
-        band = merged.members[0][2]
-        for gamma in (1e-9, 1e-6, 1e-3, 1.0):
-            t = gamma * band.slope
-            # per band coordinate: beyond t, at or within t of either edge,
-            # on an edge, and inside; the box part runs past its bounds
-            regions = np.stack([band.lo - 2 * t - 1, band.lo - t,
-                                band.lo - t / 2, band.lo,
-                                0.5 * (band.lo + band.hi), band.hi,
-                                band.hi + t / 2, band.hi + t,
-                                band.hi + 2 * t + 1])
-            for _ in range(10):
-                pick = rng.integers(0, len(regions), size=2 * n_h)
-                z = np.concatenate([regions[pick, np.arange(2 * n_h)],
-                                    60.0 * rng.normal(size=2 * n_h)])
-                assert merged.prox(gamma, z).tobytes() == by_member.prox(
-                    gamma, z).tobytes()
-
-    def test_bands_split_by_a_box_stay_apart(self, rng):
-        f = Separable([(0, 2, PwlPenalty(-1.0, 1.0, 3.0, 2)),
-                       (2, 4, Box([-1.0, -1.0], [1.0, 1.0])),
-                       (4, 6, PwlPenalty(-2.0, 2.0, 1.0, 2))])
-        scaled = diag_scale(f, rng.uniform(0.5, 2.0, size=6))
+        scaled = diag_scale(g, s)
         assert [(a, b, fn.kind) for a, b, fn in scaled.members] == [
-            (0, 2, "pwl_penalty"), (2, 4, "box"), (4, 6, "pwl_penalty")]
+            (0, n_h, "pwl_penalty"), (n_h, 2 * n_h, "pwl_penalty"),
+            (2 * n_h, 4 * n_h, "box")]
+        # each member scaled on its own range, no parameters concatenated
+        for (a, b, fn), (_, _, member) in zip(scaled.members, g.members):
+            want = diag_scale(member, s[a:b])
+            for name in ("lo", "hi", "slope"):
+                if hasattr(want, name):
+                    assert getattr(fn, name).tobytes() == getattr(
+                        want, name).tobytes()
 
     @pytest.mark.parametrize("which", ["metric", "identity"])
     def test_one_band_prox_per_y_update(self, monkeypatch, rng, which):

@@ -51,6 +51,15 @@ class TestContractionFactor:
         with pytest.raises(ValueError):
             contraction_factor(Regularity(1, 2), 0.0)
 
+    @pytest.mark.parametrize("fn", [contraction_factor, certificate])
+    def test_infinite_gamma_is_refused_by_name(self, fn):
+        # unchecked, inf gives a NaN factor, which certificate blames on delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fn(Regularity(1.0, 4.0), math.inf)
+        assert str(info.value) == "gamma must be positive and finite"
+
     def test_piecewise_identity_many_random_triples(self, rng):
         # closed-form split: the soft branch below the kink, stiff above
         for _ in range(10_000):

@@ -83,6 +83,16 @@ class TestExactRate:
         got = exact_rate(REG, "g1", gamma, alpha, coordinate=2)
         assert got == pytest.approx(rate_bound(delta, alpha), abs=1e-15)
 
+    @pytest.mark.parametrize("call", [
+        lambda: exact_rate(REG, "g1", math.inf, 1.0, 1),
+        lambda: adversarial_case(1.0, math.inf, REG)],
+        ids=["exact_rate", "adversarial_case"])
+    def test_infinite_gamma_is_refused_by_name(self, call):
+        # unchecked, exact_rate gives NaN and adversarial_case a case
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "gamma must be positive and finite"
+
     def test_one_third_at_optimum(self):
         got = exact_rate(REG, "g1", 0.5, 1.0, coordinate=2)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-15)
