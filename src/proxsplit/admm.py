@@ -135,7 +135,6 @@ class _XUpdate:
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         f, a = problem.f, problem.A
         self.gamma = np.asarray(gamma, dtype=float)
-        self.prox_step = 1.0 / gamma
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         self.times_at = self.at.__matmul__ if sig is None else sig.__mul__
         if isinstance(f, (Quadratic, QuadraticAffine)):
@@ -145,6 +144,7 @@ class _XUpdate:
         elif sig is not None:
             # A = diag(s): substitute t = A x and prox the rescaled f.
             self._solve, self.scaled_f = None, diag_scale(f, sig)
+            self.prox = self.scaled_f.prox_map(1.0 / gamma)
         else:
             raise CapabilityError(
                 "x-update has no closed form: f must be quadratic (optionally "
@@ -154,24 +154,23 @@ class _XUpdate:
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self._solve is not None:
             return self._solve(self.gamma * self.times_at(v) - self.q)
-        return self.scaled_f.prox(self.prox_step, v) / self.at
+        return self.prox(v) / self.at
 
 
 class _YUpdate:
     """Closed-form solver for argmin_y g(y) + (gamma/2)||B y - v||^2: the
-    prox of g scaled by B's diagonal, divided by it (for the MPC g, bands
-    and a box, that prox is one band select over every coordinate)."""
+    prox of g scaled by B's diagonal, divided by it."""
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float, sig):
         if sig is None:
             raise CapabilityError(
                 "y-update has no closed form: B must be +/- identity or "
                 "+/- a positive diagonal so the update reduces to a prox")
-        self.prox_step, self.s = 1.0 / gamma, sig
-        self.scaled_g = diag_scale(problem.g, sig)
+        self.s, self.scaled_g = sig, diag_scale(problem.g, sig)
+        self.prox = self.scaled_g.prox_map(1.0 / gamma)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.scaled_g.prox(self.prox_step, v) / self.s
+        return self.prox(v) / self.s
 
 
 class AdmmEngine:
@@ -179,15 +178,13 @@ class AdmmEngine:
 
     A diagonal A or B is kept as its diagonal (``a``, ``b``) and multiplies
     elementwise, with the same bits as the matvec, which only adds zeros.
-    A diagonal A = diag(s) enters the x-update's normal matrix as
-    diag(gamma s^2): the GEMM gamma A^T A has the same bits, as each of its
-    diagonal entries has one nonzero product and every other entry is +0.0.
     An overflowing factor matrix raises ValueError naming it and gamma.
 
     The per-step constants are bound once, at build: gamma, 2*alpha and
     1 - 2*alpha as 0-d float64 arrays (an array times one has the bits of
-    the product with the float, at less dispatch), and the A and A^T
-    products as the array's ``__mul__`` (diagonal) or ``__matmul__``.  When
+    the product with the float, at less dispatch), the A and A^T products
+    as the array's ``__mul__`` (diagonal) or ``__matmul__``, and the prox
+    maps of the y-update and of a diagonal A's x-update.  When
     every entry of c is +0.0 (``zero_c``), ``v - c`` is v to the bit and
     the step skips both such subtractions; ``c - v`` stays, as 0.0 - v is
     not -v for v = +0.0.
@@ -236,7 +233,8 @@ class AdmmEngine:
         very first step.
         """
         z0 = np.asarray(z0, dtype=float)
-        y0 = self.y_update.solve(-z0 / self.gamma)
+        v = self.y_update.scaled_g._check_point(-z0 / self.gamma)
+        y0 = self.y_update.solve(v)
         u0 = z0 / self.gamma + self.b * y0
         return y0, u0
 
@@ -254,7 +252,7 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
     ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
     change in z, shows up as ``converged=False`` on the trace, never as an
-    exception; a ``gamma`` or ``alpha`` not > 0 (NaN included), ``tol <= 0``,
+    exception; a ``gamma``, ``alpha`` or ``tol`` outside (0, inf), NaN too,
     ``max_iters < 1`` or a misshapen start or reference raise ValueError.
 
     Parameters
@@ -288,8 +286,8 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     def primal_small():
         return _norm(engine.times_a(x) + by - problem.c) <= tol
 
-    trace = _fixed_point(step, engine.z_equiv(y, u), max_iters, tol,
-                         reference, primal_small)
+    trace = _fixed_point(lambda _z0: step, engine.z_equiv(y, u), max_iters,
+                         tol, reference, primal_small)
     trace.x_final = x
     return x, y, u, trace
 
@@ -318,10 +316,10 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
 
     # Dual splitting applies the d2 prox first, so d2 is the first argument.
     z_dr, by = z0.copy(), engine.b * y
-    max_dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
+    prox_d2, prox_d1 = d2.prox_map(gamma), d1.prox_map(gamma)
+    devs = [float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))]
     for _ in range(iters):
-        z_dr, _, _ = dr_step(d2, d1, gamma, alpha, z_dr)
+        z_dr, _, _ = dr_step(prox_d2, prox_d1, alpha, z_dr)
         _, y, u, by = engine.step(y, u, by)
-        dev = float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))
-        max_dev = max(max_dev, dev)
-    return max_dev
+        devs.append(float(np.linalg.norm(z_dr - engine.z_equiv(y, u))))
+    return max(devs)

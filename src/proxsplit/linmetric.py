@@ -39,13 +39,14 @@ def _finite(rhs: np.ndarray) -> np.ndarray:
 
 
 def _positive(value: float, what: str) -> None:
-    """Raise ValueError unless value > 0, which NaN is not."""
-    if not value > 0:
-        raise ValueError(f"{what} must be positive")
+    """Raise ValueError unless 0 < value < inf; NaN is not positive."""
+    if not 0 < value < np.inf:
+        raise ValueError(
+            f"{what} must be {'finite' if value > 0 else 'positive'}")
 
 
 def _step(gamma: float) -> None:
-    """Raise ValueError unless 0 < gamma < inf (ProxFn._check inlines it)."""
+    """Raise ValueError unless 0 < gamma < inf (NaN is not)."""
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
 

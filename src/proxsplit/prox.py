@@ -8,15 +8,16 @@ norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
 All instances are immutable and safe to share between threads.  A prox's
-step-size constants are cached per gamma (a quadratic's factorization and
-bound LAPACK solve, WeightedL1's thresholds, the band select's constants
-of a PwlPenalty or of a Separable of bands and boxes),
-read without a lock, which is taken only to build a missing entry.  Nothing
-derived from ``q`` or ``b`` is cached: they may be rewritten in place.
+step-size constants are cached per gamma (see ``_per_gamma``): a quadratic's
+factorization and bound LAPACK solve, WeightedL1's thresholds, the band
+select's constants of a PwlPenalty or of a Separable of bands and boxes.
+Nothing derived from ``q`` or ``b`` is cached, as they may be rewritten in
+place between solves; ``prox_map(gamma)`` binds a prox for one solve.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable
 
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
                         _json_index, _json_object, _json_scalar_or_vector,
-                        _json_vector, _normal_step, matrix_from_json,
+                        _json_vector, _normal_step, _step, matrix_from_json,
                         matrix_to_json, spectral_summary)
 from .rates import dual_curvature
 
@@ -102,6 +103,9 @@ class ProxFn:
     regularity: tuple[float, float] | None = None
     kind = "abstract"
 
+    def __init__(self, dim: int | None = None):
+        self.dim = dim
+
     def _check_point(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.ndim != 1:
@@ -113,8 +117,7 @@ class ProxFn:
 
     def _check(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """The prox query z as a checked point, after 0 < gamma < inf."""
-        if not 0 < gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
+        _step(gamma)
         return self._check_point(z)
 
     def __call__(self, x: np.ndarray) -> float:
@@ -122,6 +125,11 @@ class ProxFn:
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """z -> prox(gamma, z) for a caller that has checked 0 < gamma < inf
+        and passes 1-d float arrays of ``dim`` entries; made anew per solve."""
+        return functools.partial(self.prox, gamma)
 
     def reflect(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """Reflected prox 2*prox(gamma, z) - z."""
@@ -182,9 +190,15 @@ class Quadratic(ProxFn):
         return _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
                               "gamma*Q + I", gamma, ValueError)
 
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        solve = _per_gamma(self, gamma, self._factor)
+        if not (self.q.any() or np.signbit(self.q).any()):  # z - gamma*q is z
+            return solve
+        return lambda z: solve(z - gamma * self.q)
+
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         z = self._check(gamma, z)
-        return _per_gamma(self, gamma, self._factor)(z - gamma * self.q)
+        return self.prox_map(gamma)(z)
 
 
 class QuadraticAffine(ProxFn):
@@ -241,15 +255,15 @@ class Zero(ProxFn):
 
     kind = "zero"
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
-
     def __call__(self, x: np.ndarray) -> float:
         self._check_point(x)
         return 0.0
 
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        return np.ndarray.copy
+
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return self._check(gamma, z).copy()
+        return self.prox_map(gamma)(self._check(gamma, z))
 
 
 class IndicatorZero(ProxFn):
@@ -257,15 +271,15 @@ class IndicatorZero(ProxFn):
 
     kind = "indicator_zero"
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
-
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
         return 0.0 if not x.size or np.abs(x).max() == 0.0 else np.inf
 
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda z: np.zeros(z.shape)
+
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return np.zeros(self._check(gamma, z).shape)
+        return self.prox_map(gamma)(self._check(gamma, z))
 
 
 class IndicatorAffine(ProxFn):
@@ -445,8 +459,7 @@ class Separable(ProxFn):
                     f"member of kind {fn.kind} has dim {fn.dim}, "
                     f"range has length {stop - start}")
             pos = stop
-        self.members = tuple(members)
-        self.dim = pos
+        self.members, self.dim = tuple(members), pos
         self._bands = all(type(fn) in (PwlPenalty, Box)
                           for _, _, fn in members)
         self._cache, self._lock = {}, threading.Lock()
@@ -486,8 +499,7 @@ class ConjugateOf(ProxFn):
     kind = "conjugate"
 
     def __init__(self, inner: ProxFn):
-        self.inner = inner
-        self.dim = inner.dim
+        self.inner, self.dim = inner, inner.dim
 
     def __call__(self, x: np.ndarray) -> float:
         raise CapabilityError(

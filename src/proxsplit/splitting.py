@@ -100,24 +100,25 @@ def write_trace_csv(trace: SolveTrace, fileobj: io.TextIOBase) -> None:
                for k, (res, r) in enumerate(zip(trace.residuals, ratios))))
 
 
-def dr_step(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
+def dr_step(prox_f: Callable, prox_g: Callable, alpha: float,
             z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One relaxed step; returns (z_next, x, y).
+    """One relaxed step from a 1-d float z on two maps of one step size,
+    ``f.prox_map(gamma)`` and ``g.prox_map(gamma)``; returns (z_next, x, y).
 
     ``x`` is the prox-of-f point and ``y`` the prox-of-g point.  At a fixed
     point of the composition both coincide with the solution.
     """
-    z = np.asarray(z, dtype=float)
-    x = f.prox(gamma, z)
-    y = g.prox(gamma, x + x - z)  # x + x is 2.0 * x to the bit
+    x = prox_f(z)
+    y = prox_g(x + x - z)  # x + x is 2.0 * x to the bit
     return z + 2.0 * alpha * (y - x), x, y
 
 
-def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
+def _fixed_point(bind: Callable[[np.ndarray], Callable], z0: np.ndarray,
                  max_iters: int, tol: float,
                  reference: np.ndarray | None = None,
                  extra_check: Callable[[], bool] | None = None) -> SolveTrace:
-    """Iterate z+ = step(z) from z0; the one loop behind both solvers.
+    """Iterate z+ = step(z) from z0, with ``step = bind(z0)`` made once the
+    arguments are checked; the one loop behind both solvers.
 
     Stops when ||z+ - z|| <= tol * max(1, ||z+||) and ``extra_check()``
     (evaluated only once the first test passes) holds, else after
@@ -133,6 +134,7 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     if ref is not None and ref.shape != z.shape:
         raise DimensionMismatchError(
             f"reference has shape {ref.shape}, the iterate {z.shape}")
+    step = bind(z)
     origin = ref is not None and not ref.any()
     keep_history = z.size * (max_iters + 1) <= HISTORY_SCALAR_BUDGET
     trace = SolveTrace()
@@ -169,8 +171,8 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     ||z^{k+1} - z^k|| <= tol * max(1, ||z^{k+1}||), else after
     ``max_iters`` steps or at a non-finite residual with ``converged`` False
     (no exception).  ``x_final`` is prox_f at the final iterate, or after a
-    non-finite residual the last step's one.  Invalid parameters raise
-    ``ValueError`` before the first step.
+    non-finite residual the last step's one.  Invalid parameters, and a z0
+    that f or g refuses, raise ``ValueError`` before the first step.
 
     Parameters
     ----------
@@ -178,11 +180,11 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
         The two operators; prox_f runs first.  Swap the arguments to apply
         prox_g first.
     gamma, alpha : float
-        Step size in (0, inf) and relaxation > 0; NaN is neither.
+        Step size and relaxation, each in (0, inf); NaN is neither.
     z0 : array
         Starting iterate.
     tol, max_iters
-        Stopping rule; needs tol > 0 and an integer max_iters >= 1.
+        Stopping rule; needs 0 < tol < inf and an integer max_iters >= 1.
     reference : array, optional
         Known fixed point of z0's shape; ``trace.distances`` records
         ||z^k - ref|| and ``trace.contraction_ratios`` the per-step ratios.
@@ -191,12 +193,17 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     _positive(alpha, "alpha")
     x = None
 
-    def step(z):
-        nonlocal x
-        z_next, x, _ = dr_step(f, g, gamma, alpha, z)
-        return z_next
+    def bind(z0):
+        g._check_point(f._check_point(z0))
+        prox_f, prox_g = f.prox_map(gamma), g.prox_map(gamma)
 
-    trace = _fixed_point(step, z0, max_iters, tol, reference)
+        def step(z):  # the module's dr_step, which perfbench counts
+            nonlocal x
+            z_next, x, _ = dr_step(prox_f, prox_g, alpha, z)
+            return z_next
+        return step
+
+    trace = _fixed_point(bind, z0, max_iters, tol, reference)
     trace.x_final = (f.prox(gamma, trace.z_final)
                      if math.isfinite(trace.residuals[-1]) else x)
     return trace

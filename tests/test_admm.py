@@ -19,6 +19,7 @@ from proxsplit.errors import CapabilityError, DimensionMismatchError
 from proxsplit.linmetric import DiagonalMetric
 from proxsplit.prox import (
     Box,
+    IndicatorZero,
     Quadratic,
     QuadraticAffine,
     WeightedL1,
@@ -762,6 +763,37 @@ class TestDualEquivalence:
             f=Zero(3), g=Zero(3), A=np.eye(3), B=-np.eye(3), c=np.zeros(3))
         with pytest.raises(CapabilityError):
             verify_dual_equivalence(problem, 1.0, 0.5, 5, np.zeros(3))
+
+
+class TestStartRefusal:
+    """The y-update binds its prox map at build, so consistent_init (and
+    verify_dual_equivalence through it) checks z0 against the scaled g
+    first: the parent's errors, and a length-1 z0 never broadcasts."""
+
+    G = {"zero": Zero(2), "indicator_zero": IndicatorZero(2),
+         "quadratic": Quadratic(np.eye(2), [0.5, -1.0]),
+         "box": Box([-1.0, -1.0], [1.0, 1.0])}
+
+    @pytest.mark.parametrize("z0, message", [
+        (np.ones(3), "{} expects dimension 2, got 3"),
+        (np.ones(1), "{} expects dimension 2, got 1"),
+        (np.ones(0), "{} expects dimension 2, got 0"),
+        ([1.0, 2.0, 3.0], "{} expects dimension 2, got 3"),
+        (np.float64(1.0), "prox queries expect 1-d points"),
+        (np.ones((2, 1)), "prox queries expect 1-d points"),
+    ], ids=["length_3", "length_1", "empty", "list", "0-d", "2-d"])
+    @pytest.mark.parametrize("kind", sorted(G))
+    def test_misshapen_start(self, kind, z0, message):
+        problem = EqConstrainedProblem(
+            Quadratic(np.diag([2.0, 1.0])), self.G[kind], np.diag([1.0, 3.0]),
+            -np.eye(2), np.zeros(2))
+        engine = AdmmEngine(problem, 0.7, 0.5)
+        for call in (lambda: engine.consistent_init(z0),
+                     lambda: verify_dual_equivalence(problem, 0.7, 0.5, 3,
+                                                     z0)):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"^{re.escape(message.format(kind))}$"):
+                call()
 
 
 class TestCapabilities:

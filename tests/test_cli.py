@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,8 @@ _MALFORMED_A = {
 
 #: the whole stderr line of the cases whose cause used to be misreported
 _USAGE_MESSAGES = {
+    "lasso --alpha inf": "alpha must be finite",
+    "mpc --alpha inf": "alpha must be finite",
     "worstcase-verify --beta 1e-300 --sigma 1e-301":
         "beta*sigma = 1e-300*1e-301 is not a positive normal float",
     "worstcase-verify --beta 1e308":
@@ -276,6 +279,8 @@ _USAGE_MESSAGES = {
     ["mpc", "--tol", "-1"],
     ["lasso", "--alpha", "nan"],
     ["mpc", "--alpha", "nan"],
+    ["lasso", "--alpha", "inf"],
+    ["mpc", "--alpha", "inf"],
     ["mpc", "--full", "--gamma-min", "1e9"],
     ["mpc", "--full", "--gamma-max", "1e9"],
     ["mpc", "--full", "--gamma-points", "3"],
@@ -343,7 +348,9 @@ def test_invalid_argument_values_are_usage_errors(tmp_path, capsys, args):
         paths[name].write_text(json.dumps(payload))
     out = tmp_path / "out.txt"
     args = [a.format(**paths) for a in args]
-    assert cli_main(args + ["--out", str(out)]) == EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal emits no warning
+        assert cli_main(args + ["--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err

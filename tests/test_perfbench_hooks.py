@@ -10,7 +10,11 @@ attribute afterwards.
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from proxsplit import admm, worstcase
+from proxsplit.prox import Box, Quadratic, Zero
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "perfbench"))
@@ -39,3 +43,27 @@ def test_install_patches_and_uninstall_restores(detail):
     assert len(patched) >= len(tracer.COARSE)
     for owner, attr, original in patched:
         assert _lookup(owner, attr) is original, (owner, attr)
+
+
+def test_every_step_of_a_solve_is_counted():
+    # the timed run reads its BLOCK-step clock off the calls of
+    # splitting.dr_step and AdmmEngine.step; a solver that stopped calling
+    # them through those names would leave its solves unsegmented
+    problem = admm.EqConstrainedProblem(
+        Quadratic(np.diag([2.0, 1.0])), Box([-1.0, -1.0], [1.0, 1.0]),
+        np.diag([1.0, 3.0]), -np.eye(2), np.array([0.3, 0.1]))
+    t = tracer.Tracer(detail=False).install()
+    try:
+        dr_trace = worstcase.dr_solve(Quadratic(np.diag([4.0, 1.0])),
+                                      Zero(2), 0.5, 1.0, np.array([0.0, 1.0]),
+                                      tol=1e-12, max_iters=200)
+        dr_steps = t._steps
+        *_, admm_trace = admm.admm_solve(problem, 0.7, 0.5, tol=1e-12)
+        admm_steps = t._steps
+    finally:
+        t.uninstall()
+    assert dr_steps == dr_trace.iterations > tracer.BLOCK
+    assert admm_steps == admm_trace.iterations > tracer.BLOCK
+    for solve, trace in zip(t.solves, (dr_trace, admm_trace)):
+        assert solve.iterations == trace.iterations
+        assert len(solve.segments) == -(-trace.iterations // tracer.BLOCK)

@@ -602,6 +602,89 @@ class TestFactorCache:
             assert f.prox(gamma, z).tobytes() == fresh.prox(gamma, z).tobytes()
 
 
+#: one instance of every catalog kind on 4 coordinates, the quadratic with
+#: a q of +0.0 (its map skips z - gamma*q), with one -0.0 entry (the map
+#: keeps it: -0.0 - -0.0 is +0.0) and with nonzero entries
+_Q4 = [[4.0, 1.0, 0.0, 0.0], [1.0, 3.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.5],
+       [0.0, 0.0, 0.5, 1.0]]
+_L4 = [[1.0, 1.0, 0.0, -1.0]]
+_MAP_KINDS = {
+    "quadratic_q_plus_zero": lambda: Quadratic(_Q4),
+    "quadratic_q_minus_zero": lambda: Quadratic(_Q4, [0.0, -0.0, 0.0, 0.0]),
+    "quadratic_q_nonzero": lambda: Quadratic(_Q4, [1.0, -2.0, 0.5, 0.0]),
+    "quadratic_affine": lambda: QuadraticAffine(_Q4, [1.0, -2.0, 0.5, 0.0],
+                                                _L4, [0.5]),
+    "zero": lambda: Zero(4),
+    "zero_any_dim": Zero,
+    "indicator_zero": lambda: IndicatorZero(4),
+    "indicator_affine": lambda: IndicatorAffine(_L4, [0.5]),
+    "box": lambda: Box([-1.0, 0.0, -2.0, -0.0], [1.0, 0.0, 3.0, 0.5]),
+    "weighted_l1": lambda: WeightedL1([0.5, 0.0, 2.0, 1.0]),
+    "pwl_penalty": lambda: PwlPenalty(-0.5, 0.5, 2.0, 4),
+    "pwl_penalty_per_coordinate": lambda: PwlPenalty(
+        [-0.5, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 2.0], [2.0, 0.5, 1.0, 0.0]),
+    "separable_bands": lambda: Separable([
+        (0, 2, PwlPenalty(-0.5, 0.5, 2.0)),
+        (2, 4, Box([0.0, -1.0], [1.0, 0.0]))]),
+    "separable_mixed": lambda: Separable([
+        (0, 1, Zero(1)), (1, 3, WeightedL1([0.5, 2.0])),
+        (3, 4, Quadratic([[2.0]], [1.0]))]),
+    "conjugate": lambda: ConjugateOf(Quadratic(_Q4, [1.0, -2.0, 0.5, 0.0])),
+}
+#: signed zeros, subnormals and +/-1e300 among ordinary values
+_MAP_POINTS = [
+    [0.0, -0.0, 5e-324, -5e-324],
+    [1.0, -0.0, 0.0, -0.0],
+    [1e300, -1e300, 0.7, -2.3],
+    [-0.0, 1e300, -2.2250738585072014e-308, 3.0],
+    [1.5, -0.25, 0.0, -1e300],
+]
+
+
+class TestProxMap:
+    """``prox_map(gamma)`` is the prox at one step size: the bits of the
+    checked ``prox``, with maps of several gammas live on one instance."""
+
+    GAMMAS = (0.3, 1.7, 0.3, 2.5, 1.7)
+
+    @pytest.mark.parametrize("kind", sorted(_MAP_KINDS))
+    def test_map_has_the_bits_of_the_checked_prox(self, kind):
+        f = _MAP_KINDS[kind]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            maps = [(gamma, f.prox_map(gamma)) for gamma in self.GAMMAS]
+            for z in map(np.array, _MAP_POINTS):
+                for gamma, prox_map in maps:
+                    got = prox_map(z)
+                    assert got.tobytes() == f.prox(gamma, z).tobytes()
+                    assert not np.shares_memory(got, z)
+
+    @pytest.mark.parametrize("q", [
+        [0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.0],
+    ], ids=["plus_zero", "minus_zero", "nonzero"])
+    @pytest.mark.parametrize("q_matrix", [_Q4, np.diag([4.0, 3.0, 2.0, 1.0])],
+                             ids=["coupled", "diagonal"])
+    def test_quadratic_map_solves_z_minus_gamma_q(self, q_matrix, q):
+        # the checked prox runs the map, so the reference is the formula; a
+        # diagonal Q keeps the sign of a zero, which -0.0 - -0.0 flips
+        f = Quadratic(q_matrix, q)
+        for gamma in self.GAMMAS:
+            fac = scipy.linalg.cho_factor(gamma * f.Q + np.eye(4))
+            prox_map = f.prox_map(gamma)
+            for z in map(np.array, _MAP_POINTS):
+                expect = scipy.linalg.cho_solve(fac, z - gamma * f.q)
+                assert prox_map(z).tobytes() == expect.tobytes()
+
+    def test_zero_maps_copy_and_indicator_zero_maps_zeros(self):
+        for z in map(np.array, _MAP_POINTS):
+            for f in (Zero(), Zero(4)):
+                got = f.prox_map(0.3)(z)
+                assert got.tobytes() == z.tobytes()
+                assert not np.shares_memory(got, z)
+            zeros = IndicatorZero(4).prox_map(0.3)(z)
+            assert zeros.tobytes() == bytes(8 * z.size)
+
+
 class TestDiagScale:
     def test_substitution_identity(self, rng):
         # f(sign * t / d) minimized in t must equal the scaled prox

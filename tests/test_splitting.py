@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,9 +12,12 @@ from conftest import sample_catalog_fn, sample_quadratic_affine
 from proxsplit.admm import EqConstrainedProblem, admm_solve
 from proxsplit.errors import DimensionMismatchError
 from proxsplit.prox import (
+    Box,
     ConjugateOf,
     IndicatorZero,
+    PwlPenalty,
     Quadratic,
+    Separable,
     WeightedL1,
     Zero,
 )
@@ -36,7 +40,8 @@ def worst_quadratic(beta=4.0, sigma=1.0):
 
 class TestDrStep:
     def test_one_step_kills_soft_coordinate(self):
-        z_next, x, y = dr_step(worst_quadratic(), Zero(2), 1.0, 1.0,
+        z_next, x, y = dr_step(worst_quadratic().prox_map(1.0),
+                               Zero(2).prox_map(1.0), 1.0,
                                np.array([0.0, 1.0]))
         assert np.allclose(z_next, [0.0, 0.0], atol=1e-15)
         assert np.allclose(x, [0.0, 0.5], atol=1e-15)
@@ -44,12 +49,14 @@ class TestDrStep:
 
     def test_identity_when_both_zero(self, rng):
         z = rng.normal(size=3)
-        z_next, _, _ = dr_step(Zero(3), Zero(3), 2.0, 1.0, z)
+        z_next, _, _ = dr_step(Zero(3).prox_map(2.0), Zero(3).prox_map(2.0),
+                               1.0, z)
         assert np.allclose(z_next, z, atol=1e-15)
 
     def test_origin_indicator_flips_scaled(self):
-        z_next, _, _ = dr_step(worst_quadratic(), IndicatorZero(2), 0.5,
-                               1.0, np.array([1.0, 0.0]))
+        z_next, _, _ = dr_step(worst_quadratic().prox_map(0.5),
+                               IndicatorZero(2).prox_map(0.5), 1.0,
+                               np.array([1.0, 0.0]))
         assert np.allclose(z_next, [1.0 / 3.0, 0.0], atol=1e-15)
 
     def test_matches_reflection_composition(self, rng):
@@ -57,7 +64,7 @@ class TestDrStep:
         g = sample_catalog_fn(rng, 2)
         for alpha in (0.4, 1.0, 1.3):
             z = rng.normal(size=2)
-            z_next, _, _ = dr_step(f, g, 0.8, alpha, z)
+            z_next, _, _ = dr_step(f.prox_map(0.8), g.prox_map(0.8), alpha, z)
             composed = g.reflect(0.8, f.reflect(0.8, z))
             expect = (1 - alpha) * z + alpha * composed
             assert np.allclose(z_next, expect, atol=1e-12)
@@ -72,7 +79,8 @@ class TestDrStep:
                 for alpha in (0.4, 1.0, 1.3):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = dr_step(f, g, 0.8, alpha, z)
+                        got = dr_step(f.prox_map(0.8), g.prox_map(0.8),
+                                      alpha, z)
                         x = f.prox(0.8, z)
                         y = g.prox(0.8, 2.0 * x - z)
                     want = (z + 2.0 * alpha * (y - x), x, y)
@@ -84,7 +92,8 @@ class TestDrStep:
         f = worst_quadratic()
         for g in (Zero(2), IndicatorZero(2)):
             for alpha in (0.3, 1.0, 1.4):
-                z_next, _, _ = dr_step(f, g, 0.7, alpha, np.zeros(2))
+                z_next, _, _ = dr_step(f.prox_map(0.7), g.prox_map(0.7),
+                                       alpha, np.zeros(2))
                 assert np.allclose(z_next, np.zeros(2), atol=1e-10)
 
 
@@ -135,7 +144,7 @@ class TestDrSolve:
         z = z0.copy()
         for kept in trace.z_history:
             assert kept.tobytes() == z.tobytes()
-            z = dr_step(f, g, 0.5, 1.0, z)[0]
+            z = dr_step(f.prox_map(0.5), g.prox_map(0.5), 1.0, z)[0]
         assert len({id(kept) for kept in trace.z_history}) == len(trace.z_history)
         z0[:] = 7.0  # the caller's start is copied, each step's result kept
         assert trace.z_history[0].tolist() == [0.0, 1.0]
@@ -292,6 +301,124 @@ class TestTrace:
         assert all(r >= 0 for r in trace.residuals)
 
 
+def checked_dr_solve(f, g, gamma, alpha, z0, tol, max_iters, reference):
+    """dr_solve's stop rule and records, from a loop that calls the checked
+    f.prox and g.prox on every step: (residuals, distances, z_history,
+    x_final, converged)."""
+    z = np.asarray(z0, dtype=float)
+    residuals, distances, history = [], [_norm(z - reference)], [z.copy()]
+    converged = False
+    for _ in range(max_iters):
+        x = f.prox(gamma, z)
+        y = g.prox(gamma, 2.0 * x - z)
+        z_next = z + 2.0 * alpha * (y - x)
+        residuals.append(_norm(z_next - z))
+        distances.append(_norm(z_next - reference))
+        history.append(z_next)
+        z = z_next
+        if residuals[-1] <= tol * max(1.0, _norm(z)):
+            converged = True
+            break
+    return residuals, distances, history, f.prox(gamma, z), converged
+
+
+class TestBoundMaps:
+    """dr_solve binds f.prox_map and g.prox_map once per solve, with the
+    bits of the checked proxes called on every step."""
+
+    Q3 = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+    PAIRS = {
+        "quadratic_q_plus_zero_zero": (Quadratic(Q3), Zero(3)),
+        "quadratic_q_minus_zero_indicator_zero": (
+            Quadratic(Q3, [-0.0, 0.0, -0.0]), IndicatorZero(3)),
+        "quadratic_q_nonzero_weighted_l1": (
+            Quadratic(Q3, [1.0, -2.0, 0.5]), WeightedL1([1.0, 0.5, 2.0])),
+        "quadratic_q_nonzero_box": (
+            Quadratic(Q3, [1.0, -2.0, 0.5]), Box([-0.5] * 3, [0.8] * 3)),
+        "zero_quadratic": (Zero(), Quadratic(Q3, [0.3, 0.0, -1.0])),
+        "indicator_zero_quadratic": (IndicatorZero(), Quadratic(Q3)),
+        "quadratic_bands": (Quadratic(Q3, [1.0, -2.0, 0.5]), Separable([
+            (0, 1, PwlPenalty(-0.5, 0.5, 2.0)),
+            (1, 3, Box([0.0, -1.0], [1.0, 0.0]))])),
+        "conjugate_quadratic": (ConjugateOf(Quadratic(Q3, [1.0, 0.0, 0.0])),
+                                Quadratic(Q3, [0.5, -0.0, 0.0])),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.4])
+    @pytest.mark.parametrize("reference", ["origin", "point"])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_trace_has_the_bits_of_checked_proxes(self, pair, reference,
+                                                  alpha):
+        f, g = self.PAIRS[pair]
+        z0 = np.array([-0.0, 1.0, 5e-324])
+        ref = np.zeros(3) if reference == "origin" else np.array(
+            [0.25, -0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = dr_solve(f, g, 0.7, alpha, z0, tol=1e-12, max_iters=60,
+                             reference=ref)
+            residuals, distances, history, x_final, converged = (
+                checked_dr_solve(f, g, 0.7, alpha, z0, 1e-12, 60, ref))
+        assert trace.residuals == residuals
+        assert trace.distances == distances
+        assert [z.tobytes() for z in trace.z_history] == [
+            z.tobytes() for z in history]
+        assert trace.x_final.tobytes() == x_final.tobytes()
+        assert trace.converged == converged
+
+    def test_q_rewritten_in_place_is_seen_by_the_next_solve(self):
+        # a q of +0.0 at one solve's bind and nonzero at the next, and back
+        f, g, z0 = Quadratic(self.Q3), WeightedL1([1.0, 0.5, 2.0]), np.ones(3)
+        for q in ([1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0],
+                  [0.0, 3.0, 0.0]):
+            dr_solve(f, g, 0.5, 1.0, z0, max_iters=20)
+            f.q[:] = q
+            got = dr_solve(f, g, 0.5, 1.0, z0, max_iters=20)
+            want = dr_solve(Quadratic(self.Q3, q), g, 0.5, 1.0, z0,
+                            max_iters=20)
+            assert got.residuals == want.residuals
+            assert got.x_final.tobytes() == want.x_final.tobytes()
+
+
+class TestStartRefusal:
+    """dr_solve checks z0 against f and g before its first step, with the
+    errors the checked proxes raised there; a length-1 z0 never broadcasts
+    into a 2-vector."""
+
+    PAIRS = {"quadratic": (worst_quadratic(), Zero(2)),
+             "box": (Zero(), Box([-1.0, -1.0], [1.0, 1.0])),
+             "indicator_zero": (IndicatorZero(2),
+                                Quadratic(np.eye(2), [1.0, 0.0]))}
+
+    @pytest.mark.parametrize("z0, message", [
+        (np.ones(3), "{} expects dimension 2, got 3"),
+        (np.ones(1), "{} expects dimension 2, got 1"),
+        (np.ones(0), "{} expects dimension 2, got 0"),
+        ([1.0, 2.0, 3.0], "{} expects dimension 2, got 3"),
+        (np.float64(1.0), "prox queries expect 1-d points"),
+        (np.ones((2, 1)), "prox queries expect 1-d points"),
+    ], ids=["length_3", "length_1", "empty", "list", "0-d", "2-d"])
+    @pytest.mark.parametrize("refuser", sorted(PAIRS))
+    def test_misshapen_start(self, refuser, z0, message):
+        f, g = self.PAIRS[refuser]
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{re.escape(message.format(refuser))}$"):
+            dr_solve(f, g, 0.5, 1.0, z0)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"max_iters": 0}, ValueError,
+         "max_iters must be an integer >= 1, got 0"),
+        ({"tol": 0.0}, ValueError, "tol must be positive"),
+        ({"reference": np.zeros(2)}, DimensionMismatchError,
+         "reference has shape (2,), the iterate (3,)"),
+    ], ids=["max_iters", "tol", "reference"])
+    def test_driver_arguments_are_refused_first(self, kwargs, error,
+                                                message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dr_solve(worst_quadratic(), Zero(2), 0.5, 1.0, np.ones(3),
+                     **kwargs)
+
+
 class TestOriginReference:
     """With a reference at the origin the fixed-point loop takes ||z+||
     once per step for the distance and the stopping test, with the same
@@ -406,6 +533,30 @@ _CALLS = _parameter_calls()
 def test_step_size_and_relaxation_must_be_positive(name, value):
     with pytest.raises(ValueError, match="must be positive"):
         _CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", ["dr_solve_alpha", "admm_solve_alpha"])
+def test_infinite_relaxation_is_refused_by_name(name):
+    # unrefused, alpha = inf made the first step inf - inf: a NaN or inf
+    # residual and numpy's "invalid value" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            _CALLS[name](math.inf)
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            _CALLS[name](-math.inf)
+
+
+def test_infinite_tolerance_is_refused_by_name():
+    # tol = inf would call any finite first step converged
+    problem = EqConstrainedProblem(
+        f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
+        B=-np.eye(2), c=np.zeros(2))
+    for solve in (lambda: dr_solve(worst_quadratic(), Zero(2), 1.0, 1.0,
+                                   np.ones(2), tol=math.inf),
+                  lambda: admm_solve(problem, 1.0, 1.0, tol=math.inf)):
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            solve()
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 200])

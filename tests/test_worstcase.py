@@ -143,7 +143,8 @@ class TestLinearity:
                 for gamma, alpha in ((0.3, 0.9), (0.5, 1.0), (2.0, 1.1)):
                     inst = build(REG, variant, "primal",
                                  coordinate=coordinate)
-                    z_next, _, _ = dr_step(inst.f, inst.g, gamma, alpha,
+                    z_next, _, _ = dr_step(inst.f.prox_map(gamma),
+                                           inst.g.prox_map(gamma), alpha,
                                            inst.z0)
                     base = (1 - gamma * lam) / (1 + gamma * lam)
                     factor = (1 - alpha) + alpha * base if variant == "g1" \
