@@ -28,6 +28,7 @@ from .linmetric import (
     MetricSpectra,
     _as_dense,
     _count,
+    _finite,
     _json_object,
     _json_vector,
     _normal_step,
@@ -53,7 +54,8 @@ from .splitting import SolveTrace, _fixed_point, _norm, dr_step
 @dataclass(eq=False)
 class EqConstrainedProblem:
     """min f(x) + g(y) s.t. A x + B y = c.  Treat instances as immutable,
-    but for f.q and f.b, which engines read at every solve (never cached)."""
+    but for f.q and f.b, which engines read at every solve (never cached).
+    NaN/inf in A, B or c raise ValueError at construction."""
 
     f: ProxFn
     g: ProxFn
@@ -75,6 +77,8 @@ class EqConstrainedProblem:
             raise DimensionMismatchError("f dimension does not match A")
         if self.g.dim is not None and self.g.dim != self.B.shape[1]:
             raise DimensionMismatchError("g dimension does not match B")
+        for v in (self.A, self.B, self.c):
+            _finite(v)
 
     @property
     def n(self) -> int:

@@ -7,18 +7,16 @@ function, indicators of {0} and of affine sets, box indicators, weighted l1
 norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
-All instances are immutable and safe to share between threads.  A prox's
-step-size constants are cached per gamma (see ``_per_gamma``): a quadratic's
-factorization and bound LAPACK solve, WeightedL1's thresholds, the band
-select's constants of a PwlPenalty or of a Separable of bands and boxes.
-Nothing derived from ``q`` or ``b`` is cached, as they may be rewritten in
-place between solves; ``prox_map(gamma)`` binds a prox for one solve.
+Each kind writes its prox once, as ``prox_map(gamma)``, whose binding forms
+the step size's constants (a factorization, thresholds, band edges, member
+maps); ``prox(gamma, z)`` checks its arguments, then binds and applies it.
+Nothing is cached, and nothing derived from ``q`` or ``b`` is bound, as they
+may be rewritten in place between solves.  Instances are immutable, hold no
+locks, pickle, and are safe to share between threads.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from typing import Callable
 
 import numpy as np
@@ -82,20 +80,9 @@ def _smooth_solver(f, top: np.ndarray, name: str, gamma: float,
     return potrs if cholesky else getrs
 
 
-def _per_gamma(fn, gamma: float, build: Callable):
-    """fn's constants for gamma, read without fn's lock; ``build(gamma)``
-    makes missing ones under the lock, re-checked there, so it runs once."""
-    got = fn._cache.get(gamma)
-    if got is None:
-        with fn._lock:
-            got = fn._cache.get(gamma)
-            if got is None:
-                got = fn._cache[gamma] = build(gamma)
-    return got
-
-
 class ProxFn:
-    """Base class; subclasses implement ``__call__`` and ``prox``."""
+    """Base class; subclasses implement ``__call__`` and ``prox_map``, and
+    inherit the checked ``prox``."""
 
     #: intrinsic dimension, or None when the function works on any dimension
     dim: int | None = None
@@ -105,6 +92,9 @@ class ProxFn:
 
     def __init__(self, dim: int | None = None):
         self.dim = dim
+
+    def __init_subclass__(cls):
+        cls.prox = cls.prox  # its own, which perfbench's tracer wraps per kind
 
     def _check_point(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -124,12 +114,17 @@ class ProxFn:
         raise NotImplementedError
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """``prox_map(gamma)(z)``, bound anew at each call, after gamma (else
+        ValueError) and z's shape (else DimensionMismatchError) are checked."""
+        z = self._check(gamma, z)
+        return self.prox_map(gamma)(z)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """z -> prox(gamma, z) for a caller that has checked 0 < gamma < inf
-        and passes 1-d float arrays of ``dim`` entries; made anew per solve."""
-        return functools.partial(self.prox, gamma)
+        and passes 1-d float arrays of ``dim`` entries.  Binding forms the
+        step size's constants: a caller applying the prox repeatedly binds
+        it once, as each solve does."""
+        raise NotImplementedError
 
     def reflect(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """Reflected prox 2*prox(gamma, z) - z."""
@@ -137,10 +132,10 @@ class ProxFn:
         return 2.0 * self.prox(gamma, z) - z
 
     def conjugate_prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        """Prox of gamma times the convex conjugate, via Moreau's identity."""
+        """Prox of gamma times the convex conjugate (``ConjugateOf``'s map)."""
         _normal_step(gamma)
-        z = np.asarray(z, dtype=float)
-        return z - gamma * self.prox(1.0 / gamma, z / gamma)
+        z = self._check_point(z)
+        return ConjugateOf(self).prox_map(gamma)(z)
 
     def to_json(self) -> dict:
         """``{"kind": kind, field: value, ...}`` with the fields of
@@ -165,8 +160,9 @@ class Quadratic(ProxFn):
     """f(x) = 0.5 x^T Q x + q^T x with symmetric psd Q.
 
     The prox solves (gamma*Q + I) x = z - gamma*q with a Cholesky
-    factorization and its LAPACK solve, cached per gamma.  Regularity
-    metadata is the extreme eigenvalue pair of Q (one symmetry check).
+    factorization and its LAPACK solve, bound with the map.  Regularity is
+    Q's extreme eigenvalue pair.  Refusals come in the order: Q square,
+    finite, symmetric; q's shape, finite; Q nonempty, psd.
     """
 
     kind = "quadratic"
@@ -177,28 +173,20 @@ class Quadratic(ProxFn):
         qv = np.zeros(n) if q_vector is None else np.asarray(q_vector, float)
         if qv.shape != (n,):
             raise DimensionMismatchError("q must match Q's dimension")
+        self.Q, self.q, self.dim = qm, _finite(qv), n
         summary = spectral_summary(spectra)  # ValueError unless Q is psd
-        self.Q, self.q, self.dim = qm, qv, n
         self.regularity = (summary.lambda_min, summary.lambda_max)
-        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _factor(self, gamma: float) -> Callable:
-        return _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
-                              "gamma*Q + I", gamma, ValueError)
-
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        solve = _per_gamma(self, gamma, self._factor)
+        solve = _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+                               "gamma*Q + I", gamma, ValueError)
         if not (self.q.any() or np.signbit(self.q).any()):  # z - gamma*q is z
             return solve
         return lambda z: solve(z - gamma * self.q)
-
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
-        return self.prox_map(gamma)(z)
 
 
 class QuadraticAffine(ProxFn):
@@ -207,7 +195,7 @@ class QuadraticAffine(ProxFn):
     f(x) = 0.5 x^T Q x + q^T x restricted to L x = b.  The prox is the
     equality-constrained least squares solve through the saddle system
     [[gamma*Q + I, L^T], [L, 0]], whose LU factorization and LAPACK solve
-    are cached per gamma.  NaN/inf in L or b raise ValueError at
+    are bound with the map.  NaN/inf in Q, q, L or b raise ValueError at
     construction.
     """
 
@@ -224,9 +212,8 @@ class QuadraticAffine(ProxFn):
         if (qv.shape != (n,) or lm.ndim != 2 or lm.shape[1] != n
                 or bv.shape != lm.shape[:1]):
             raise DimensionMismatchError("q, L, b shapes inconsistent with Q")
-        self.Q, self.q, self.dim = qm, qv, n
+        self.Q, self.q, self.dim = qm, _finite(qv), n
         self.L, self.b = _finite(lm), _finite(bv)
-        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -236,18 +223,18 @@ class QuadraticAffine(ProxFn):
             return np.inf
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
-    def _factor(self, gamma: float) -> Callable:
-        return _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
-                              "gamma*Q + I", gamma, SingularKktError)
-
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         p = self.L.shape[0]
-        x = _per_gamma(self, gamma, self._factor)(z - gamma * self.q)
-        if p and np.count_nonzero(np.isfinite(x)) != x.size:
-            raise SingularKktError("prox system solved to non-finite values",
-                                   size=self.dim + p)
-        return x
+        solve = _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+                               "gamma*Q + I", gamma, SingularKktError)
+
+        def prox(z: np.ndarray) -> np.ndarray:
+            x = solve(z - gamma * self.q)
+            if p and np.count_nonzero(np.isfinite(x)) != x.size:
+                raise SingularKktError("prox system solved to non-finite "
+                                       "values", size=self.dim + p)
+            return x
+        return prox
 
 
 class Zero(ProxFn):
@@ -262,9 +249,6 @@ class Zero(ProxFn):
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         return np.ndarray.copy
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return self.prox_map(gamma)(self._check(gamma, z))
-
 
 class IndicatorZero(ProxFn):
     """Indicator of the origin; prox maps everything to 0."""
@@ -277,9 +261,6 @@ class IndicatorZero(ProxFn):
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda z: np.zeros(z.shape)
-
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return self.prox_map(gamma)(self._check(gamma, z))
 
 
 class IndicatorAffine(ProxFn):
@@ -311,9 +292,8 @@ class IndicatorAffine(ProxFn):
         return 0.0 if resid <= 1e-9 * max(
             1.0, np.abs(self.b).max(initial=0.0)) else np.inf
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
-        return z - self._pinv @ (self.L @ z - self.b)
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda z: z - self._pinv @ (self.L @ z - self.b)
 
 
 class Box(ProxFn):
@@ -335,8 +315,8 @@ class Box(ProxFn):
         inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
         return 0.0 if inside else np.inf
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(self._check(gamma, z), self.lo), self.hi)
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda z: np.minimum(np.maximum(z, self.lo), self.hi)
 
     def _edges(self, gamma: float) -> tuple:
         """``_band_select``'s constants for the box as a band of infinite
@@ -360,15 +340,13 @@ class WeightedL1(ProxFn):
         if not np.all((0 <= w) & (w < np.inf)):
             raise ValueError("weights must be finite and nonnegative")
         self.w, self.dim = w, w.shape[0]
-        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         return float(self.w @ np.abs(self._check_point(x)))
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
-        thresh = _per_gamma(self, gamma, lambda g: g * self.w)
-        return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        thresh = gamma * self.w
+        return lambda z: np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
 def _band_select(z, t, below, lo, lo_to, hi, hi_to, above) -> np.ndarray:
@@ -414,7 +392,6 @@ class PwlPenalty(ProxFn):
             raise ValueError("slope must be finite and nonnegative")
         self.lo, self.hi, self.slope = lo, hi, slope
         self.dim = sizes.pop() if sizes else None
-        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -427,25 +404,25 @@ class PwlPenalty(ProxFn):
         t = gamma * self.slope
         return t, self.lo - t, self.lo, self.lo, self.hi, self.hi, self.hi + t
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
-        return _band_select(z, *_per_gamma(self, gamma, self._edges))
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        edges = self._edges(gamma)
+        return lambda z: _band_select(z, *edges)
 
 
 class Separable(ProxFn):
     """Sum of catalog members acting on disjoint index ranges.
 
     ``members`` is a list of (start, stop, fn) covering [0, dim) without
-    gaps or overlaps; the prox applies each member prox on its slice, or,
-    when every member is a ``PwlPenalty`` or a ``Box`` (a band of infinite
-    slope), one ``_band_select`` over all members' coordinates, same bits.
+    gaps or overlaps (integer bounds); the prox applies each member's map on
+    its slice, or, when every member is a ``PwlPenalty`` or a ``Box`` (a band
+    of infinite slope), one ``_band_select`` over all coordinates, same bits.
     """
 
     kind = "separable"
 
     def __init__(self, members: list[tuple[int, int, ProxFn]]):
-        members = sorted(((int(a), int(b), f) for a, b, f in members),
-                         key=lambda m: m[0])
+        members = sorted(((_json_index(a, "start"), _json_index(b, "stop"), f)
+                          for a, b, f in members), key=lambda m: m[0])
         if not members:
             raise ValueError("Separable needs at least one member")
         pos = 0
@@ -462,7 +439,6 @@ class Separable(ProxFn):
         self.members, self.dim = tuple(members), pos
         self._bands = all(type(fn) in (PwlPenalty, Box)
                           for _, _, fn in members)
-        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
@@ -474,14 +450,12 @@ class Separable(ProxFn):
             [np.broadcast_to(v, b - a) for v in fn._edges(gamma)]
             for a, b, fn in self.members))))
 
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        z = self._check(gamma, z)
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         if self._bands:
-            return _band_select(z, *_per_gamma(self, gamma, self._edges))
-        out = np.empty_like(z)
-        for a, b, fn in self.members:
-            out[a:b] = fn.prox(gamma, z[a:b])
-        return out
+            edges = self._edges(gamma)
+            return lambda z: _band_select(z, *edges)
+        maps = [(slice(a, b), fn.prox_map(gamma)) for a, b, fn in self.members]
+        return lambda z: np.concatenate([m(z[ab]) for ab, m in maps])
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -507,6 +481,11 @@ class ConjugateOf(ProxFn):
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         return self.inner.conjugate_prox(gamma, z)
+
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        _normal_step(gamma)  # Moreau's identity, the inner map at 1/gamma
+        inner = self.inner.prox_map(1.0 / gamma)
+        return lambda z: z - gamma * inner(z / gamma)
 
 
 def strongly_convex(f: ProxFn) -> Quadratic:
@@ -598,7 +577,9 @@ _WIRE = {cls.kind: (cls, fields) for cls, fields in (
 
 
 def proxfn_from_json(obj: dict) -> ProxFn:
-    """Rebuild a catalog member from its tagged-union JSON encoding."""
+    """Rebuild a catalog member from its tagged-union JSON encoding: ``dim``
+    first, then ``_WIRE[kind]``'s fields in order, so the first bad field is
+    the one reported; a kind not in the table is ``unknown ProxFn kind``."""
     kind = _json_object(obj, "a ProxFn").get("kind")
     dim = obj.get("dim")
     dim = None if dim is None else _json_index(dim, "dim")
@@ -613,7 +594,6 @@ def proxfn_from_json(obj: dict) -> ProxFn:
         if not isinstance(obj["members"], list):
             raise ValueError("members must be a list")
         members = [_json_object(m, "a member") for m in obj["members"]]
-        return Separable([(_json_index(m["start"], "start"),
-                           _json_index(m["stop"], "stop"),
-                           proxfn_from_json(m["fn"])) for m in members])
+        return Separable([(m["start"], m["stop"], proxfn_from_json(m["fn"]))
+                          for m in members])
     raise ValueError(f"unknown ProxFn kind {kind!r}")

@@ -191,9 +191,10 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
     """
     _step(gamma)
     _positive(alpha, "alpha")
-    x = None
+    x = prox_f = None
 
     def bind(z0):
+        nonlocal prox_f
         g._check_point(f._check_point(z0))
         prox_f, prox_g = f.prox_map(gamma), g.prox_map(gamma)
 
@@ -204,6 +205,6 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
         return step
 
     trace = _fixed_point(bind, z0, max_iters, tol, reference)
-    trace.x_final = (f.prox(gamma, trace.z_final)
+    trace.x_final = (prox_f(trace.z_final)
                      if math.isfinite(trace.residuals[-1]) else x)
     return trace

@@ -10,12 +10,13 @@
 # so it can come from either tree.  The three problem-file reports print
 # eigenvalues at full precision, on the exact 2x2 path (the dual extremal
 # instance), on the KKT-block heuristic path (the desk MPC problem) and on
-# the lasso path with a weighted l1 term (a small lasso problem).  Five v1
+# the lasso path with a weighted l1 term (a small lasso problem).  Six v1
 # trace CSVs cover the solves no CLI command reaches: DR with a quadratic on
 # an affine set (its saddle-system prox), DR with a quadratic whose q is
-# nonzero (its prox map forms z - gamma*q) and a weighted l1 g, ADMM whose
-# x-update is a prox (a diagonal A with a weighted l1 f), and two ADMM
-# solves whose y-update is the one select, under a non-identity
+# nonzero (its prox map forms z - gamma*q) and a weighted l1 g, DR with a
+# g that is a mixed Separable (its member maps) with a conjugate member
+# (its map at 1/gamma), ADMM whose x-update is a prox (a diagonal A with a
+# weighted l1 f), and two ADMM solves whose y-update is the one select, under a non-identity
 # B = -diag(d): over soft bands split by a box with a 0.0 bound, and over
 # two adjacent soft bands (one shared, one per coordinate) and a box.
 # Iteration counts depend on the BLAS reduction order, so every BLAS and
@@ -65,6 +66,7 @@ python -c 'import json, sys; from proxsplit import bench; json.dump(bench.gen_la
 python -m proxsplit metric-report --problem "$out/lasso-problem.json" --out "$out/metric-report-lasso.json"
 python -c 'import sys, numpy as np; from proxsplit.prox import Box, QuadraticAffine; from proxsplit.splitting import dr_solve, write_trace_csv; t = dr_solve(QuadraticAffine([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5], [[1, 1, 1]], [1]), Box([-0.5] * 3, [0.8] * 3), 0.7, 1.0, np.zeros(3)); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/dr-quadratic-affine.csv"
 python -c 'import sys, numpy as np; from proxsplit.prox import Quadratic, WeightedL1; from proxsplit.splitting import dr_solve, write_trace_csv; t = dr_solve(Quadratic([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5]), WeightedL1([1, 0.5, 2]), 0.5, 1.3, np.array([0.4, -1.0, 2.0])); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/dr-quadratic-l1.csv"
+python -c 'import sys, numpy as np; from proxsplit.prox import ConjugateOf, Quadratic, Separable, WeightedL1, Zero; from proxsplit.splitting import dr_solve, write_trace_csv; t = dr_solve(Quadratic([[4, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 2, 0.5, 0], [0, 0, 0.5, 1, 0], [0, 0, 0, 0, 2]], [1, -2, 0.5, 0, 1]), Separable([(0, 2, WeightedL1([1, 0.5])), (2, 3, Zero(1)), (3, 5, ConjugateOf(Quadratic([[2, 0.5], [0.5, 1]], [0.3, -0.1])))]), 0.7, 1.2, np.array([0.4, -1.0, 2.0, 0.5, -0.3])); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/dr-separable-conjugate.csv"
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, WeightedL1; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(WeightedL1([1, 0.5, 2]), Box([-1] * 3, [1] * 3), np.diag([2, 1, 0.5]), -np.eye(3), [0.3, -0.2, 0.9]), 0.8, 0.5, z0=np.ones(3)); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-diagonal-prox.csv"
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, PwlPenalty, Quadratic, Separable; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(Quadratic([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5]), Separable([(0, 2, PwlPenalty(-0.5, 0.5, 2.0)), (2, 4, Box([0.0, -1.0], [1.0, 0.0])), (4, 6, PwlPenalty([-1.0, 0.0], [1.0, 0.2], [0.5, 3.0]))]), [[1, 0, 1], [0, 2, -1], [1, 1, 0], [-1, 0, 2], [0, 1, 1], [2, -1, 0]], -np.diag([2.0, 1.0, 0.5, 3.0, 1.0, 0.5]), [1.5, -2.0, 0.7, -0.4, 2.5, -1.2]), 0.8, 0.5); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-bands-box.csv"
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, PwlPenalty, Quadratic, Separable; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(Quadratic([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5]), Separable([(0, 2, PwlPenalty(-0.5, 0.5, 2.0)), (2, 5, PwlPenalty([-1.0, 0.0, -0.2], [1.0, 0.2, 0.3], [0.5, 3.0, 1.0])), (5, 7, Box([0.0, -1.0], [1.0, 0.0]))]), [[1, 0, 1], [0, 2, -1], [1, 1, 0], [-1, 0, 2], [0, 1, 1], [2, -1, 0], [1, -1, 1]], -np.diag([2.0, 1.0, 0.5, 3.0, 1.0, 0.25, 1.5]), [1.5, -2.0, 0.7, -0.4, 2.5, -1.2, 0.9]), 0.8, 0.5); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-adjacent-bands.csv"

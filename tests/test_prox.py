@@ -1,11 +1,10 @@
 """Prox catalog against brute-force oracles and operator-theoretic laws."""
 
+import copy
 import itertools
 import json
+import pickle
 import re
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -19,8 +18,9 @@ from conftest import (
     sample_catalog_fn,
     sample_quadratic_affine,
 )
-from proxsplit.admm import AdmmEngine
-from proxsplit.bench import MpcSpec, gen_mpc, mpc_metric_objective
+from proxsplit.admm import AdmmEngine, EqConstrainedProblem, admm_solve
+from proxsplit.bench import (LassoSpec, MpcSpec, gen_lasso, gen_mpc,
+                             mpc_metric_objective)
 from proxsplit.errors import (
     CapabilityError,
     DimensionMismatchError,
@@ -519,87 +519,31 @@ class TestFactorOverflow:
         for _ in range(2):
             with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
                 f.prox(1e300, np.ones(2))
-        assert 1e300 not in f._cache
+        assert set(vars(f)) == {"Q", "q", "dim", "regularity"}
 
 
-class TestFactorCache:
-    """Every kind with step-size constants reads its per-gamma cache without
-    the lock and takes it only to build a missing entry, once per gamma."""
-
-    @staticmethod
-    def instance(kind, rng):
-        if kind == "quadratic":
-            return Quadratic(np.diag([4.0, 1.0, 2.0]), rng.normal(size=3))
-        if kind == "quadratic_affine":
-            return sample_quadratic_affine(rng, 3)
-        if kind == "pwl_penalty":
-            return PwlPenalty(-0.5, 0.5, 2.0)
-        if kind == "pwl_penalty_per_coordinate":
-            return PwlPenalty([-0.5, -1.0, 0.0], [0.5, 0.0, 0.0],
-                              [2.0, 0.5, 1.0])
-        return WeightedL1([0.5, 1.0, 2.0])
-
-    @pytest.mark.parametrize("kind", [
-        "quadratic", "quadratic_affine", "pwl_penalty",
-        "pwl_penalty_per_coordinate", "weighted_l1"])
-    def test_concurrent_first_calls_build_one_factor(self, monkeypatch, rng,
-                                                     kind):
-        f = self.instance(kind, rng)
-        f.prox(0.3, rng.normal(size=3))  # another gamma already cached
-        builds = []
-        per_gamma = prox._per_gamma
-
-        def slow_per_gamma(fn, gamma, build):
-            def slow_build(g):
-                builds.append(g)
-                time.sleep(0.05)  # every thread arrives while this runs
-                return build(g)
-            return per_gamma(fn, gamma, slow_build)
-
-        monkeypatch.setattr(prox, "_per_gamma", slow_per_gamma)
-        z = 3.0 * rng.normal(size=3)
-        n_threads = 8
-        barrier = threading.Barrier(n_threads, timeout=10)
-        results = [None] * n_threads
-
-        def worker(i):
-            barrier.wait()
-            results[i] = f.prox(0.7, z).tobytes()
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert builds == [0.7]
-        assert set(results) == {f.prox(0.7, z).tobytes()}
-        f.prox(0.3, z)
-        assert builds == [0.7]  # both gammas cached; no further build
+class TestRewrittenVectors:
+    """q and b may change in place between solves, as in the MPC closed
+    loop: a prox, and a map bound before the change, read them at the call."""
 
     @pytest.mark.parametrize("kind", ["quadratic", "quadratic_affine"])
-    def test_vectors_rewritten_in_place_are_read_at_a_cached_gamma(self, rng,
-                                                                   kind):
-        # q and b may change in place between calls, as in the MPC closed
-        # loop; nothing cached per gamma may hold them
-        f = self.instance(kind, rng)
+    def test_vectors_rewritten_in_place_are_read_at_the_call(self, rng, kind):
+        if kind == "quadratic":
+            f = Quadratic(np.diag([4.0, 1.0, 2.0]), rng.normal(size=3))
+        else:
+            f = sample_quadratic_affine(rng, 3)
         z = rng.normal(size=3)
-        for gamma in (0.3, 0.7):
-            f.prox(gamma, z)
+        maps = [(gamma, f.prox_map(gamma)) for gamma in (0.3, 0.7)]
         f.q[:] = rng.normal(size=3)
         if kind == "quadratic":
             fresh = Quadratic(f.Q, f.q.copy())
         else:
             f.b[:] = f.L @ rng.normal(size=3)
             fresh = QuadraticAffine(f.Q, f.q.copy(), f.L, f.b.copy())
-        for gamma in (0.3, 0.7):
-            assert f.prox(gamma, z).tobytes() == fresh.prox(gamma, z).tobytes()
+        for gamma, prox_map in maps:
+            want = fresh.prox(gamma, z).tobytes()
+            assert f.prox(gamma, z).tobytes() == want
+            assert prox_map(z).tobytes() == want
 
 
 #: one instance of every catalog kind on 4 coordinates, the quadratic with
@@ -641,9 +585,41 @@ _MAP_POINTS = [
 ]
 
 
+def reference_prox(f: prox.ProxFn, gamma: float, z: np.ndarray) -> np.ndarray:
+    """The prox of every catalog kind written out from its formula, through
+    scipy's factorizations and never through ``prox_map`` or ``prox``."""
+    if isinstance(f, Quadratic):
+        fac = scipy.linalg.cho_factor(gamma * f.Q + np.eye(f.dim))
+        return scipy.linalg.cho_solve(fac, z - gamma * f.q)
+    if isinstance(f, QuadraticAffine):
+        p = f.L.shape[0]
+        kkt = np.block([[gamma * f.Q + np.eye(f.dim), f.L.T],
+                        [f.L, np.zeros((p, p))]])
+        rhs = np.concatenate([z - gamma * f.q, f.b])
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt), rhs)[:f.dim]
+    if isinstance(f, Zero):
+        return z.copy()
+    if isinstance(f, IndicatorZero):
+        return np.zeros(z.shape)
+    if isinstance(f, IndicatorAffine):
+        return z - np.linalg.pinv(f.L) @ (f.L @ z - f.b)
+    if isinstance(f, Box):
+        return np.minimum(np.maximum(z, f.lo), f.hi)
+    if isinstance(f, WeightedL1):
+        return np.sign(z) * np.maximum(np.abs(z) - gamma * f.w, 0.0)
+    if isinstance(f, PwlPenalty):
+        return nested_select_pwl_prox(f, gamma, z)
+    if isinstance(f, Separable):
+        return np.concatenate([reference_prox(fn, gamma, z[a:b])
+                               for a, b, fn in f.members])
+    assert isinstance(f, ConjugateOf)
+    return z - gamma * reference_prox(f.inner, 1.0 / gamma, z / gamma)
+
+
 class TestProxMap:
-    """``prox_map(gamma)`` is the prox at one step size: the bits of the
-    checked ``prox``, with maps of several gammas live on one instance."""
+    """``prox_map(gamma)`` is the prox at one step size: the bits of each
+    kind's formula and of the checked ``prox``, with maps of several gammas
+    live on one instance, and its constants formed once per bind."""
 
     GAMMAS = (0.3, 1.7, 0.3, 2.5, 1.7)
 
@@ -656,8 +632,29 @@ class TestProxMap:
             for z in map(np.array, _MAP_POINTS):
                 for gamma, prox_map in maps:
                     got = prox_map(z)
-                    assert got.tobytes() == f.prox(gamma, z).tobytes()
+                    want = reference_prox(f, gamma, z).tobytes()
+                    assert got.tobytes() == want
+                    assert f.prox(gamma, z).tobytes() == want
                     assert not np.shares_memory(got, z)
+
+    @pytest.mark.parametrize("max_iters", [1, 7, 10_000])
+    def test_a_solve_factors_each_smooth_term_once(self, monkeypatch,
+                                                    max_iters):
+        # f at gamma and the conjugate member's quadratic at 1/gamma, each
+        # factored when its map is bound, whatever the iteration count
+        calls = []
+        solver = prox._smooth_solver
+        monkeypatch.setattr(prox, "_smooth_solver", lambda *args: (
+            calls.append(args[3]), solver(*args))[1])
+        f = Quadratic(_Q4, [1.0, -2.0, 0.5, 0.0])
+        g = Separable([(0, 2, WeightedL1([1.0, 0.5])), (2, 4, ConjugateOf(
+            Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.1])))])
+        trace = dr_solve(f, g, 0.7, 1.2, np.array([0.4, -1.0, 2.0, 0.5]),
+                         max_iters=max_iters)
+        assert trace.converged == (max_iters == 10_000)
+        assert trace.converged or trace.iterations == max_iters
+        assert calls == [0.7, 1.0 / 0.7]
+        assert trace.x_final.tobytes() == f.prox(0.7, trace.z_final).tobytes()
 
     @pytest.mark.parametrize("q", [
         [0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.0],
@@ -683,6 +680,39 @@ class TestProxMap:
                 assert not np.shares_memory(got, z)
             zeros = IndicatorZero(4).prox_map(0.3)(z)
             assert zeros.tobytes() == bytes(8 * z.size)
+
+
+_COPIERS = pytest.mark.parametrize("copier", [
+    lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+
+
+class TestCopies:
+    """Every kind and every problem pickles and deep-copies (nothing holds
+    a lock), and the copy solves with the original's bits."""
+
+    @_COPIERS
+    @pytest.mark.parametrize("kind", sorted(_MAP_KINDS))
+    def test_every_kind_round_trips(self, kind, copier):
+        f = _MAP_KINDS[kind]()
+        back = copier(f)
+        assert type(back) is type(f) and back is not f
+        for z in map(np.array, _MAP_POINTS):
+            for gamma in (0.3, 1.7):
+                assert back.prox(gamma, z).tobytes() == f.prox(
+                    gamma, z).tobytes()
+
+    @_COPIERS
+    @pytest.mark.parametrize("name", ["lasso", "mpc"])
+    def test_desk_problems_round_trip(self, name, copier):
+        problem = (gen_lasso(LassoSpec(n=50, m=75, nnz_per_row=10))
+                   if name == "lasso" else
+                   gen_mpc(MpcSpec(), np.zeros(4), [0.0, 0.0, 0.0, 10.0]))
+        back = copier(problem)
+        assert back.to_json() == problem.to_json()
+        *_, want = admm_solve(problem, 1.0, 0.5, max_iters=20)
+        *_, got = admm_solve(back, 1.0, 0.5, max_iters=20)
+        assert got.z_final.tobytes() == want.z_final.tobytes()
 
 
 class TestDiagScale:
@@ -807,6 +837,19 @@ class TestSeparable:
         with pytest.raises(ValueError):
             Separable([(0, 2, Zero(2)), (1, 4, Zero(3))])
 
+    @pytest.mark.parametrize("start, stop, message", [
+        (0, 2.7, "stop must be a non-negative integer, got 2.7"),
+        (False, True, "start must be a non-negative integer, got False"),
+        (0, "2", "stop must be a non-negative integer, got '2'"),
+        (-1, 1, "start must be a non-negative integer, got -1"),
+    ])
+    def test_ranges_are_integers(self, start, stop, message):
+        # a fractional stop would be truncated to a shorter range
+        with pytest.raises(ValueError) as err:
+            Separable([(start, stop, Zero())])
+        assert str(err.value) == message
+        assert Separable([(np.int64(0), 2.0, Zero())]).dim == 2
+
 
 class TestJsonRoundtrip:
     def test_all_kinds(self, rng):
@@ -895,6 +938,9 @@ class TestNonFiniteParameters:
         lambda: WeightedL1([np.nan, 1.0]),
         lambda: WeightedL1([np.inf, 1.0]),
         lambda: Quadratic(np.diag([np.inf, 1.0])),
+        lambda: Quadratic(np.eye(2), [np.nan, 1.0]),
+        lambda: QuadraticAffine(np.eye(2), [np.inf, 0.0], [[1.0, 1.0]],
+                                [1.0]),
     ])
     def test_refused(self, make):
         with warnings.catch_warnings():
@@ -912,8 +958,19 @@ class TestNonFiniteParameters:
         lambda: QuadraticAffine(np.eye(2), None, [[np.nan, 1.0]],
                                 [1.0]).prox(1.0, np.ones(2)),
         lambda: QuadraticAffine(np.eye(2), None, [[1.0, 1.0]], [np.inf]),
+        # the constraint A x + B y = c, refused before a step size or B's
+        # diagonal test could be blamed
+        lambda: EqConstrainedProblem(Quadratic(np.eye(2)), Zero(2),
+                                     [[np.nan, 0.0], [0.0, 1.0]], -np.eye(2),
+                                     np.ones(2)),
+        lambda: EqConstrainedProblem(Quadratic(np.eye(2)), Zero(2),
+                                     np.eye(2), np.diag([-1.0, -np.inf]),
+                                     np.ones(2)),
+        lambda: EqConstrainedProblem(Quadratic(np.eye(2)), Zero(2),
+                                     np.eye(2), -np.eye(2), [np.nan, 1.0]),
     ], ids=["l_nan", "l_inf", "l_minus_inf", "b_nan", "b_inf",
-            "quadratic_l_nan", "quadratic_b_inf"])
+            "quadratic_l_nan", "quadratic_b_inf", "problem_a_nan",
+            "problem_b_inf", "problem_c_nan"])
     def test_affine_set_data_is_refused_by_name(self, make):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before pinv warns
@@ -953,6 +1010,15 @@ class TestNonFiniteParameters:
                   Zero(2)):
             with pytest.raises(ValueError, match="gamma"):
                 f.prox(gamma, np.array([3.0, -3.0]))
+        # every kind refuses it before gamma*Q, gamma*w or gamma*slope warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, make in sorted(_MAP_KINDS.items()):
+                message = ("positive and normal, got " if kind == "conjugate"
+                           else "positive and finite")
+                with pytest.raises(ValueError, match=f"^gamma must be "
+                                   f"{message}"):
+                    make().prox(gamma, np.array(_MAP_POINTS[1]))
 
 
 def four_select_pwl_prox(f: PwlPenalty, gamma: float,
