@@ -56,6 +56,16 @@ def _nonsmooth(variant: str) -> ProxFn:
     return Zero(2) if variant == "g1" else IndicatorZero(2)
 
 
+def _check_case(variant: str, coordinate: int) -> None:
+    """Refuse a coordinate but the integer 1 or 2 (no bool), then a variant."""
+    if (isinstance(coordinate, bool)
+            or not isinstance(coordinate, (int, np.integer))
+            or coordinate not in (BETA_COORD, SIGMA_COORD)):
+        raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+
+
 def build(reg: Regularity, variant: str, setting: str = "primal", *,
           theta: float | None = None, zeta: float | None = None,
           coordinate: int = SIGMA_COORD) -> WorstCaseInstance:
@@ -68,10 +78,7 @@ def build(reg: Regularity, variant: str, setting: str = "primal", *,
     excites: 1 the beta axis, 2 the sigma axis.  The fixed point and the
     solution are the origin in both settings.
     """
-    if coordinate not in (BETA_COORD, SIGMA_COORD):
-        raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+    _check_case(variant, coordinate)
     if setting != "dual" and (theta is not None or zeta is not None):
         raise ValueError(f"theta and zeta belong to the dual setting, got "
                          f"theta={theta}, zeta={zeta} with {setting!r}")
@@ -100,8 +107,11 @@ def dual_constants(reg: Regularity, theta: float,
     """Dual regularity of the constrained extremal instance."""
     if not zeta >= theta > 0:
         raise ValueError("need zeta >= theta > 0")
-    return DualRegularity(sigma_hat=theta**2 / reg.beta,
-                          beta_hat=zeta**2 / reg.sigma)
+    try:
+        sigma_hat, beta_hat = theta**2 / reg.beta, zeta**2 / reg.sigma
+    except OverflowError:  # a float square past the largest double raises
+        sigma_hat = beta_hat = math.inf  # which DualRegularity refuses
+    return DualRegularity(sigma_hat=sigma_hat, beta_hat=beta_hat)
 
 
 def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
@@ -115,15 +125,12 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     _step(gamma)
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
-    if coordinate not in (BETA_COORD, SIGMA_COORD):
-        raise ValueError("coordinate must be 1 (beta) or 2 (sigma)")
+    _check_case(variant, coordinate)
     lam = reg.beta if coordinate == BETA_COORD else reg.sigma
     base = (1.0 - gamma * lam) / (1.0 + gamma * lam)
     if variant == "g1":
         return abs(1.0 - alpha + alpha * base)
-    if variant == "g2":
-        return abs(1.0 - alpha - alpha * base)
-    raise ValueError(f"variant must be one of {VARIANTS}")
+    return abs(1.0 - alpha - alpha * base)
 
 
 def adversarial_case(alpha: float, gamma: float, reg: Regularity
@@ -181,6 +188,22 @@ def _measured_columns(trace: SolveTrace, reg: Regularity, variant: str,
     }
 
 
+def _adversarial_run(reg: Regularity, case: Regularity, gamma: float,
+                     alpha: float, theta: float | None, zeta: float | None,
+                     tol: float, iters: int) -> tuple[str, int, SolveTrace]:
+    """Pick the case in ``case`` (reg, or the dual constants), build, solve."""
+    variant, _, coordinate = adversarial_case(alpha, gamma, case)
+    inst = build(reg, variant, "primal" if theta is None else "dual",
+                 theta=theta, zeta=zeta, coordinate=coordinate)
+    if inst.problem is None:
+        trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=tol,
+                         max_iters=iters, reference=inst.fixed_point)
+    else:
+        trace = admm_solve(inst.problem, gamma, alpha, z0=inst.z0, tol=tol,
+                           max_iters=iters, reference=inst.fixed_point)[-1]
+    return variant, coordinate, trace
+
+
 def verify_point(beta: float, sigma: float, gamma: float, alpha: float, *,
                  iters: int = 120) -> dict:
     """Run the adversarial primal instance and compare measured vs exact.
@@ -189,10 +212,8 @@ def verify_point(beta: float, sigma: float, gamma: float, alpha: float, *,
     exact_rate, measured_rate, max_abs_diff.
     """
     reg = Regularity(sigma=sigma, beta=beta)
-    variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
-    inst = build(reg, variant, "primal", coordinate=coordinate)
-    trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=1e-13,
-                     max_iters=iters, reference=inst.fixed_point)
+    variant, coordinate, trace = _adversarial_run(reg, reg, gamma, alpha,
+                                                  None, None, 1e-13, iters)
     return {"beta": beta, "sigma": sigma, "gamma": gamma, "alpha": alpha,
             "variant": variant,
             **_measured_columns(trace, reg, variant, gamma, alpha,
@@ -229,10 +250,8 @@ def divergence_distances(beta: float, sigma: float,
     reg = Regularity(sigma=sigma, beta=beta)
     delta = contraction_factor(reg, gamma)
     alpha = 1.01 * 2.0 / (1.0 + delta)
-    variant, z0, coordinate = adversarial_case(alpha, gamma, reg)
-    inst = build(reg, variant, "primal", coordinate=coordinate)
-    trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=1e-300,
-                     max_iters=100, reference=inst.fixed_point)
+    _, _, trace = _adversarial_run(reg, reg, gamma, alpha, None, None,
+                                   1e-300, 100)
     return np.array(trace.distances)
 
 
@@ -245,14 +264,9 @@ def dual_verify_point(beta: float, sigma: float, theta: float, zeta: float,
     contraction lives on z = gamma*(u - B y).
     """
     reg = Regularity(sigma=sigma, beta=beta)
-    dual = dual_constants(reg, theta, zeta)
-    dreg = dual.as_regularity()
-    variant, _, coordinate = adversarial_case(alpha, gamma, dreg)
-    inst = build(reg, variant, "dual", theta=theta, zeta=zeta,
-                 coordinate=coordinate)
-    _, _, _, trace = admm_solve(inst.problem, gamma, alpha, tol=1e-13,
-                                max_iters=iters, z0=inst.z0,
-                                reference=np.zeros(2))
+    dreg = dual_constants(reg, theta, zeta).as_regularity()
+    variant, coordinate, trace = _adversarial_run(reg, dreg, gamma, alpha,
+                                                  theta, zeta, 1e-13, iters)
     return {"beta": beta, "sigma": sigma, "theta": theta, "zeta": zeta,
             "gamma": gamma, "alpha": alpha, "variant": variant,
             **_measured_columns(trace, dreg, variant, gamma, alpha,

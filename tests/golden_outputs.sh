@@ -18,7 +18,11 @@
 # (its map at 1/gamma), ADMM whose x-update is a prox (a diagonal A with a
 # weighted l1 f), and two ADMM solves whose y-update is the one select, under a non-identity
 # B = -diag(d): over soft bands split by a box with a 0.0 bound, and over
-# two adjacent soft bands (one shared, one per coordinate) and a box.
+# two adjacent soft bands (one shared, one per coordinate) and a box.  One
+# v1 CSV pins the ADMM tightness claim: admm-dual-tightness.csv holds 36
+# dual_verify_point rows (variants g1 and g2), beta 4 and 25, two (theta,
+# zeta) pairs, 0.2, 1 and 5 times the dual gamma* and the three acceptance
+# relaxations.
 # Iteration counts depend on the BLAS reduction order, so every BLAS and
 # OpenMP runtime gets one thread, as in CI and perfbench/run.py.
 set -euo pipefail
@@ -70,6 +74,7 @@ python -c 'import sys, numpy as np; from proxsplit.prox import ConjugateOf, Quad
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, WeightedL1; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(WeightedL1([1, 0.5, 2]), Box([-1] * 3, [1] * 3), np.diag([2, 1, 0.5]), -np.eye(3), [0.3, -0.2, 0.9]), 0.8, 0.5, z0=np.ones(3)); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-diagonal-prox.csv"
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, PwlPenalty, Quadratic, Separable; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(Quadratic([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5]), Separable([(0, 2, PwlPenalty(-0.5, 0.5, 2.0)), (2, 4, Box([0.0, -1.0], [1.0, 0.0])), (4, 6, PwlPenalty([-1.0, 0.0], [1.0, 0.2], [0.5, 3.0]))]), [[1, 0, 1], [0, 2, -1], [1, 1, 0], [-1, 0, 2], [0, 1, 1], [2, -1, 0]], -np.diag([2.0, 1.0, 0.5, 3.0, 1.0, 0.5]), [1.5, -2.0, 0.7, -0.4, 2.5, -1.2]), 0.8, 0.5); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-bands-box.csv"
 python -c 'import sys, numpy as np; from proxsplit.admm import EqConstrainedProblem, admm_solve; from proxsplit.prox import Box, PwlPenalty, Quadratic, Separable; from proxsplit.splitting import write_trace_csv; *_, t = admm_solve(EqConstrainedProblem(Quadratic([[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 0.5]), Separable([(0, 2, PwlPenalty(-0.5, 0.5, 2.0)), (2, 5, PwlPenalty([-1.0, 0.0, -0.2], [1.0, 0.2, 0.3], [0.5, 3.0, 1.0])), (5, 7, Box([0.0, -1.0], [1.0, 0.0]))]), [[1, 0, 1], [0, 2, -1], [1, 1, 0], [-1, 0, 2], [0, 1, 1], [2, -1, 0], [1, -1, 1]], -np.diag([2.0, 1.0, 0.5, 3.0, 1.0, 0.25, 1.5]), [1.5, -2.0, 0.7, -0.4, 2.5, -1.2, 0.9]), 0.8, 0.5); write_trace_csv(t, open(sys.argv[1], "w"))' "$out/admm-adjacent-bands.csv"
+python -c 'import sys; from proxsplit.rates import Regularity, contraction_factor, optimal_parameters; from proxsplit.splitting import write_csv; from proxsplit.worstcase import acceptance_alphas, dual_constants, dual_verify_point; cols = ("beta", "sigma", "theta", "zeta", "gamma", "alpha", "variant", "bound", "exact_rate", "measured_rate", "max_abs_diff"); pts = [(b, t, z, r * optimal_parameters(d)[0], d) for b in (4.0, 25.0) for t, z in ((1.0, 2.0), (0.5, 3.0)) for d in [dual_constants(Regularity(1.0, b), t, z).as_regularity()] for r in (0.2, 1.0, 5.0)]; rows = [dual_verify_point(b, 1.0, t, z, g, a) for b, t, z, g, d in pts for a in acceptance_alphas(contraction_factor(d, g))]; write_csv(open(sys.argv[1], "w"), (), cols, ([r[c] for c in cols] for r in rows))' "$out/admm-dual-tightness.csv"
 for demo in demos/*.py; do
   python "$demo" > "$out/$(basename "$demo" .py).txt"
 done

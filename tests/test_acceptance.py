@@ -139,11 +139,11 @@ def test_criterion_06_prox_correctness():
         gamma = float(10.0 ** rng.uniform(-2, 2))
         z1 = 3.0 * rng.normal(size=dim)
         z2 = 3.0 * rng.normal(size=dim)
+        p1 = f.prox(gamma, z1)
         moreau = np.linalg.norm(
-            f.prox(gamma, z1)
-            + gamma * f.conjugate_prox(1.0 / gamma, z1 / gamma) - z1)
+            p1 + gamma * f.conjugate_prox(1.0 / gamma, z1 / gamma) - z1)
         worst_moreau = max(worst_moreau, float(moreau))
-        lhs = np.linalg.norm(f.prox(gamma, z1) - f.prox(gamma, z2))
+        lhs = np.linalg.norm(p1 - f.prox(gamma, z2))
         rhs = np.linalg.norm(z1 - z2)
         assert lhs <= rhs * (1 + 1e-10) + 1e-12
 

@@ -1166,10 +1166,18 @@ class TestKernelBits:
                     assert g._bands
                     points = self.separable_points(g, gammas)
                     for gamma in gammas * 2:
+                        # each map bound once per gamma, as a solve binds
+                        # it: binding g's map concatenates every member's
+                        # edges, milliseconds per bind
+                        prox = g.prox_map(gamma)
+                        maps = [(a, b, fn.prox_map(gamma))
+                                for a, b, fn in g.members]
                         for z in points:
-                            want = np.concatenate([fn.prox(gamma, z[a:b])
-                                                   for a, b, fn in g.members])
-                            assert same_bits(g.prox(gamma, z), want), gamma
+                            want = np.concatenate([m(z[a:b])
+                                                   for a, b, m in maps])
+                            assert same_bits(prox(z), want), gamma
+                        # and the checked prox, once per gamma
+                        assert same_bits(g.prox(gamma, z), want), gamma
 
 
 class TestSoftBandMerge:

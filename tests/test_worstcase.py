@@ -1,6 +1,7 @@
 """Extremal instances: construction, exact rates, tightness, divergence."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxsplit import worstcase
 from proxsplit.prox import IndicatorZero, Quadratic, Zero
-from proxsplit.rates import Regularity, contraction_factor, rate_bound
+from proxsplit.rates import (Regularity, contraction_factor,
+                             optimal_parameters, rate_bound)
 from proxsplit.splitting import dr_step
 from proxsplit.worstcase import (
     _measured_columns,
@@ -74,6 +77,51 @@ class TestBuild:
         assert str(info.value) == (
             "theta and zeta belong to the dual setting, got "
             f"theta={theta}, zeta={zeta} with 'primal'")
+
+    @pytest.mark.parametrize("coordinate", [
+        2.0, np.float64(1.0), True, False, 0, 3, np.int64(-1), "1", None])
+    @pytest.mark.parametrize("call", [
+        lambda c: build(REG, "g1", coordinate=c),
+        lambda c: build(REG, "g1", "dual", theta=1.0, zeta=3.0, coordinate=c),
+        lambda c: exact_rate(REG, "g1", 0.5, 1.0, c),
+        lambda c: exact_rate(REG, "g3", 0.5, 1.0, c)],
+        ids=["build", "build-dual", "exact_rate", "exact_rate-bad-variant"])
+    def test_coordinate_is_the_integer_1_or_2(self, call, coordinate):
+        # a float 2.0 would index np.eye and True (== 1) pass as the beta
+        # axis; the coordinate is checked before the variant
+        with pytest.raises(ValueError) as info:
+            call(coordinate)
+        assert str(info.value) == "coordinate must be 1 (beta) or 2 (sigma)"
+
+    @pytest.mark.parametrize("coordinate", [1, 2])
+    def test_numpy_integer_coordinate_is_the_int(self, coordinate):
+        for kind in (np.int64, np.int32):
+            assert np.array_equal(build(REG, "g2", coordinate=kind(
+                coordinate)).z0, build(REG, "g2", coordinate=coordinate).z0)
+            assert exact_rate(REG, "g2", 0.3, 0.8, kind(coordinate)) == \
+                exact_rate(REG, "g2", 0.3, 0.8, coordinate)
+
+    @pytest.mark.parametrize("call", [
+        lambda: build(REG, "g3", coordinate=2),
+        lambda: exact_rate(REG, "g3", 0.5, 1.0, 2)],
+        ids=["build", "exact_rate"])
+    def test_variant_is_refused_after_the_coordinate(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "variant must be one of ('g1', 'g2')"
+
+    @pytest.mark.parametrize("call", [
+        lambda: dual_constants(REG, 1.0, 1e200),
+        lambda: dual_constants(REG, 1e200, 1e200),
+        lambda: dual_constants(REG, 1.0, math.inf),
+        lambda: dual_verify_point(4.0, 1.0, 1.0, 1e200, 0.5, 1.0)],
+        ids=["zeta", "theta-and-zeta", "infinite-zeta", "dual_verify_point"])
+    def test_dual_constants_past_the_largest_double_are_refused(self, call):
+        # a float square past the largest double raises OverflowError; it
+        # is refused as zeta = inf is
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "need 0 < sigma_hat <= beta_hat < inf"
 
 
 class TestExactRate:
@@ -217,3 +265,105 @@ def test_measured_rate_is_numpy_median_to_the_bit(ratios):
     with np.errstate(over="ignore"):  # (a + b) of two huge ratios
         want = float(np.median(ratios))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestOneAdversarialRun:
+    """The three verifiers share one body, which reads ``build``,
+    ``dr_solve`` and ``admm_solve`` from the module at each call."""
+
+    CALLS = {
+        "verify_point": (verify_point, (4.0, 1.0, 0.5, 1.0), "dr_solve"),
+        "dual_verify_point": (dual_verify_point,
+                              (4.0, 1.0, 1.0, 3.0, 2.0 / 3.0, 1.0),
+                              "admm_solve"),
+        "divergence_distances": (divergence_distances, (25.0, 1.0, 0.04),
+                                 "dr_solve"),
+    }
+
+    @staticmethod
+    def key(result):
+        return result.tobytes() if isinstance(result, np.ndarray) \
+            else repr(result)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_build_and_solver_are_module_attributes(self, monkeypatch, name):
+        fn, args, solver = self.CALLS[name]
+        want = fn(*args)
+        calls = Counter()
+        for attr in ("build", "dr_solve", "admm_solve"):
+            def counting(*a, _attr=attr, _fn=getattr(worstcase, attr), **k):
+                calls[_attr] += 1
+                return _fn(*a, **k)
+            monkeypatch.setattr(worstcase, attr, counting)
+        got = fn(*args)
+        assert calls == {"build": 1, solver: 1}
+        assert self.key(got) == self.key(want)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: verify_point(1, 4, math.nan, 1),
+         "need 0 < sigma <= beta < inf"),
+        (lambda: verify_point(4, 1, 0.5, 0, iters=0),
+         "alpha must be nonzero and not NaN"),
+        (lambda: dual_verify_point(4, 1, 3, 1, 0.5, math.nan),
+         "need zeta >= theta > 0"),
+        (lambda: dual_verify_point(4, 1, 1, 3, 1e-320, 1, iters=0),
+         "gamma must be positive and normal, got 1e-320"),
+        (lambda: divergence_distances(4, 1, 0),
+         "gamma must be positive and finite")],
+        ids=["regularity-before-gamma", "alpha-before-iters",
+             "gains-before-alpha", "normal-step-before-iters",
+             "gamma-before-anything"])
+    def test_first_of_two_faults_is_refused(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
+# Drawn tightness: the bound equals the exact rate of the adversarial case
+# and the iteration attains it, for every feasible (gamma, alpha) (Ryu,
+# Taylor, Bergeling and Giselsson, SIAM J. Optim. 2020; Giselsson, J. Fixed
+# Point Theory Appl. 2017).  kappa = beta/sigma in [1, 1e4], gamma within
+# 10^1.5 of gamma*, and alpha from 2% to 99% of the cap 2/(1+delta).
+LOG_KAPPA = st.floats(min_value=0.0, max_value=4.0)
+LOG_GAMMA_RATIO = st.floats(min_value=-1.5, max_value=1.5)
+CAP_FRACTION = st.floats(min_value=0.02, max_value=0.99)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(LOG_KAPPA, LOG_GAMMA_RATIO, CAP_FRACTION)
+def test_drawn_dr_points_attain_the_bound(log_kappa, log_ratio, fraction):
+    reg = Regularity(1.0, 10.0**log_kappa)
+    gamma = 10.0**log_ratio * optimal_parameters(reg)[0]
+    alpha = fraction * 2.0 / (1.0 + contraction_factor(reg, gamma))
+    row = verify_point(reg.beta, reg.sigma, gamma, alpha)
+    assert abs(row["measured_rate"] - row["exact_rate"]) <= 1e-10, row
+    assert row["max_abs_diff"] <= 1e-10, row
+    assert abs(row["bound"] - row["exact_rate"]) <= 1e-12, row
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(LOG_KAPPA, LOG_GAMMA_RATIO, CAP_FRACTION,
+       st.floats(min_value=0.2, max_value=2.0),
+       st.floats(min_value=0.0, max_value=1.5))
+def test_drawn_admm_points_attain_the_bound(log_kappa, log_ratio, fraction,
+                                            theta, log_gain_ratio):
+    reg = Regularity(1.0, 10.0**log_kappa)
+    zeta = theta * 10.0**log_gain_ratio
+    dreg = dual_constants(reg, theta, zeta).as_regularity()
+    gamma = 10.0**log_ratio * optimal_parameters(dreg)[0]
+    alpha = fraction * 2.0 / (1.0 + contraction_factor(dreg, gamma))
+    row = dual_verify_point(reg.beta, reg.sigma, theta, zeta, gamma, alpha)
+    assert abs(row["measured_rate"] - row["exact_rate"]) <= 1e-8, row
+    assert row["max_abs_diff"] <= 1e-8, row
+    assert abs(row["bound"] - row["exact_rate"]) <= 1e-12, row
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(LOG_KAPPA, LOG_GAMMA_RATIO)
+def test_drawn_divergence_is_nondecreasing(log_kappa, log_ratio):
+    reg = Regularity(1.0, 10.0**log_kappa)
+    gamma = 10.0**log_ratio * optimal_parameters(reg)[0]
+    dist = divergence_distances(reg.beta, reg.sigma, gamma)
+    assert len(dist) == 101
+    assert np.all(dist[1:] >= dist[:-1] * (1 - 1e-12))
