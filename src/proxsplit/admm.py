@@ -31,8 +31,8 @@ from .linmetric import (
     _finite,
     _json_object,
     _json_vector,
-    _normal_step,
     _positive,
+    _step,
     matrix_from_json,
     matrix_to_json,
 )
@@ -182,7 +182,8 @@ class AdmmEngine:
 
     A diagonal A or B is kept as its diagonal (``a``, ``b``) and multiplies
     elementwise, with the same bits as the matvec, which only adds zeros.
-    An overflowing factor matrix raises ValueError naming it and gamma.
+    An overflowing factor matrix raises a plain ValueError naming it and
+    gamma, on which ``run_sweep`` stops rather than noting it per point.
 
     The per-step constants are bound once, at build: gamma, 2*alpha and
     1 - 2*alpha as 0-d float64 arrays (an array times one has the bits of
@@ -196,7 +197,7 @@ class AdmmEngine:
 
     def __init__(self, problem: EqConstrainedProblem, gamma: float,
                  alpha: float):
-        _normal_step(gamma)
+        _step(gamma)
         _positive(alpha, "alpha")
         self.problem, self.gamma, self.alpha = problem, gamma, alpha
         sig_a, sig_b = map(_diagonal_signature, (problem.A, problem.B))
@@ -254,10 +255,10 @@ def admm_solve(problem: EqConstrainedProblem, gamma: float, alpha: float,
     Runs :meth:`AdmmEngine.step` under the fixed-point driver shared with
     :func:`~proxsplit.splitting.dr_solve`, on z = gamma*(u - B y).  Stops
     when ||z+ - z|| <= tol * max(1, ||z+||) and then the primal residual
-    ||A x + B y - c|| <= tol.  Non-convergence, including a non-finite
-    change in z, shows up as ``converged=False`` on the trace, never as an
-    exception; a ``gamma``, ``alpha`` or ``tol`` outside (0, inf), NaN too,
-    ``max_iters < 1`` or a misshapen start or reference raise ValueError.
+    ||A x + B y - c|| <= tol.  Non-convergence, a non-finite change in z
+    too, shows as ``converged=False``, never as an exception; a ``gamma``
+    outside [2^-1022, inf), an ``alpha`` or ``tol`` outside (0, inf), NaN
+    too, ``max_iters < 1`` or a misshapen start or reference raise ValueError.
 
     Parameters
     ----------

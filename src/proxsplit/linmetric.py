@@ -45,12 +45,6 @@ def _positive(value: float, what: str) -> None:
             f"{what} must be {'finite' if value > 0 else 'positive'}")
 
 
-def _step(gamma: float) -> None:
-    """Raise ValueError unless 0 < gamma < inf (NaN is not)."""
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
-
-
 def _count(value, what: str, least: int) -> None:
     """Raise ValueError unless value is an int or numpy integer >= least;
     a bool is neither, though True == 1."""
@@ -60,9 +54,8 @@ def _count(value, what: str, least: int) -> None:
                          f"got {value!r}")
 
 
-def _normal_step(gamma: float) -> None:
-    """Raise ValueError unless 2^-1022 <= gamma < inf (NaN is not): the
-    proxes take 1.0 / gamma, which overflows below and is 0.0 at inf."""
+def _step(gamma: float) -> None:
+    """The one step rule, 2^-1022 <= gamma < inf, as proxes take 1/gamma."""
     if not 2.0 ** -1022 <= gamma < np.inf:
         raise ValueError(f"gamma must be positive and normal, got {gamma}")
 

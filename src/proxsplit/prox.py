@@ -10,9 +10,10 @@ coordinate), and separable compositions.
 Each kind writes its prox once, as ``prox_map(gamma)``, whose binding forms
 the step size's constants (a factorization, thresholds, band edges, member
 maps); ``prox(gamma, z)`` checks its arguments, then binds and applies it.
-Nothing is cached, and nothing derived from ``q`` or ``b`` is bound, as they
-may be rewritten in place between solves.  Instances are immutable, hold no
-locks, pickle, and are safe to share between threads.
+Nothing is cached.  ``q`` and ``b`` may be rewritten in place between solves:
+the ADMM x-update reads both at every step, and a map reads them at each call,
+but a ``Quadratic``'s map skips q if it was all +0.0 at bind.  Instances are
+immutable, hold no locks, pickle, and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
                         _json_index, _json_object, _json_scalar_or_vector,
-                        _json_vector, _normal_step, _step, matrix_from_json,
+                        _json_vector, _step, matrix_from_json,
                         matrix_to_json, spectral_summary)
 from .rates import dual_curvature
 
@@ -105,25 +106,20 @@ class ProxFn:
                 f"{self.kind} expects dimension {self.dim}, got {z.shape[0]}")
         return z
 
-    def _check(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        """The prox query z as a checked point, after 0 < gamma < inf."""
-        _step(gamma)
-        return self._check_point(z)
-
     def __call__(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """``prox_map(gamma)(z)``, bound anew at each call, after gamma (else
         ValueError) and z's shape (else DimensionMismatchError) are checked."""
-        z = self._check(gamma, z)
+        _step(gamma)
+        z = self._check_point(z)
         return self.prox_map(gamma)(z)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """z -> prox(gamma, z) for a caller that has checked 0 < gamma < inf
-        and passes 1-d float arrays of ``dim`` entries.  Binding forms the
-        step size's constants: a caller applying the prox repeatedly binds
-        it once, as each solve does."""
+        """z -> prox(gamma, z) for a caller that has checked gamma by the one
+        step rule and passes 1-d float arrays of ``dim`` entries.  Binding
+        forms the step size's constants, so each solve binds it once."""
         raise NotImplementedError
 
     def reflect(self, gamma: float, z: np.ndarray) -> np.ndarray:
@@ -133,7 +129,7 @@ class ProxFn:
 
     def conjugate_prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
         """Prox of gamma times the convex conjugate (``ConjugateOf``'s map)."""
-        _normal_step(gamma)
+        _step(gamma)
         z = self._check_point(z)
         return ConjugateOf(self).prox_map(gamma)(z)
 
@@ -483,7 +479,7 @@ class ConjugateOf(ProxFn):
         return self.inner.conjugate_prox(gamma, z)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        _normal_step(gamma)  # Moreau's identity, the inner map at 1/gamma
+        _step(gamma)  # Moreau's identity, the inner map at 1/gamma
         inner = self.inner.prox_map(1.0 / gamma)
         return lambda z: z - gamma * inner(z / gamma)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, RankDeficiencyError,
                      UnboundedIterationError)
-from .linmetric import _as_dense, _row_rank_svdvals, _step
+from .linmetric import _as_dense, _finite, _row_rank_svdvals, _step
 from .linmetric import spectral_summary  # perfbench/tracer.py patches it
 
 
@@ -24,8 +24,8 @@ from .linmetric import spectral_summary  # perfbench/tracer.py patches it
 class Regularity:
     """Strong convexity modulus sigma and smoothness constant beta.
 
-    Requires 0 < sigma <= beta; a function with both properties always has
-    beta >= sigma.  kappa = beta / sigma is the condition number.
+    Requires 0 < sigma <= beta and a finite kappa = beta / sigma, the
+    condition number; a function with both properties has beta >= sigma.
     """
 
     sigma: float
@@ -34,6 +34,8 @@ class Regularity:
     def __post_init__(self):
         if not (0 < self.sigma <= self.beta < math.inf):
             raise ValueError("need 0 < sigma <= beta < inf")
+        if self.kappa == math.inf:
+            raise ValueError("kappa = beta/sigma overflows")
 
     @property
     def kappa(self) -> float:
@@ -55,6 +57,8 @@ class DualRegularity:
     def __post_init__(self):
         if not (0 < self.sigma_hat <= self.beta_hat < math.inf):
             raise ValueError("need 0 < sigma_hat <= beta_hat < inf")
+        if self.kappa_hat == math.inf:
+            raise ValueError("kappa_hat = beta_hat/sigma_hat overflows")
 
     @property
     def kappa_hat(self) -> float:
@@ -75,9 +79,11 @@ def contraction_factor(reg: Regularity, gamma: float) -> float:
     _step(gamma)
     gb = gamma * reg.beta
     gs = gamma * reg.sigma
+    # strictly below one mathematically; keep it so where the quotient
+    # rounds to 1.0 (gamma*beta beyond ~9e15) or gamma*beta overflows
+    if gb == math.inf:
+        return math.nextafter(1.0, 0.0)
     value = max((gb - 1.0) / (gb + 1.0), (1.0 - gs) / (gs + 1.0))
-    # strictly below one mathematically; keep it so when the quotient
-    # saturates to 1.0 in double precision (gamma*beta beyond ~9e15)
     return min(value, math.nextafter(1.0, 0.0))
 
 
@@ -157,12 +163,12 @@ def certificate(reg: Regularity, gamma: float) -> RateCertificate:
 
 
 def dual_curvature(a, h) -> np.ndarray:
-    """S = A H^-1 A^T, symmetrized, formed with one solve against H."""
+    """S = A H^-1 A^T, symmetrized, by one solve against H; NaN/inf raise."""
     a, h = _as_dense(a), _as_dense(h)
     if a.ndim != 2 or h.shape != (a.shape[1], a.shape[1]):
         raise DimensionMismatchError(f"A {a.shape} does not match H {h.shape}")
     try:
-        s = a @ np.linalg.solve(h, a.T)
+        s = a @ np.linalg.solve(_finite(h), _finite(a).T)
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular H in S = A H^-1 A^T") from None
     return 0.5 * (s + s.T)

@@ -180,7 +180,7 @@ def dr_solve(f: ProxFn, g: ProxFn, gamma: float, alpha: float,
         The two operators; prox_f runs first.  Swap the arguments to apply
         prox_g first.
     gamma, alpha : float
-        Step size and relaxation, each in (0, inf); NaN is neither.
+        Step size in [2^-1022, inf), relaxation in (0, inf); NaN is neither.
     z0 : array
         Starting iterate.
     tol, max_iters

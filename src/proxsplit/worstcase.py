@@ -126,8 +126,9 @@ def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
     _check_case(variant, coordinate)
-    lam = reg.beta if coordinate == BETA_COORD else reg.sigma
-    base = (1.0 - gamma * lam) / (1.0 + gamma * lam)
+    gl = gamma * (reg.beta if coordinate == BETA_COORD else reg.sigma)
+    # an overflowing gamma*lam takes the quotient's limit, -1, not NaN
+    base = -1.0 if gl == math.inf else (1.0 - gl) / (1.0 + gl)
     if variant == "g1":
         return abs(1.0 - alpha + alpha * base)
     return abs(1.0 - alpha - alpha * base)

@@ -203,6 +203,8 @@ _USAGE_MESSAGES = {
         "beta*sigma = 1e-300*1e-301 is not a positive normal float",
     "worstcase-verify --beta 1e308":
         "symmetrized matrix 0.5*(S + S^T) overflows",
+    "worstcase-verify --beta 1e300 --sigma 1e-300":
+        "kappa = beta/sigma overflows",
     "mpc --gamma-min 1e-200 --gamma-max 1e-200 --gamma-points 1":
         "gamma_min*gamma_max = 1e-200*1e-200 is not a positive normal float",
     "lasso --gamma-min inf --gamma-max inf":
@@ -242,6 +244,7 @@ _USAGE_MESSAGES = {
     ["worstcase-verify", "--beta", "4", "--sigma", "0"],
     ["worstcase-verify", "--beta", "1e-300", "--sigma", "1e-301"],
     ["worstcase-verify", "--beta", "1e308"],
+    ["worstcase-verify", "--beta", "1e300", "--sigma", "1e-300"],
     ["mpc", "--gamma-min", "1e-200", "--gamma-max", "1e-200",
      "--gamma-points", "1"],
     ["lasso", "--gamma-min", "inf", "--gamma-max", "inf"],

@@ -12,9 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsplit import linmetric
+from proxsplit.admm import (AdmmEngine, EqConstrainedProblem, admm_solve,
+                            verify_dual_equivalence)
 from proxsplit.bench import LassoSpec, MpcSpec, gen_lasso, gen_mpc
-from proxsplit.prox import (IndicatorAffine, IndicatorZero, PwlPenalty,
-                            Quadratic, Separable, Zero)
+from proxsplit.prox import (ConjugateOf, IndicatorAffine, IndicatorZero,
+                            PwlPenalty, Quadratic, Separable, WeightedL1, Zero)
+from proxsplit.rates import Regularity, certificate, contraction_factor
+from proxsplit.splitting import dr_solve
+from proxsplit.worstcase import (adversarial_case, divergence_distances,
+                                 dual_verify_point, exact_rate, verify_point)
 from proxsplit.errors import (
     DimensionMismatchError,
     EigenConvergenceError,
@@ -449,3 +455,47 @@ class TestDiagonalMetric:
         s = s + s.T
         expect = np.diag(e.diag) @ s @ np.diag(e.diag)
         assert np.allclose(e.scale_spectrum_matrix(s), expect, atol=1e-14)
+
+
+_GUARD_PROBLEM = EqConstrainedProblem(
+    f=Quadratic(np.eye(2)), g=WeightedL1([1.0, 1.0]), A=np.eye(2),
+    B=-np.eye(2), c=np.zeros(2))
+_GUARD_REG = Regularity(1.0, 4.0)
+#: every public entry that takes a step size
+_GAMMA_ENTRIES = {
+    "ProxFn.prox": lambda g: Quadratic(np.eye(2)).prox(g, np.ones(2)),
+    "reflect": lambda g: Zero(2).reflect(g, np.ones(2)),
+    "conjugate_prox": lambda g: WeightedL1([1.0, 1.0]).conjugate_prox(
+        g, np.ones(2)),
+    "ConjugateOf.prox": lambda g: ConjugateOf(WeightedL1([1.0, 1.0])).prox(
+        g, np.ones(2)),
+    "ConjugateOf.prox_map": lambda g: ConjugateOf(
+        WeightedL1([1.0, 1.0])).prox_map(g),
+    "dr_solve": lambda g: dr_solve(Quadratic(np.eye(2)), Zero(2), g, 1.0,
+                                   np.ones(2)),
+    "AdmmEngine": lambda g: AdmmEngine(_GUARD_PROBLEM, g, 1.0),
+    "admm_solve": lambda g: admm_solve(_GUARD_PROBLEM, g, 1.0),
+    "verify_dual_equivalence": lambda g: verify_dual_equivalence(
+        _GUARD_PROBLEM, g, 1.0, 3, np.ones(2)),
+    "contraction_factor": lambda g: contraction_factor(_GUARD_REG, g),
+    "certificate": lambda g: certificate(_GUARD_REG, g),
+    "exact_rate": lambda g: exact_rate(_GUARD_REG, "g1", g, 1.0, 1),
+    "adversarial_case": lambda g: adversarial_case(1.0, g, _GUARD_REG),
+    "verify_point": lambda g: verify_point(4.0, 1.0, g, 1.0),
+    "dual_verify_point": lambda g: dual_verify_point(4.0, 1.0, 1.0, 2.0, g,
+                                                     1.0),
+    "divergence_distances": lambda g: divergence_distances(4.0, 1.0, g),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf,
+                                   1e-320])
+@pytest.mark.parametrize("entry", sorted(_GAMMA_ENTRIES))
+def test_one_step_rule_at_every_entry(entry, gamma):
+    # one rule, 2^-1022 <= gamma < inf, refused before any arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            _GAMMA_ENTRIES[entry](gamma)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"gamma must be positive and normal, got {gamma}"

@@ -244,7 +244,7 @@ class TestConjugateProx:
                     "gamma must be positive and normal, got inf")):
                 WeightedL1([1.0]).conjugate_prox(np.inf, np.ones(1))
             with pytest.raises(ValueError, match=re.escape(
-                    "gamma must be positive and finite")):
+                    "gamma must be positive and normal, got inf")):
                 dr_solve(Quadratic(np.eye(2)), Zero(2), np.inf, 1.0,
                          np.ones(2))
 
@@ -544,6 +544,28 @@ class TestRewrittenVectors:
             want = fresh.prox(gamma, z).tobytes()
             assert f.prox(gamma, z).tobytes() == want
             assert prox_map(z).tobytes() == want
+
+    def test_a_map_bound_while_q_is_plus_zero_skips_q(self, rng):
+        # the one exception: a Quadratic's map bound while q is all +0.0
+        # skips z - gamma*q, so it keeps the old q after a rewrite, while
+        # prox and maps bound after the rewrite read the new q
+        f = Quadratic(np.diag([4.0, 1.0, 2.0]))
+        old = Quadratic(f.Q)
+        z = rng.normal(size=3)
+        maps = [(gamma, f.prox_map(gamma)) for gamma in (0.3, 0.7, 1.0)]
+        f.q[:] = rng.normal(size=3)
+        fresh = Quadratic(f.Q, f.q.copy())
+        for gamma, prox_map in maps:
+            want = fresh.prox(gamma, z).tobytes()
+            assert f.prox(gamma, z).tobytes() == want
+            assert f.prox_map(gamma)(z).tobytes() == want
+            assert prox_map(z).tobytes() == old.prox(gamma, z).tobytes()
+        g = Quadratic(np.eye(2))
+        bound = g.prox_map(1.0)
+        g.q[:] = [1.0, 1.0]
+        assert bound(np.zeros(2)).tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(g.prox(1.0, np.zeros(2)), [-0.5, -0.5],
+                                   rtol=1e-15)
 
 
 #: one instance of every catalog kind on 4 coordinates, the quadratic with
@@ -1014,10 +1036,8 @@ class TestNonFiniteParameters:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind, make in sorted(_MAP_KINDS.items()):
-                message = ("positive and normal, got " if kind == "conjugate"
-                           else "positive and finite")
-                with pytest.raises(ValueError, match=f"^gamma must be "
-                                   f"{message}"):
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"gamma must be positive and normal, got {gamma}")):
                     make().prox(gamma, np.array(_MAP_POINTS[1]))
 
 

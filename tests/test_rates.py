@@ -28,7 +28,7 @@ from proxsplit.rates import (
     optimal_parameters,
     rate_bound,
 )
-from proxsplit.worstcase import adversarial_case, verify_grid
+from proxsplit.worstcase import adversarial_case, dual_constants, verify_grid
 
 positive = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -58,7 +58,7 @@ class TestContractionFactor:
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 fn(Regularity(1.0, 4.0), math.inf)
-        assert str(info.value) == "gamma must be positive and finite"
+        assert str(info.value) == "gamma must be positive and normal, got inf"
 
     def test_piecewise_identity_many_random_triples(self, rng):
         # closed-form split: the soft branch below the kink, stiff above
@@ -91,6 +91,44 @@ class TestContractionFactor:
     def test_delta_in_unit_interval(self, sigma, ratio, gamma):
         delta = contraction_factor(Regularity(sigma, sigma * ratio), gamma)
         assert 0.0 <= delta < 1.0
+
+
+class TestOverflow:
+    """A product or ratio past the largest double saturates or is refused by
+    name, instead of a NaN that a later check blames on another input."""
+
+    def test_overflowing_step_product_saturates_to_the_clamp(self):
+        # gamma*beta = 1e310: (inf - 1)/(inf + 1) would be NaN, and
+        # certificate would then blame delta
+        clamp = math.nextafter(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert contraction_factor(Regularity(1.0, 1e300), 1e10) == clamp
+            cert = certificate(Regularity(1.0, 1e300), 1e10)
+        assert (cert.delta, cert.alpha_max) == (clamp, 2.0 / (1.0 + clamp))
+        # gamma*beta = 1e308 is in range: the quotient rounds to 1.0
+        assert contraction_factor(Regularity(1.0, 1e300), 1e8) == clamp
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Regularity(1e-200, 1e200), "kappa = beta/sigma overflows"),
+        (lambda: Regularity(1e-300, 1e10), "kappa = beta/sigma overflows"),
+        (lambda: optimal_parameters(Regularity(1e-200, 1e200)),
+         "kappa = beta/sigma overflows"),
+        (lambda: certificate(Regularity(1e-200, 1e200), 1.0),
+         "kappa = beta/sigma overflows"),
+        (lambda: competing_rates(DualRegularity(1e-200, 1e200)),
+         "kappa_hat = beta_hat/sigma_hat overflows"),
+        (lambda: dual_constants(Regularity(1.0, 1e300), 1.0, 1e10),
+         "kappa_hat = beta_hat/sigma_hat overflows")],
+        ids=["Regularity", "Regularity-tiny-sigma", "optimal_parameters",
+             "certificate", "competing_rates", "dual_constants"])
+    def test_overflowing_condition_number_is_refused_by_name(self, call,
+                                                             message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call()
+        assert str(info.value) == message
 
 
 class TestRateBound:
@@ -221,6 +259,27 @@ class TestDualRegularity:
             with pytest.raises(DimensionMismatchError) as err:
                 dual_curvature(np.eye(2), np.eye(3))
         assert str(err.value) == "A (2, 2) does not match H (3, 3)"
+
+    @pytest.mark.parametrize("call", [
+        lambda: dual_curvature(np.eye(2), np.diag([1.0, np.inf])),
+        lambda: dual_curvature(np.eye(2), np.diag([np.nan, 1.0])),
+        lambda: dual_curvature([[np.inf, 0.0]], np.eye(2)),
+        lambda: dual_condition_number(DiagonalMetric.identity(1), np.eye(1),
+                                      [[np.inf]])],
+        ids=["inf-in-H", "nan-in-H", "inf-in-A", "dual_condition_number"])
+    def test_non_finite_data_is_refused_before_the_solve(self, call):
+        # unchecked, an inf in H solved to a zero row of S, which the rank
+        # check then blamed on A
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == "array must not contain infs or NaNs"
+
+    def test_shape_is_checked_before_finiteness(self):
+        with pytest.raises(DimensionMismatchError):
+            dual_curvature([[np.inf]], np.eye(2))
 
 
 class TestIterationBound:

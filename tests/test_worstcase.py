@@ -1,6 +1,7 @@
 """Extremal instances: construction, exact rates, tightness, divergence."""
 
 import math
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -139,7 +140,19 @@ class TestExactRate:
         # unchecked, exact_rate gives NaN and adversarial_case a case
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value) == "gamma must be positive and finite"
+        assert str(info.value) == "gamma must be positive and normal, got inf"
+
+    @pytest.mark.parametrize("variant, alpha, want", [
+        ("g1", 0.5, 0.0), ("g2", 0.5, 1.0), ("g1", 1.0, 1.0),
+        ("g2", 1.0, 1.0), ("g1", 1.5, 2.0)])
+    def test_overflowing_step_product_takes_the_limit(self, variant, alpha,
+                                                      want):
+        # gamma*beta = 1e310: (1 - inf)/(1 + inf) would be NaN; the
+        # quotient's limit is -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_rate(Regularity(1.0, 1e300), variant, 1e10, alpha, 1)
+        assert got == want
 
     def test_one_third_at_optimum(self):
         got = exact_rate(REG, "g1", 0.5, 1.0, coordinate=2)
@@ -309,10 +322,15 @@ class TestOneAdversarialRun:
         (lambda: dual_verify_point(4, 1, 1, 3, 1e-320, 1, iters=0),
          "gamma must be positive and normal, got 1e-320"),
         (lambda: divergence_distances(4, 1, 0),
-         "gamma must be positive and finite")],
+         "gamma must be positive and normal, got 0"),
+        (lambda: verify_point(1e300, 1e-300, math.nan, 1),
+         "kappa = beta/sigma overflows"),
+        (lambda: dual_verify_point(4, 1, 1e-100, 1e100, math.nan, 1),
+         "kappa_hat = beta_hat/sigma_hat overflows")],
         ids=["regularity-before-gamma", "alpha-before-iters",
              "gains-before-alpha", "normal-step-before-iters",
-             "gamma-before-anything"])
+             "gamma-before-anything", "kappa-before-gamma",
+             "kappa-hat-before-gamma"])
     def test_first_of_two_faults_is_refused(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
@@ -367,3 +385,24 @@ def test_drawn_divergence_is_nondecreasing(log_kappa, log_ratio):
     dist = divergence_distances(reg.beta, reg.sigma, gamma)
     assert len(dist) == 101
     assert np.all(dist[1:] >= dist[:-1] * (1 - 1e-12))
+
+
+# Beyond the cap the adversarial factor is 1 - alpha*(1 + delta) < -1, so
+# the residual is at least twice the iterate and no tolerance below 2 can
+# be met: an alpha at 1.01 to 1.5 times 2/(1+delta) never yields converged.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(LOG_KAPPA, LOG_GAMMA_RATIO, st.floats(min_value=1.01, max_value=1.5),
+       st.booleans(), st.floats(min_value=0.2, max_value=2.0),
+       st.floats(min_value=0.0, max_value=1.5))
+def test_drawn_alpha_beyond_the_cap_never_converges(
+        log_kappa, log_ratio, factor, dual, theta, log_gain_ratio):
+    reg = Regularity(1.0, 10.0**log_kappa)
+    zeta = theta * 10.0**log_gain_ratio
+    case = dual_constants(reg, theta, zeta).as_regularity() if dual else reg
+    gamma = 10.0**log_ratio * optimal_parameters(case)[0]
+    alpha = factor * 2.0 / (1.0 + contraction_factor(case, gamma))
+    _, _, trace = worstcase._adversarial_run(
+        reg, case, gamma, alpha, theta if dual else None,
+        zeta if dual else None, 1e-10, 100)
+    assert not trace.converged
+    assert trace.distances[-1] > trace.distances[0]
