@@ -142,7 +142,7 @@ class _XUpdate:
         self.at = a.T if sig is None else sig  # A^T, or diag(A)
         self.times_at = self.at.__matmul__ if sig is None else sig.__mul__
         if isinstance(f, (Quadratic, QuadraticAffine)):
-            self._solve = _smooth_solver(f, f.Q + _gram(a, sig, gamma),
+            self._solve = _smooth_solver(f, lambda: f.Q + _gram(a, sig, gamma),
                                          "Q + gamma*A^T A", gamma, ValueError)
             self.q = f.q
         elif sig is not None:

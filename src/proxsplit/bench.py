@@ -227,7 +227,7 @@ def mpc_metric_objective(problem: EqConstrainedProblem,
     s = problem.A @ kkt_p11(f.Q, f.L) @ problem.A.T
     spectra = MetricSpectra(0.5 * (s + s.T))
     e = (DiagonalMetric.identity(problem.p) if identity
-         else select_diagonal_metric(spectra, mode="heuristic"))
+         else select_diagonal_metric(spectra, mode="heuristic_p11"))
     return pseudo_condition_of(e, spectra)
 
 
@@ -270,8 +270,7 @@ def problem_dual_regularity(problem: EqConstrainedProblem,
     surjective; in both cases no rate certificate exists.
     """
     e = metric if metric is not None else DiagonalMetric.identity(problem.p)
-    return dual_of_spectrum(
-        problem.dual_spectra.summary(e, DEFAULT_ZERO_TOL), 1.0, 1.0)
+    return dual_of_spectrum(problem.dual_spectra.summary(e, DEFAULT_ZERO_TOL))
 
 
 def sweep_gamma_star(problem: EqConstrainedProblem,

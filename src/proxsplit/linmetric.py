@@ -200,7 +200,8 @@ _SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(
 def _eigvalsh(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric float ``s`` by eigh's ``syevr``
     call: ``compute_v=0``, the default range 'A', ``lower=1`` and the
-    workspace sizes of ``syevr_lwork``."""
+    workspace sizes of ``syevr_lwork``.  NaN/inf raise ValueError, an empty
+    s DimensionMismatchError, a failed convergence EigenConvergenceError."""
     if not _finite(s).size:
         raise DimensionMismatchError("expected a nonempty matrix")
     work, iwork, _ = _SYEVR_LWORK(s.shape[0], lower=1)
@@ -212,7 +213,8 @@ def _eigvalsh(s: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(s: np.ndarray) -> np.ndarray:
-    """Symmetrized s; asymmetry above 1e-10 * max(1, max|s_ij|) raises."""
+    """Symmetrized s; ValueError on NaN/inf or an overflowing 0.5*(S + S^T),
+    NonSymmetricError on asymmetry above 1e-10 * max(1, max|s_ij|)."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
     peak = float(np.abs(s).max(initial=0.0))

@@ -86,7 +86,7 @@ def dual_condition_number(metric: DiagonalMetric, a, h) -> MetricObjective:
     """Exact objective lambda_max / lambda_min of E S E^T, S = A H^-1 A^T."""
     summary = MetricSpectra(dual_curvature(a, h)).summary(metric,
                                                           DEFAULT_ZERO_TOL)
-    return MetricObjective.exact(metric, dual_of_spectrum(summary, 1.0, 1.0))
+    return MetricObjective.exact(metric, dual_of_spectrum(summary))
 
 
 def pseudo_condition_of(metric: DiagonalMetric, s) -> MetricObjective:
@@ -114,17 +114,18 @@ def _objective_value(metric: DiagonalMetric, spectra: MetricSpectra,
                            denominator=den, metric=metric)
 
 
-def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
-                           ) -> DiagonalMetric:
+def select_diagonal_metric(s, mode: Mode = "exact") -> DiagonalMetric:
     """Diagonal E from iterated row-norm equilibration of S or its spectra.
 
     Each of ``EQUILIBRATION_SWEEPS`` sweeps divides E_ii by the square root
     of the max-norm of row i of the current scaled matrix; rows with zero
     norm are skipped.  In exact mode an all-zero row is an error (the exact
-    objective would be infinite); heuristic mode tolerates it.  The returned
+    objective would be infinite); heuristic_p11 tolerates it.  The returned
     metric never has a worse objective (zero below ``PSEUDO_ZERO_TOL``) than
     the identity: if the sweeps degrade it, the identity is returned instead.
     """
+    if mode not in ("exact", "heuristic_p11"):
+        raise ValueError(f"mode {mode!r} is not 'exact' or 'heuristic_p11'")
     spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
     s = spectra.s
     n = s.shape[0]
@@ -141,9 +142,8 @@ def select_diagonal_metric(s, mode: Literal["exact", "heuristic"] = "exact"
         e[nonzero] /= np.sqrt(norms[nonzero])
     candidate = DiagonalMetric(e)
     identity = DiagonalMetric.identity(n)
-    obj_mode = "exact" if mode == "exact" else "heuristic_p11"
-    if (_objective_value(candidate, spectra, obj_mode).value
-            <= _objective_value(identity, spectra, obj_mode).value):
+    if (_objective_value(candidate, spectra, mode).value
+            <= _objective_value(identity, spectra, mode).value):
         return candidate
     return identity
 

@@ -36,10 +36,10 @@ from .linmetric import (MetricSpectra, _as_dense, _check_symmetric, _finite,
 from .rates import dual_curvature
 
 
-def _smooth_solver(f, top: np.ndarray, name: str, gamma: float,
-                   error: type) -> Callable:
-    """x = solve(rhs) for the system of f's smooth term whose matrix is
-    ``top``: gamma*Q + I for the prox, Q + gamma*A^T A for ADMM's x-update.
+def _smooth_solver(f, top: Callable[[], np.ndarray], name: str,
+                   gamma: float, error: type) -> Callable:
+    """x = solve(rhs) for the system of f's smooth term whose matrix ``top()``
+    forms: gamma*Q + I for the prox, Q + gamma*A^T A for ADMM's x-update.
 
     A ``Quadratic`` f factors ``top`` by Cholesky; a ``QuadraticAffine`` f
     factors the saddle [[top, L^T], [L, 0]] by LU, and each solve appends
@@ -47,8 +47,11 @@ def _smooth_solver(f, top: np.ndarray, name: str, gamma: float,
     check rhs for NaN/inf and call the LAPACK ``potrs``/``getrs`` of
     scipy's ``cho_solve``/``lu_solve``, bound once: their bits, without the
     wrappers' per-call cost.  A factorization that fails on a non-finite
-    matrix raises ``error`` naming the matrix and gamma.
+    matrix raises ``error`` naming the matrix and gamma, the one signal: an
+    overflow while ``top()`` forms it warns nothing.
     """
+    with np.errstate(over="ignore"):
+        top = top()
     n, cholesky = top.shape[0], isinstance(f, Quadratic)
     if not cholesky:
         p = f.L.shape[0]
@@ -79,6 +82,12 @@ def _smooth_solver(f, top: np.ndarray, name: str, gamma: float,
         return x[:n]
 
     return potrs if cholesky else getrs
+
+
+def _off_affine(l: np.ndarray, b: np.ndarray, x: np.ndarray) -> bool:
+    """||L x - b||_inf > 1e-9*max(1, max|b|) or NaN; False with no rows."""
+    tol = 1e-9 * max(1.0, np.abs(b).max(initial=0.0))
+    return bool(l.shape[0]) and not np.linalg.norm(l @ x - b, np.inf) <= tol
 
 
 class ProxFn:
@@ -178,7 +187,7 @@ class Quadratic(ProxFn):
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        solve = _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+        solve = _smooth_solver(self, lambda: gamma * self.Q + np.eye(self.dim),
                                "gamma*Q + I", gamma, ValueError)
         if not (self.q.any() or np.signbit(self.q).any()):  # z - gamma*q is z
             return solve
@@ -213,15 +222,13 @@ class QuadraticAffine(ProxFn):
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check_point(x)
-        if self.L.shape[0] and np.linalg.norm(
-                self.L @ x - self.b, np.inf) > 1e-9 * max(
-                    1.0, np.abs(self.b).max(initial=0.0)):
+        if _off_affine(self.L, self.b, x):
             return np.inf
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         p = self.L.shape[0]
-        solve = _smooth_solver(self, gamma * self.Q + np.eye(self.dim),
+        solve = _smooth_solver(self, lambda: gamma * self.Q + np.eye(self.dim),
                                "gamma*Q + I", gamma, SingularKktError)
 
         def prox(z: np.ndarray) -> np.ndarray:
@@ -281,12 +288,8 @@ class IndicatorAffine(ProxFn):
                 "no point satisfies L x = b (b outside range of L)")
 
     def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
-        if self.L.shape[0] == 0:
-            return 0.0
-        resid = np.linalg.norm(self.L @ x - self.b, np.inf)
-        return 0.0 if resid <= 1e-9 * max(
-            1.0, np.abs(self.b).max(initial=0.0)) else np.inf
+        return np.inf if _off_affine(self.L, self.b,
+                                     self._check_point(x)) else 0.0
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda z: z - self._pinv @ (self.L @ z - self.b)
@@ -474,9 +477,6 @@ class ConjugateOf(ProxFn):
     def __call__(self, x: np.ndarray) -> float:
         raise CapabilityError(
             "conjugate values are not evaluable in closed form in general")
-
-    def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        return self.inner.conjugate_prox(gamma, z)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         _step(gamma)  # Moreau's identity, the inner map at 1/gamma

@@ -38,8 +38,8 @@ class Regularity:
             raise ValueError("kappa = beta/sigma overflows")
 
     @property
-    def kappa(self) -> float:
-        return self.beta / self.sigma
+    def kappa(self) -> float:  # Python floats overflow to inf, no warning
+        return float(self.beta) / float(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class DualRegularity:
             raise ValueError("kappa_hat = beta_hat/sigma_hat overflows")
 
     @property
-    def kappa_hat(self) -> float:
-        return self.beta_hat / self.sigma_hat
+    def kappa_hat(self) -> float:  # as Python floats, like kappa
+        return float(self.beta_hat) / float(self.sigma_hat)
 
     def as_regularity(self) -> Regularity:
         return Regularity(sigma=self.sigma_hat, beta=self.beta_hat)
@@ -183,13 +183,12 @@ def dual_regularity(reg: Regularity, a) -> DualRegularity:
                           beta_hat=float(svals[0])**2 / reg.sigma)
 
 
-def dual_of_spectrum(summary, sigma: float, beta: float) -> DualRegularity:
-    """lambda_min / beta and lambda_max / sigma of E S E^T's spectrum."""
+def dual_of_spectrum(summary) -> DualRegularity:
+    """Metric-form dual constants: lambda_min and lambda_max of E S E^T."""
     if summary.lambda_min <= 0:
         raise RankDeficiencyError(
             "scaled A H^-1 A^T is singular; A must have full row rank")
-    return DualRegularity(sigma_hat=summary.lambda_min / beta,
-                          beta_hat=summary.lambda_max / sigma)
+    return DualRegularity(summary.lambda_min, summary.lambda_max)
 
 
 def iteration_bound(rate: float, tol: float) -> int:

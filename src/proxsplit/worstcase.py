@@ -39,16 +39,12 @@ SIGMA_COORD = 2
 
 @dataclass(frozen=True, eq=False)
 class WorstCaseInstance:
-    """One extremal instance ready to run, with its known fixed point."""
+    """One extremal instance ready to run; its fixed point is the origin."""
 
     f: ProxFn
     g: ProxFn
     problem: EqConstrainedProblem | None
     z0: np.ndarray
-
-    @property
-    def fixed_point(self) -> np.ndarray:
-        return np.zeros_like(self.z0)
 
 
 def _nonsmooth(variant: str) -> ProxFn:
@@ -66,40 +62,35 @@ def _check_case(variant: str, coordinate: int) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def build(reg: Regularity, variant: str, setting: str = "primal", *,
-          theta: float | None = None, zeta: float | None = None,
+def build(reg: Regularity, variant: str, *, theta: float | None = None,
+          zeta: float | None = None,
           coordinate: int = SIGMA_COORD) -> WorstCaseInstance:
-    """Construct the extremal instance.
+    """The dual (ADMM) extremal instance if theta, zeta are given, else DR's.
 
     ``variant`` names the nonsmooth term of the problem the splitting
-    actually iterates on: the primal g for the primal setting, the dual
-    second term for the dual setting (whose primal g is then its
+    actually iterates on: the primal g in the primal setting, the dual
+    second term in the dual setting (whose primal g is then its
     conjugate).  ``coordinate`` selects which curvature the canonical start
     excites: 1 the beta axis, 2 the sigma axis.  The fixed point and the
     solution are the origin in both settings.
     """
     _check_case(variant, coordinate)
-    if setting != "dual" and (theta is not None or zeta is not None):
-        raise ValueError(f"theta and zeta belong to the dual setting, got "
-                         f"theta={theta}, zeta={zeta} with {setting!r}")
     f = Quadratic(np.diag([reg.beta, reg.sigma]))
-    if setting == "primal":
+    if theta is None and zeta is None:
         g = _nonsmooth(variant)
         z0 = np.eye(2)[coordinate - BETA_COORD]
         return WorstCaseInstance(f=f, g=g, problem=None, z0=z0)
-    if setting == "dual":
-        if theta is None or zeta is None or not zeta >= theta > 0:
-            raise ValueError("dual setting needs zeta >= theta > 0")
-        # The dual second term is the conjugate of the primal g (B = -I),
-        # and the zero function and the origin indicator are conjugate
-        # pairs, so the primal g is the other member of the pair.
-        g = _nonsmooth("g2" if variant == "g1" else "g1")
-        problem = EqConstrainedProblem(
-            f=f, g=g, A=np.diag([theta, zeta]), B=-np.eye(2), c=np.zeros(2))
-        # Dual layout: soft curvature first, stiff second.
-        z0 = np.eye(2)[SIGMA_COORD - coordinate]
-        return WorstCaseInstance(f=f, g=g, problem=problem, z0=z0)
-    raise ValueError("setting must be 'primal' or 'dual'")
+    if theta is None or zeta is None or not zeta >= theta > 0:
+        raise ValueError("dual setting needs zeta >= theta > 0")
+    # The dual second term is the conjugate of the primal g (B = -I), and
+    # the zero function and the origin indicator are conjugate pairs, so
+    # the primal g is the other member of the pair.
+    g = _nonsmooth("g2" if variant == "g1" else "g1")
+    problem = EqConstrainedProblem(
+        f=f, g=g, A=np.diag([theta, zeta]), B=-np.eye(2), c=np.zeros(2))
+    # Dual layout: soft curvature first, stiff second.
+    z0 = np.eye(2)[SIGMA_COORD - coordinate]
+    return WorstCaseInstance(f=f, g=g, problem=problem, z0=z0)
 
 
 def dual_constants(reg: Regularity, theta: float,
@@ -194,14 +185,13 @@ def _adversarial_run(reg: Regularity, case: Regularity, gamma: float,
                      tol: float, iters: int) -> tuple[str, int, SolveTrace]:
     """Pick the case in ``case`` (reg, or the dual constants), build, solve."""
     variant, _, coordinate = adversarial_case(alpha, gamma, case)
-    inst = build(reg, variant, "primal" if theta is None else "dual",
-                 theta=theta, zeta=zeta, coordinate=coordinate)
+    inst = build(reg, variant, theta=theta, zeta=zeta, coordinate=coordinate)
     if inst.problem is None:
         trace = dr_solve(inst.f, inst.g, gamma, alpha, inst.z0, tol=tol,
-                         max_iters=iters, reference=inst.fixed_point)
+                         max_iters=iters, reference=np.zeros(2))
     else:
         trace = admm_solve(inst.problem, gamma, alpha, z0=inst.z0, tol=tol,
-                           max_iters=iters, reference=inst.fixed_point)[-1]
+                           max_iters=iters, reference=np.zeros(2))[-1]
     return variant, coordinate, trace
 
 

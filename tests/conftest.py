@@ -1,5 +1,5 @@
 """Shared test oracles: brute-force 1-D minimization, catalog sampling and
-the random stream drawn word by word.
+the random stream drawn word by word; and ``warnings_as_errors``.
 
 The golden-section search is the independent oracle for prox correctness:
 it minimizes the prox objective directly, never touching the closed-form
@@ -9,7 +9,9 @@ stream one draw at a time, never touching ``proxsplit.rng``'s bulk draws.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ from proxsplit.prox import (
     WeightedL1,
     Zero,
 )
+
+
+@contextlib.contextmanager
+def warnings_as_errors():
+    """Every warning inside raises: ``catch_warnings(action="error")``,
+    which needs Python 3.11, where the package supports 3.10."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 MASK = (1 << 64) - 1

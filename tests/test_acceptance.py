@@ -54,15 +54,13 @@ def test_criterion_01_tightness_grid():
 
 
 def test_criterion_02_optimal_rate():
-    inst = worstcase.build(Regularity(1.0, 4.0), "g1", "primal",
-                           coordinate=2)
+    inst = worstcase.build(Regularity(1.0, 4.0), "g1", coordinate=2)
     trace = dr_solve(inst.f, inst.g, 0.5, 1.0, inst.z0, tol=1e-12,
                      max_iters=200, reference=np.zeros(2))
     ratios = [r for r in trace.contraction_ratios if not math.isnan(r)]
     worst = max(abs(r - 1.0 / 3.0) for r in ratios)
 
-    flat = worstcase.build(Regularity(1.0, 1.0), "g1", "primal",
-                           coordinate=2)
+    flat = worstcase.build(Regularity(1.0, 1.0), "g1", coordinate=2)
     trace1 = dr_solve(flat.f, flat.g, 1.0, 1.0, flat.z0, tol=1e-15,
                       max_iters=5, reference=np.zeros(2))
     one_step = trace1.distances[1]

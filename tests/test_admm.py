@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import warnings_as_errors
 from proxsplit import admm, worstcase
 from proxsplit.admm import (
     AdmmEngine,
@@ -540,7 +541,7 @@ class TestDiagonalNormalMatrix:
         s = sign * np.array([1.0, 1e160, 2.0])
         problem = _x_update_problem(kind, np.diag(s))
         seen = _recorded_factor_matrices(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="overflow"), \
+        with warnings_as_errors(), \
                 pytest.raises(ValueError, match=r"A\^T A.* is not finite at "
                               r"gamma = 0\.7$") as err:
             AdmmEngine(problem, 0.7, alpha=1.0)
@@ -557,7 +558,7 @@ class TestDiagonalNormalMatrix:
     def test_general_a_overflow_is_refused_by_name(self, kind):
         problem = _x_update_problem(kind, np.array(
             [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]]))
-        with pytest.warns(RuntimeWarning, match="overflow"), \
+        with warnings_as_errors(), \
                 pytest.raises(ValueError, match="gamma = 1e"):
             AdmmEngine(problem, 1e308, alpha=1.0)
 
@@ -693,8 +694,7 @@ class TestAdmmSolve:
         dual = dual_constants(reg, 1.0, 1.0).as_regularity()
         gamma = 1.0 / np.sqrt(dual.sigma * dual.beta)
         variant, _, coordinate = adversarial_case(5.0, gamma, dual)
-        inst = build(reg, variant, "dual", theta=1.0, zeta=1.0,
-                     coordinate=coordinate)
+        inst = build(reg, variant, theta=1.0, zeta=1.0, coordinate=coordinate)
         _, _, _, trace = admm_solve(inst.problem, gamma, 5.0, z0=inst.z0)
         assert not trace.converged
         assert not np.isfinite(trace.residuals[-1])

@@ -279,7 +279,7 @@ class TestSweep:
 
     def test_worstcase_dual_sweep_bound_is_tight_at_optimum(self):
         reg = Regularity(sigma=1.0, beta=4.0)
-        inst = build(reg, "g1", "dual", theta=1.0, zeta=3.0, coordinate=2)
+        inst = build(reg, "g1", theta=1.0, zeta=3.0, coordinate=2)
         gamma_star = sweep_gamma_star(inst.problem)
         assert gamma_star == pytest.approx(2.0 / 3.0, rel=1e-12)
         sweep = run_sweep(inst.problem, 1.0, [gamma_star], tol=1e-5)
@@ -459,7 +459,7 @@ class TestMpcBenchmark:
         s = 0.5 * (s + s.T)
         # selection and objective each decomposing S on their own
         e = (DiagonalMetric.identity(problem.p) if identity
-             else select_diagonal_metric(s, mode="heuristic"))
+             else select_diagonal_metric(s, mode="heuristic_p11"))
         separate = pseudo_condition_of(e, s)
         decomps = _counted(monkeypatch, linmetric, "_eigvalsh")
         obj = mpc_metric_objective(problem, identity=identity)

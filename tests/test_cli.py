@@ -381,7 +381,7 @@ _SMALL_PROBLEMS = [
     bench.gen_lasso(bench.LassoSpec(n=4, m=6, nnz_per_row=2)).to_json(),
     bench.gen_mpc(bench.MpcSpec(horizon=1), np.zeros(4),
                   np.zeros(4)).to_json(),
-    worstcase.build(Regularity(1.0, 4.0), "g1", "dual", theta=0.5,
+    worstcase.build(Regularity(1.0, 4.0), "g1", theta=0.5,
                     zeta=3.0).problem.to_json(),
     EqConstrainedProblem(
         f=Quadratic(np.eye(6)), g=Separable([

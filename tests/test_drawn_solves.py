@@ -1,5 +1,6 @@
 """Drawn DR and ADMM problems: a solve that reports ``converged`` has a
-finite ``x_final``, whatever the step size and relaxation."""
+finite ``x_final``, whatever the step size and relaxation, and every DR step
+contracts toward the fixed point at no more than the certified rate."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from proxsplit.admm import EqConstrainedProblem, admm_solve
 from proxsplit.prox import (Box, IndicatorZero, PwlPenalty, Quadratic,
                             WeightedL1, Zero)
+from proxsplit.rates import (Regularity, contraction_factor,
+                             optimal_parameters, rate_bound)
 from proxsplit.splitting import dr_solve
 
 SEED = st.integers(min_value=0, max_value=2**32 - 1)
@@ -38,6 +41,16 @@ def _strongly_convex(rng: np.random.Generator, dim: int) -> Quadratic:
     return Quadratic(m @ m.T + 0.1 * np.eye(dim), rng.normal(size=dim))
 
 
+def _spd_quadratic(rng: np.random.Generator, dim: int, sigma: float,
+                   kappa: float) -> Quadratic:
+    """0.5 x^T Q x + q^T x, Q dense with its spectrum in [sigma,
+    sigma*kappa]; both ends are eigenvalues when dim >= 2."""
+    inner = sigma * kappa ** rng.uniform(size=max(dim - 2, 0))
+    lam = np.concatenate([[sigma, sigma * kappa], inner])[:dim]
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return Quadratic(u @ np.diag(lam) @ u.T, rng.normal(size=dim))
+
+
 def _check(trace) -> None:
     assert not trace.converged or np.isfinite(trace.x_final).all(), trace
 
@@ -64,3 +77,44 @@ def test_drawn_admm_convergence_has_a_finite_solution(seed, n, p, log_gamma,
         A=rng.normal(size=(p, n)), B=-np.eye(p), c=rng.normal(size=p))
     _check(admm_solve(problem, 10.0**log_gamma, alpha, tol=1e-8,
                       max_iters=300)[-1])
+
+
+# The certificate as a property of the class (Giselsson, J. Fixed Point
+# Theory Appl. 2017; Ryu, Taylor, Bergeling and Giselsson, SIAM J. Optim.
+# 2020): for a sigma-strongly convex, beta-smooth f, any g of the catalog,
+# any gamma and alpha in (0, 2/(1+delta)), the relaxed DR map is
+# Lipschitz with constant rate_bound(delta, alpha), so every step's
+# distance ratio to the fixed point z* is at most that.  z* = x* +
+# gamma*grad f(x*), with x* from a DR solve at gamma* and alpha 1 run to
+# tol 1e-15.  Rounding leaves z* off by about 1e-14 of ||z0 - z*||, so a
+# ratio is checked while its distance is above 1e-4 of the first one, where
+# that error moves it by under RATE_SLACK; over 200 draws at most 2e-10.
+RATE_SLACK = 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(SEED, st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.0, max_value=4.0),  # log10 kappa
+       st.floats(min_value=-1.0, max_value=1.0),  # log10 sigma
+       st.floats(min_value=-1.5, max_value=1.5),  # log10 gamma/gamma*
+       st.floats(min_value=0.01, max_value=0.99))  # alpha over its cap
+def test_drawn_dr_steps_contract_at_the_certified_rate(
+        seed, n, log_kappa, log_sigma, log_ratio, share):
+    rng = np.random.default_rng(seed)
+    f = _spd_quadratic(rng, n, 10.0**log_sigma, 10.0**log_kappa)
+    g = _nonsmooth(rng, n)
+    reg = Regularity(*f.regularity)
+    gamma_star = optimal_parameters(reg)[0]
+    x = dr_solve(f, g, gamma_star, 1.0, np.zeros(n), tol=1e-15,
+                 max_iters=4000).x_final
+    gamma = gamma_star * 10.0**log_ratio
+    delta = contraction_factor(reg, gamma)
+    alpha = share * 2.0 / (1.0 + delta)
+    z_star = x + gamma * (f.Q @ x + f.q)
+    trace = dr_solve(f, g, gamma, alpha, z_star + 10.0 * rng.normal(size=n),
+                     tol=1e-14, max_iters=300, reference=z_star)
+    d = trace.distances
+    checked = [r for r, dk in zip(trace.contraction_ratios, d)
+               if dk >= 1e-4 * d[0]]
+    assert checked
+    assert max(checked) <= rate_bound(delta, alpha) + RATE_SLACK

@@ -120,8 +120,17 @@ class TestSelectDiagonalMetric:
         s = np.diag([1.0, 0.0])
         with pytest.raises(RankDeficiencyError):
             select_diagonal_metric(s, mode="exact")
-        e = select_diagonal_metric(s, mode="heuristic")
+        e = select_diagonal_metric(s, mode="heuristic_p11")
         assert e.diag[1] == 1.0  # untouched coordinate
+
+    @pytest.mark.parametrize("mode", ["exat", "heuristic", "HEURISTIC_P11",
+                                      None])
+    def test_mode_is_one_of_the_objective_modes(self, mode):
+        # a typo must not fall through to the heuristic
+        with pytest.raises(ValueError) as info:
+            select_diagonal_metric(np.diag([1.0, 4.0]), mode=mode)
+        assert str(info.value) == (
+            f"mode {mode!r} is not 'exact' or 'heuristic_p11'")
 
 
 class TestGammaFromMetric:

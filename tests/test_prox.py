@@ -17,6 +17,7 @@ from conftest import (
     prox_objective,
     sample_catalog_fn,
     sample_quadratic_affine,
+    warnings_as_errors,
 )
 from proxsplit.admm import AdmmEngine, EqConstrainedProblem, admm_solve
 from proxsplit.bench import (LassoSpec, MpcSpec, gen_lasso, gen_mpc,
@@ -45,6 +46,7 @@ from proxsplit.prox import (
     proxfn_from_json,
 )
 from proxsplit.splitting import dr_solve
+from proxsplit.worstcase import verify_point
 
 
 def anisotropic_quadratic(beta=4.0, sigma=1.0) -> Quadratic:
@@ -227,6 +229,15 @@ class TestConjugateProx:
                 1.0 / gamma, z / gamma)
             assert np.allclose(lhs, z, atol=1e-10)
 
+    def test_wrapper_prox_checks_the_point_under_its_own_kind(self, rng):
+        f = ConjugateOf(WeightedL1(np.ones(2)))
+        with pytest.raises(DimensionMismatchError) as info:
+            f.prox(1.0, np.ones(3))
+        assert str(info.value) == "conjugate expects dimension 2, got 3"
+        z = rng.normal(size=2)
+        assert f.prox(0.7, z).tobytes() == WeightedL1(
+            np.ones(2)).conjugate_prox(0.7, z).tobytes()
+
     def test_subnormal_gamma_is_refused_by_name(self):
         # 1.0 / gamma and z / gamma would overflow and be misreported
         with warnings.catch_warnings():
@@ -380,6 +391,15 @@ class TestAffineKinds:
         assert np.allclose(f.prox(7.0, z), x, atol=1e-12)
         assert np.allclose(f.prox(1.0, x), x, atol=1e-10)
 
+    def test_nan_point_is_off_the_set_for_both_kinds(self):
+        # one membership test: a NaN residual is not within the tolerance
+        lm, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        for f in (IndicatorAffine(lm, b),
+                  QuadraticAffine(np.eye(2), None, lm, b)):
+            assert f(np.array([np.nan, 0.0])) == np.inf
+            assert f(np.array([0.5, 0.5])) < np.inf  # on the set
+            assert f(np.array([0.5, 0.5 + 1e-8])) == np.inf  # beyond 1e-9
+
     def test_infeasible_rejected(self):
         lm = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(InfeasibleConstraintError):
@@ -403,7 +423,7 @@ class TestAffineKinds:
 
 def smooth_solver(f, top):
     """The bound solve of f's system with matrix ``top``."""
-    return prox._smooth_solver(f, top, "top", 1.0, ValueError)
+    return prox._smooth_solver(f, lambda: top, "top", 1.0, ValueError)
 
 
 class TestDirectSolve:
@@ -490,12 +510,13 @@ class TestDirectSolve:
 
 
 class TestFactorOverflow:
-    """A step size whose factor matrix overflows is refused by name; an
-    in-range one at the same instance still solves with scipy's bits."""
+    """A step size whose factor matrix overflows is refused by name, with no
+    warning before it; an in-range one at the same instance still solves
+    with scipy's bits."""
 
     def test_quadratic_names_gamma_and_the_matrix(self):
         f = Quadratic(np.diag([1e10, 1.0]))
-        with pytest.warns(RuntimeWarning, match="overflow"), \
+        with warnings_as_errors(), \
                 pytest.raises(ValueError, match=re.escape(
                     "gamma*Q + I is not finite at gamma = 1e+300")) as err:
             f.prox(1e300, np.ones(2))
@@ -506,7 +527,7 @@ class TestFactorOverflow:
 
     def test_quadratic_affine_names_gamma_and_the_kkt_matrix(self):
         f = QuadraticAffine(np.diag([1e10, 1.0]), None, [[1.0, 1.0]], [1.0])
-        with pytest.warns(RuntimeWarning, match="overflow"), \
+        with warnings_as_errors(), \
                 pytest.raises(SingularKktError, match=re.escape(
                     "[[gamma*Q + I, L^T], [L, 0]] is not finite at "
                     "gamma = 1e+300")):
@@ -517,9 +538,29 @@ class TestFactorOverflow:
     def test_refusal_is_not_cached(self):
         f = Quadratic(np.diag([1e10, 1.0]))
         for _ in range(2):
-            with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
+            with warnings_as_errors(), pytest.raises(ValueError):
                 f.prox(1e300, np.ones(2))
         assert set(vars(f)) == {"Q", "q", "dim", "regularity"}
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: verify_point(1e300, 1.0, 1e10, 0.5), ValueError,
+         "gamma*Q + I is not finite at gamma = 10000000000.0"),
+        (lambda: QuadraticAffine(np.diag([1e300, 1.0]), None, [[1.0, 1.0]],
+                                 [0.0]).prox(1e10, np.ones(2)),
+         SingularKktError, "[[gamma*Q + I, L^T], [L, 0]] is not finite at "
+         "gamma = 10000000000.0"),
+        (lambda: AdmmEngine(EqConstrainedProblem(
+            Quadratic(np.eye(2)), Zero(2), np.diag([1e200, 1.0]), -np.eye(2),
+            np.zeros(2)), 1e10, 1.0), ValueError,
+         "Q + gamma*A^T A is not finite at gamma = 10000000000.0")],
+        ids=["verify_point", "quadratic_affine", "admm_x_update"])
+    def test_each_matrix_is_formed_without_a_warning(self, call, error,
+                                                     message):
+        # the named refusal is the one signal: an overflow warning ahead of
+        # it would be all a caller under warnings-as-errors sees
+        with warnings_as_errors(), pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestRewrittenVectors:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import warnings_as_errors
 from proxsplit.errors import (DimensionMismatchError, RankDeficiencyError,
                              UnboundedIterationError)
 from proxsplit.linmetric import DiagonalMetric
@@ -128,6 +129,19 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scalar", [float, np.float64],
+                             ids=["python", "numpy"])
+    @pytest.mark.parametrize("cls, message", [
+        (Regularity, "kappa = beta/sigma overflows"),
+        (DualRegularity, "kappa_hat = beta_hat/sigma_hat overflows")])
+    def test_numpy_scalars_are_refused_without_a_warning(self, cls, message,
+                                                         scalar):
+        # numpy scalars divide with an "overflow encountered in scalar
+        # divide" warning; the named refusal must be the one signal
+        with warnings_as_errors(), pytest.raises(ValueError) as info:
+            cls(scalar(1e-200), scalar(1e200))
         assert str(info.value) == message
 
 

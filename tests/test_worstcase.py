@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxsplit import worstcase
+from proxsplit.admm import EqConstrainedProblem
 from proxsplit.prox import IndicatorZero, Quadratic, Zero
 from proxsplit.rates import (Regularity, contraction_factor,
                              optimal_parameters, rate_bound)
@@ -32,15 +33,19 @@ REG = Regularity(sigma=1.0, beta=4.0)
 
 class TestBuild:
     def test_primal_g1(self):
-        inst = build(REG, "g1", "primal", coordinate=2)
+        inst = build(REG, "g1", coordinate=2)
         assert isinstance(inst.f, Quadratic)
         assert np.allclose(inst.f.Q, np.diag([4.0, 1.0]))
         assert isinstance(inst.g, Zero)
         assert np.array_equal(inst.z0, [0.0, 1.0])
-        assert np.array_equal(inst.fixed_point, np.zeros(2))
+        assert inst.problem is None  # no theta, zeta: the primal instance
+        # the fixed point is the origin: one DR step leaves it there
+        z, _, _ = dr_step(inst.f.prox_map(0.5), inst.g.prox_map(0.5), 1.0,
+                          np.zeros(2))
+        assert np.array_equal(z, np.zeros(2))
 
     def test_primal_g2(self):
-        inst = build(REG, "g2", "primal", coordinate=1)
+        inst = build(REG, "g2", coordinate=1)
         assert isinstance(inst.g, IndicatorZero)
         assert np.array_equal(inst.z0, [1.0, 0.0])
 
@@ -50,40 +55,50 @@ class TestBuild:
         assert dual.beta_hat == pytest.approx(9.0)
 
     def test_dual_problem_shape_and_conjugate_pairing(self):
-        inst = build(REG, "g1", "dual", theta=1.0, zeta=3.0, coordinate=2)
+        inst = build(REG, "g1", theta=1.0, zeta=3.0, coordinate=2)
         assert inst.problem is not None
         assert np.allclose(inst.problem.A, np.diag([1.0, 3.0]))
         assert np.allclose(inst.problem.B, -np.eye(2))
         # dual variant g1 (zero) corresponds to the primal origin indicator
         assert isinstance(inst.problem.g, IndicatorZero)
-        inst2 = build(REG, "g2", "dual", theta=1.0, zeta=3.0, coordinate=2)
+        inst2 = build(REG, "g2", theta=1.0, zeta=3.0, coordinate=2)
         assert isinstance(inst2.problem.g, Zero)
 
     def test_dual_layout_flip(self):
         # the soft (sigma_hat) curvature sits first in the dual coordinate
-        soft = build(REG, "g1", "dual", theta=1.0, zeta=3.0, coordinate=2)
-        stiff = build(REG, "g1", "dual", theta=1.0, zeta=3.0, coordinate=1)
+        soft = build(REG, "g1", theta=1.0, zeta=3.0, coordinate=2)
+        stiff = build(REG, "g1", theta=1.0, zeta=3.0, coordinate=1)
         assert np.array_equal(soft.z0, [1.0, 0.0])
         assert np.array_equal(stiff.z0, [0.0, 1.0])
 
     def test_dual_requires_ordered_gains(self):
         with pytest.raises(ValueError):
-            build(REG, "g1", "dual", theta=3.0, zeta=1.0)
+            build(REG, "g1", theta=3.0, zeta=1.0)
 
-    @pytest.mark.parametrize("theta, zeta", [(1.0, 3.0), (1.0, None),
-                                             (None, 3.0)])
-    def test_primal_refuses_dual_gains(self, theta, zeta):
+    @pytest.mark.parametrize("theta, zeta", [(1.0, None), (None, 3.0)])
+    def test_one_dual_gain_is_refused(self, theta, zeta):
+        # theta and zeta decide the setting, so one without the other is
+        # neither the primal nor the dual instance
         with pytest.raises(ValueError) as info:
-            build(REG, "g1", "primal", theta=theta, zeta=zeta)
-        assert str(info.value) == (
-            "theta and zeta belong to the dual setting, got "
-            f"theta={theta}, zeta={zeta} with 'primal'")
+            build(REG, "g1", theta=theta, zeta=zeta)
+        assert str(info.value) == "dual setting needs zeta >= theta > 0"
+
+    @pytest.mark.parametrize("variant", ["g1", "g2"])
+    def test_both_dual_gains_build_the_dual_instance(self, variant):
+        inst = build(REG, variant, theta=0.5, zeta=3.0)
+        g = IndicatorZero(2) if variant == "g1" else Zero(2)
+        expected = EqConstrainedProblem(
+            Quadratic(np.diag([4.0, 1.0])), g, np.diag([0.5, 3.0]),
+            -np.eye(2), np.zeros(2))
+        assert inst.problem.to_json() == expected.to_json()
+        assert inst.f is inst.problem.f and inst.g is inst.problem.g
+        assert np.array_equal(inst.z0, [1.0, 0.0])  # the soft axis first
 
     @pytest.mark.parametrize("coordinate", [
         2.0, np.float64(1.0), True, False, 0, 3, np.int64(-1), "1", None])
     @pytest.mark.parametrize("call", [
         lambda c: build(REG, "g1", coordinate=c),
-        lambda c: build(REG, "g1", "dual", theta=1.0, zeta=3.0, coordinate=c),
+        lambda c: build(REG, "g1", theta=1.0, zeta=3.0, coordinate=c),
         lambda c: exact_rate(REG, "g1", 0.5, 1.0, c),
         lambda c: exact_rate(REG, "g3", 0.5, 1.0, c)],
         ids=["build", "build-dual", "exact_rate", "exact_rate-bad-variant"])
@@ -202,8 +217,7 @@ class TestLinearity:
         for variant in ("g1", "g2"):
             for coordinate, lam in ((1, REG.beta), (2, REG.sigma)):
                 for gamma, alpha in ((0.3, 0.9), (0.5, 1.0), (2.0, 1.1)):
-                    inst = build(REG, variant, "primal",
-                                 coordinate=coordinate)
+                    inst = build(REG, variant, coordinate=coordinate)
                     z_next, _, _ = dr_step(inst.f.prox_map(gamma),
                                            inst.g.prox_map(gamma), alpha,
                                            inst.z0)
