@@ -2,13 +2,15 @@
 
 Every catalog member knows how to evaluate itself, compute its prox
 (the minimizer of gamma*f(x) + 0.5*||x - z||^2), the reflected prox
-2*prox - id, and the prox of its convex conjugate via Moreau's identity.
+2*prox - id; ``ConjugateOf`` wraps a member as its convex conjugate, whose
+prox comes from the member's by Moreau's identity.
 """
 
 import numpy as np
 
 from proxsplit import (
     Box,
+    ConjugateOf,
     IndicatorZero,
     PwlPenalty,
     Quadratic,
@@ -43,9 +45,10 @@ print("  prox(1.5) ", h.prox(0.1, np.array([1.5])),
 # into complementary proxes.
 print("\nzero function vs indicator of the origin (conjugate pair)")
 print("  prox of zero fn        ", Zero().prox(1.0, z), " identity")
-print("  prox of its conjugate  ", Zero().conjugate_prox(1.0, z), " origin")
+print("  prox of its conjugate  ", ConjugateOf(Zero()).prox(1.0, z),
+      " origin")
 print("  prox of origin indic.  ", IndicatorZero().prox(1.0, z))
-print("  prox of its conjugate  ", IndicatorZero().conjugate_prox(1.0, z),
+print("  prox of its conjugate  ", ConjugateOf(IndicatorZero()).prox(1.0, z),
       " identity")
 
 # Box projection is gamma-independent.
@@ -56,6 +59,6 @@ print("  prox      ", b.prox(5.0, z), " plain clipping")
 # Moreau's identity ties a prox to its conjugate's prox exactly:
 #   prox_{gamma f}(z) + gamma * prox_{f*/gamma}(z/gamma) = z
 gamma = 0.7
-lhs = w.prox(gamma, z) + gamma * w.conjugate_prox(1 / gamma, z / gamma)
+lhs = w.prox(gamma, z) + gamma * ConjugateOf(w).prox(1 / gamma, z / gamma)
 print(f"\nMoreau identity residual for the l1 member: "
       f"{np.linalg.norm(lhs - z):.2e}")

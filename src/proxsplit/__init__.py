@@ -46,6 +46,7 @@ from .metric import (
 )
 from .prox import (
     Box,
+    ConjugateOf,
     IndicatorAffine,
     IndicatorZero,
     ProxFn,

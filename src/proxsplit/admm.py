@@ -102,8 +102,9 @@ class EqConstrainedProblem:
         if metric.dim != self.p:
             raise DimensionMismatchError("metric must match constraint rows")
         e = metric.diag
-        return EqConstrainedProblem(self.f, self.g, e[:, None] * self.A,
-                                    e[:, None] * self.B, e * self.c)
+        with np.errstate(over="ignore"):  # __post_init__ refuses an inf
+            return EqConstrainedProblem(self.f, self.g, e[:, None] * self.A,
+                                        e[:, None] * self.B, e * self.c)
 
     def to_json(self) -> dict:
         return {"f": self.f.to_json(), "g": self.g.to_json(),
@@ -322,9 +323,9 @@ def verify_dual_equivalence(problem: EqConstrainedProblem, gamma: float,
     # Dual splitting applies the d2 prox first, so d2 is the first argument.
     z_dr, by = z0.copy(), engine.b * y
     prox_d2, prox_d1 = d2.prox_map(gamma), d1.prox_map(gamma)
-    devs = [float(np.linalg.norm(z_dr - engine.z_equiv(y, u)))]
+    devs = [_norm(z_dr - engine.z_equiv(y, u))]
     for _ in range(iters):
         z_dr, _, _ = dr_step(prox_d2, prox_d1, alpha, z_dr)
         _, y, u, by = engine.step(y, u, by)
-        devs.append(float(np.linalg.norm(z_dr - engine.z_equiv(y, u))))
+        devs.append(_norm(z_dr - engine.z_equiv(y, u)))
     return max(devs)

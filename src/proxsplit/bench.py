@@ -435,7 +435,7 @@ def mpc_closed_loop(spec: MpcSpec, references: np.ndarray,
     problem = gen_mpc(spec, x, references[0])
     obj = mpc_metric_objective(problem, identity=not metric)
     gamma = gamma_from_metric(obj)
-    scaled = problem.scaled(obj.metric) if metric else problem
+    scaled = problem.scaled(obj.metric)  # the identity without metric
     engine = AdmmEngine(scaled, gamma, alpha)
     counts: list[int] = []
     states = [x.copy()]

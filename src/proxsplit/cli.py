@@ -130,8 +130,7 @@ def _cmd_mpc(args) -> Callable[[TextIO], None]:
 def _cmd_worstcase(args) -> Callable[[TextIO], None]:
     betas = None if args.beta is None else (args.beta,)
     rows = worstcase.verify_grid(betas, sigma=args.sigma)
-    cols = ("beta", "sigma", "gamma", "alpha", "variant", "bound",
-            "exact_rate", "measured_rate", "max_abs_diff")
+    cols = tuple(rows[0])  # verify_point's nine keys, in its order
     return lambda fh: write_csv(fh, (), cols,
                                 ([r[c] for c in cols] for r in rows))
 

@@ -168,11 +168,12 @@ class DiagonalMetric:
         return self.diag.size
 
     def scale_spectrum_matrix(self, s) -> np.ndarray:
-        """E S E^T for symmetric S (diagonal E, so E^T = E)."""
+        """E S E^T for symmetric S (diagonal E, so E^T = E); inf raises."""
         s = _as_dense(s)
         if s.shape != (self.dim, self.dim):
             raise DimensionMismatchError("metric dimension does not match S")
-        return s * np.outer(self.diag, self.diag)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses
+            return _finite(s * np.outer(self.diag, self.diag))
 
     @classmethod
     def identity(cls, dim: int) -> "DiagonalMetric":

@@ -118,30 +118,31 @@ def select_diagonal_metric(s, mode: Mode = "exact") -> DiagonalMetric:
     """Diagonal E from iterated row-norm equilibration of S or its spectra.
 
     Each of ``EQUILIBRATION_SWEEPS`` sweeps divides E_ii by the square root
-    of the max-norm of row i of the current scaled matrix; rows with zero
-    norm are skipped.  In exact mode an all-zero row is an error (the exact
-    objective would be infinite); heuristic_p11 tolerates it.  The returned
-    metric never has a worse objective (zero below ``PSEUDO_ZERO_TOL``) than
-    the identity: if the sweeps degrade it, the identity is returned instead.
+    of the max-norm of row i of the current scaled matrix, skipping zero
+    rows; a row so small that the scaled matrix overflows is a ValueError.
+    In exact mode an all-zero row is a RankDeficiencyError; heuristic_p11
+    tolerates it.  The returned metric never has a worse objective (zero
+    below ``PSEUDO_ZERO_TOL``) than the identity, which it falls back to.
     """
     if mode not in ("exact", "heuristic_p11"):
         raise ValueError(f"mode {mode!r} is not 'exact' or 'heuristic_p11'")
     spectra = s if isinstance(s, MetricSpectra) else MetricSpectra(s)
     s = spectra.s
-    n = s.shape[0]
-    row_norms = np.abs(s).max(axis=1)
-    if mode == "exact" and np.any(row_norms == 0):
+    if mode == "exact" and not np.abs(s).max(axis=1).all():
         raise RankDeficiencyError(
             "S has an all-zero row; exact metric selection needs a "
             "nonsingular objective matrix")
-    e = np.ones(n)
-    for _ in range(EQUILIBRATION_SWEEPS):
-        scaled = s * np.outer(e, e)
-        norms = np.abs(scaled).max(axis=1)
-        nonzero = norms > 0
-        e[nonzero] /= np.sqrt(norms[nonzero])
+    e = np.ones(len(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for _ in range(EQUILIBRATION_SWEEPS):
+            scaled = s * np.outer(e, e)
+            norms = np.abs(scaled).max(axis=1)
+            if not np.isfinite(norms).all():
+                raise ValueError("S has a row too small to equilibrate")
+            nonzero = norms > 0
+            e[nonzero] /= np.sqrt(norms[nonzero])
     candidate = DiagonalMetric(e)
-    identity = DiagonalMetric.identity(n)
+    identity = DiagonalMetric.identity(len(s))
     if (_objective_value(candidate, spectra, mode).value
             <= _objective_value(identity, spectra, mode).value):
         return candidate

@@ -1,7 +1,7 @@
 """Catalog of functions with closed-form proximal operators.
 
-Every member exposes evaluation, ``prox``, the reflected prox
-``2*prox - id``, and the conjugate prox through the Moreau identity.  The
+Every member exposes evaluation, ``prox`` and the reflected prox
+``2*prox - id``; ``ConjugateOf(f)`` proxes f's conjugate by Moreau.  The
 catalog covers quadratics (optionally restricted to an affine set), the zero
 function, indicators of {0} and of affine sets, box indicators, weighted l1
 norms, piecewise-linear band penalties (band and slope shared or given per
@@ -135,12 +135,6 @@ class ProxFn:
         """Reflected prox 2*prox(gamma, z) - z."""
         z = np.asarray(z, dtype=float)
         return 2.0 * self.prox(gamma, z) - z
-
-    def conjugate_prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
-        """Prox of gamma times the convex conjugate (``ConjugateOf``'s map)."""
-        _step(gamma)
-        z = self._check_point(z)
-        return ConjugateOf(self).prox_map(gamma)(z)
 
     def to_json(self) -> dict:
         """``{"kind": kind, field: value, ...}`` with the fields of
@@ -465,8 +459,8 @@ class Separable(ProxFn):
 class ConjugateOf(ProxFn):
     """The convex conjugate of a catalog member, prox via Moreau's identity.
 
-    Used to run the splitting engine on dual formulations; not part of the
-    JSON wire catalog.
+    The one conjugate prox, ``ConjugateOf(f).prox(gamma, z)``; dual
+    formulations run the splitting engine on it.  Not in the JSON catalog.
     """
 
     kind = "conjugate"

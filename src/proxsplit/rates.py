@@ -167,20 +167,35 @@ def dual_curvature(a, h) -> np.ndarray:
     a, h = _as_dense(a), _as_dense(h)
     if a.ndim != 2 or h.shape != (a.shape[1], a.shape[1]):
         raise DimensionMismatchError(f"A {a.shape} does not match H {h.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        try:
+            s = a @ np.linalg.solve(_finite(h), _finite(a).T)
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError("singular H in S = A H^-1 A^T") from None
+        s = 0.5 * (s + s.T)
+    if not np.isfinite(s).all():
+        raise ValueError("S = A H^-1 A^T overflows")
+    return s
+
+
+def dual_constants(reg: Regularity, theta: float,
+                   zeta: float) -> DualRegularity:
+    """Euclidean dual constants theta^2 / beta and zeta^2 / sigma of A's
+    extreme singular values zeta >= theta > 0, an overflow refused by name."""
+    if not zeta >= theta > 0:
+        raise ValueError("need zeta >= theta > 0")
     try:
-        s = a @ np.linalg.solve(_finite(h), _finite(a).T)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("singular H in S = A H^-1 A^T") from None
-    return 0.5 * (s + s.T)
+        sigma_hat, beta_hat = theta**2 / reg.beta, zeta**2 / reg.sigma
+    except OverflowError:  # a float square past the largest double raises
+        sigma_hat = beta_hat = math.inf  # which DualRegularity refuses
+    return DualRegularity(sigma_hat=sigma_hat, beta_hat=beta_hat)
 
 
 def dual_regularity(reg: Regularity, a) -> DualRegularity:
-    """Euclidean dual constants beta_hat = ||A||_2^2 / sigma and
-    sigma_hat = theta^2 / beta, theta the smallest singular value of A
-    (A must have full row rank); under a metric see dual_of_spectrum."""
+    """:func:`dual_constants` of A's extreme singular values (A must have
+    full row rank); under a metric see dual_of_spectrum."""
     svals = _row_rank_svdvals(a)
-    return DualRegularity(sigma_hat=float(svals[-1])**2 / reg.beta,
-                          beta_hat=float(svals[0])**2 / reg.sigma)
+    return dual_constants(reg, float(svals[-1]), float(svals[0]))
 
 
 def dual_of_spectrum(summary) -> DualRegularity:

@@ -26,7 +26,7 @@ import numpy as np
 from .admm import EqConstrainedProblem, admm_solve
 from .linmetric import _step
 from .prox import IndicatorZero, ProxFn, Quadratic, Zero
-from .rates import (DualRegularity, Regularity, contraction_factor,
+from .rates import (Regularity, contraction_factor, dual_constants,
                     geometric_mean, rate_bound)
 from .splitting import SolveTrace, dr_solve
 
@@ -91,18 +91,6 @@ def build(reg: Regularity, variant: str, *, theta: float | None = None,
     # Dual layout: soft curvature first, stiff second.
     z0 = np.eye(2)[SIGMA_COORD - coordinate]
     return WorstCaseInstance(f=f, g=g, problem=problem, z0=z0)
-
-
-def dual_constants(reg: Regularity, theta: float,
-                   zeta: float) -> DualRegularity:
-    """Dual regularity of the constrained extremal instance."""
-    if not zeta >= theta > 0:
-        raise ValueError("need zeta >= theta > 0")
-    try:
-        sigma_hat, beta_hat = theta**2 / reg.beta, zeta**2 / reg.sigma
-    except OverflowError:  # a float square past the largest double raises
-        sigma_hat = beta_hat = math.inf  # which DualRegularity refuses
-    return DualRegularity(sigma_hat=sigma_hat, beta_hat=beta_hat)
 
 
 def exact_rate(reg: Regularity, variant: str, gamma: float, alpha: float,

@@ -20,6 +20,7 @@ from proxsplit import bench, worstcase
 from proxsplit.admm import EqConstrainedProblem, verify_dual_equivalence
 from proxsplit.prox import (
     Box,
+    ConjugateOf,
     PwlPenalty,
     Quadratic,
     WeightedL1,
@@ -139,7 +140,7 @@ def test_criterion_06_prox_correctness():
         z2 = 3.0 * rng.normal(size=dim)
         p1 = f.prox(gamma, z1)
         moreau = np.linalg.norm(
-            p1 + gamma * f.conjugate_prox(1.0 / gamma, z1 / gamma) - z1)
+            p1 + gamma * ConjugateOf(f).prox(1.0 / gamma, z1 / gamma) - z1)
         worst_moreau = max(worst_moreau, float(moreau))
         lhs = np.linalg.norm(p1 - f.prox(gamma, z2))
         rhs = np.linalg.norm(z1 - z2)

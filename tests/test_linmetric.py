@@ -465,8 +465,6 @@ _GUARD_REG = Regularity(1.0, 4.0)
 _GAMMA_ENTRIES = {
     "ProxFn.prox": lambda g: Quadratic(np.eye(2)).prox(g, np.ones(2)),
     "reflect": lambda g: Zero(2).reflect(g, np.ones(2)),
-    "conjugate_prox": lambda g: WeightedL1([1.0, 1.0]).conjugate_prox(
-        g, np.ones(2)),
     "ConjugateOf.prox": lambda g: ConjugateOf(WeightedL1([1.0, 1.0])).prox(
         g, np.ones(2)),
     "ConjugateOf.prox_map": lambda g: ConjugateOf(

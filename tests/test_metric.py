@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import warnings_as_errors
 from proxsplit.admm import EqConstrainedProblem
 from proxsplit.bench import (LassoSpec, gen_lasso, lasso_condition_report,
                              lasso_metric, mpc_metric_objective,
                              problem_dual_regularity)
 from proxsplit.errors import RankDeficiencyError
-from proxsplit.linmetric import DiagonalMetric
+from proxsplit.linmetric import DiagonalMetric, MetricSpectra
 from proxsplit.metric import (
     PSEUDO_ZERO_TOL,
     dual_condition_number,
@@ -19,7 +20,7 @@ from proxsplit.metric import (
     select_diagonal_metric,
 )
 from proxsplit.prox import Quadratic, QuadraticAffine, Zero
-from proxsplit.rates import optimal_parameters
+from proxsplit.rates import dual_curvature, optimal_parameters
 
 
 def pinv_objective(metric, a, q):
@@ -221,3 +222,57 @@ class TestHeuristicAffineCase:
                                "condition_number", "gamma"}
         assert all(v > 0 for v in report["E"])
         assert report["gamma"] == pytest.approx(gamma_from_metric(obj))
+
+
+_BIG_E = DiagonalMetric([1e200, 1.0])  # E_11^2 = 1e400 overflows
+_NAN_FREE = "array must not contain infs or NaNs"
+
+
+def _problem(q_scale: float, a_scale: float) -> EqConstrainedProblem:
+    return EqConstrainedProblem(Quadratic(q_scale * np.eye(2)), Zero(2),
+                                a_scale * np.eye(2), -np.eye(2), np.zeros(2))
+
+
+class TestOverflowRefusals:
+    """Each set-up product of the metric layer that leaves the doubles is
+    one ValueError, without numpy's RuntimeWarning ahead of it."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dual_curvature(np.diag([1e200, 1.0]), np.eye(2)),
+         "S = A H^-1 A^T overflows"),
+        # H^-1 A^T is inf, so A @ it meets 0 * inf: "invalid value"
+        (lambda: problem_dual_regularity(_problem(1e-300, 1e10)),
+         "S = A H^-1 A^T overflows"),
+        (lambda: _BIG_E.scale_spectrum_matrix(np.eye(2)), _NAN_FREE),
+        (lambda: MetricSpectra(np.eye(2)).summary(_BIG_E, 1e-10), _NAN_FREE),
+        (lambda: pseudo_condition_of(_BIG_E, np.eye(2)), _NAN_FREE),
+        (lambda: _problem(1.0, 1e10).scaled(DiagonalMetric([1e300, 1.0])),
+         _NAN_FREE),
+        # a subnormal row: its scale E_11 ~ 1e160 squares past the doubles,
+        # which the parent blamed on the metric ("entries must be finite")
+        (lambda: select_diagonal_metric(np.diag([1e-320, 1.0])),
+         "S has a row too small to equilibrate"),
+        (lambda: select_diagonal_metric(np.diag([1e-320, 1.0]),
+                                        "heuristic_p11"),
+         "S has a row too small to equilibrate")],
+        ids=["dual_curvature", "problem_dual_regularity",
+             "scale_spectrum_matrix", "MetricSpectra.summary",
+             "pseudo_condition_of", "scaled", "select-exact",
+             "select-heuristic"])
+    def test_is_one_value_error(self, call, message):
+        with warnings_as_errors(), pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_in_range_products_keep_their_bits(self, rng):
+        s = rng.normal(size=(4, 4))
+        s = s @ s.T
+        e = DiagonalMetric(10.0 ** rng.uniform(-3, 3, size=4))
+        with warnings_as_errors():
+            scaled = e.scale_spectrum_matrix(s)
+            a, h = rng.normal(size=(3, 4)), s + np.eye(4)
+            curvature = dual_curvature(a, h)
+        assert scaled.tobytes() == (s * np.outer(e.diag, e.diag)).tobytes()
+        raw = a @ np.linalg.solve(h, a.T)
+        assert curvature.tobytes() == (0.5 * (raw + raw.T)).tobytes()

@@ -206,17 +206,17 @@ class TestReflected:
 class TestConjugateProx:
     def test_indicator_zero_conjugate_is_zero_fn(self, rng):
         z = rng.normal(size=3)
-        got = IndicatorZero().conjugate_prox(1.0, z)
+        got = ConjugateOf(IndicatorZero()).prox(1.0, z)
         assert np.allclose(got, z, atol=1e-14)
 
     def test_zero_conjugate_is_origin_indicator(self, rng):
         z = rng.normal(size=3)
-        got = Zero().conjugate_prox(1.0, z)
+        got = ConjugateOf(Zero()).prox(1.0, z)
         assert np.allclose(got, np.zeros(3), atol=1e-14)
 
     def test_self_conjugate_squared_norm(self, rng):
         z = rng.normal(size=3)
-        got = Quadratic(np.eye(3)).conjugate_prox(1.0, z)
+        got = ConjugateOf(Quadratic(np.eye(3))).prox(1.0, z)
         assert np.allclose(got, z / 2.0, atol=1e-13)
 
     def test_moreau_identity_catalog(self, rng):
@@ -225,7 +225,7 @@ class TestConjugateProx:
             f = sample_catalog_fn(rng, dim)
             gamma = float(rng.choice([0.01, 1.0, 100.0]))
             z = 3.0 * rng.normal(size=dim)
-            lhs = f.prox(gamma, z) + gamma * f.conjugate_prox(
+            lhs = f.prox(gamma, z) + gamma * ConjugateOf(f).prox(
                 1.0 / gamma, z / gamma)
             assert np.allclose(lhs, z, atol=1e-10)
 
@@ -235,8 +235,7 @@ class TestConjugateProx:
             f.prox(1.0, np.ones(3))
         assert str(info.value) == "conjugate expects dimension 2, got 3"
         z = rng.normal(size=2)
-        assert f.prox(0.7, z).tobytes() == WeightedL1(
-            np.ones(2)).conjugate_prox(0.7, z).tobytes()
+        assert f.prox(0.7, z).tobytes() == f.prox_map(0.7)(z).tobytes()
 
     def test_subnormal_gamma_is_refused_by_name(self):
         # 1.0 / gamma and z / gamma would overflow and be misreported
@@ -253,7 +252,7 @@ class TestConjugateProx:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "gamma must be positive and normal, got inf")):
-                WeightedL1([1.0]).conjugate_prox(np.inf, np.ones(1))
+                ConjugateOf(WeightedL1([1.0])).prox(np.inf, np.ones(1))
             with pytest.raises(ValueError, match=re.escape(
                     "gamma must be positive and normal, got inf")):
                 dr_solve(Quadratic(np.eye(2)), Zero(2), np.inf, 1.0,
@@ -956,7 +955,9 @@ class TestJsonRoundtrip:
         f = WeightedL1([1.0, 1.0])
         wrapped = ConjugateOf(f)
         z = rng.normal(size=2) * 3
-        assert np.allclose(wrapped.prox(0.7, z), f.conjugate_prox(0.7, z))
+        # Moreau's identity, written out
+        assert np.allclose(wrapped.prox(0.7, z),
+                           z - 0.7 * f.prox(1.0 / 0.7, z / 0.7))
         with pytest.raises(NotImplementedError):
             wrapped.to_json()
 

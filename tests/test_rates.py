@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import warnings_as_errors
+from proxsplit import worstcase
 from proxsplit.errors import (DimensionMismatchError, RankDeficiencyError,
                              UnboundedIterationError)
 from proxsplit.linmetric import DiagonalMetric
@@ -21,6 +22,7 @@ from proxsplit.rates import (
     certificate,
     competing_rates,
     contraction_factor,
+    dual_constants,
     dual_curvature,
     dual_regularity,
     feasible_alpha_interval,
@@ -29,7 +31,7 @@ from proxsplit.rates import (
     optimal_parameters,
     rate_bound,
 )
-from proxsplit.worstcase import adversarial_case, dual_constants, verify_grid
+from proxsplit.worstcase import adversarial_case, verify_grid
 
 positive = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -237,6 +239,23 @@ class TestDualRegularity:
         assert dual.sigma_hat == pytest.approx(0.25, rel=1e-12)
         assert dual.beta_hat == pytest.approx(9.0, rel=1e-12)
         assert dual.kappa_hat == pytest.approx(36.0, rel=1e-12)
+
+    def test_overflowing_square_is_refused_by_name(self):
+        # a singular value of 1e200 squares past the largest double, which a
+        # Python float raises as a bare OverflowError
+        with warnings_as_errors(), pytest.raises(ValueError) as info:
+            dual_regularity(Regularity(1.0, 1.0), [[1e200]])
+        assert str(info.value) == "need 0 < sigma_hat <= beta_hat < inf"
+
+    def test_diagonal_a_agrees_with_dual_constants(self, rng):
+        assert worstcase.dual_constants is dual_constants  # one computation
+        for _ in range(50):
+            reg = Regularity(*np.sort(10.0 ** rng.uniform(-3, 3, size=2)))
+            d = 10.0 ** rng.uniform(-3, 3, size=int(rng.integers(1, 5)))
+            got = dual_regularity(reg, np.diag(d))
+            want = dual_constants(reg, d.min(), d.max())
+            assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=1e-14)
+            assert got.beta_hat == pytest.approx(want.beta_hat, rel=1e-14)
 
     def test_identity_trivial(self):
         dual = dual_regularity(Regularity(1, 1), np.eye(3))
