@@ -7,9 +7,9 @@ function, indicators of {0} and of affine sets, box indicators, weighted l1
 norms, piecewise-linear band penalties (band and slope shared or given per
 coordinate), and separable compositions.
 
-Each kind writes its prox once, as ``prox_map(gamma)``, whose binding forms
-the step size's constants (a factorization, thresholds, band edges, member
-maps); ``prox(gamma, z)`` checks its arguments, then binds and applies it.
+Each kind writes its value once, as ``_value(x)``, and its prox once, as
+``prox_map(gamma)``, whose binding forms gamma's constants (a factorization,
+thresholds, band edges, member maps); ``f(x)`` and ``prox`` check, then call.
 Nothing is cached.  ``q`` and ``b`` may be rewritten in place between solves:
 the ADMM x-update reads both at every step, and a map reads them at each call,
 but a ``Quadratic``'s map skips q if it was all +0.0 at bind.  Instances are
@@ -91,8 +91,8 @@ def _off_affine(l: np.ndarray, b: np.ndarray, x: np.ndarray) -> bool:
 
 
 class ProxFn:
-    """Base class; subclasses implement ``__call__`` and ``prox_map``, and
-    inherit the checked ``prox``."""
+    """Base class; subclasses implement ``_value`` and ``prox_map``, which
+    trust their arguments, and inherit the checked ``f(x)`` and ``prox``."""
 
     #: intrinsic dimension, or None when the function works on any dimension
     dim: int | None = None
@@ -116,6 +116,9 @@ class ProxFn:
         return z
 
     def __call__(self, x: np.ndarray) -> float:
+        return self._value(self._check_point(x))
+
+    def _value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def prox(self, gamma: float, z: np.ndarray) -> np.ndarray:
@@ -176,8 +179,7 @@ class Quadratic(ProxFn):
         summary = spectral_summary(spectra)  # ValueError unless Q is psd
         self.regularity = (summary.lambda_min, summary.lambda_max)
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -214,8 +216,7 @@ class QuadraticAffine(ProxFn):
         self.Q, self.q, self.dim = qm, _finite(qv), n
         self.L, self.b = _finite(lm), _finite(bv)
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         if _off_affine(self.L, self.b, x):
             return np.inf
         return float(0.5 * x @ self.Q @ x + self.q @ x)
@@ -239,8 +240,7 @@ class Zero(ProxFn):
 
     kind = "zero"
 
-    def __call__(self, x: np.ndarray) -> float:
-        self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         return 0.0
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,8 +252,7 @@ class IndicatorZero(ProxFn):
 
     kind = "indicator_zero"
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         return 0.0 if not x.size or np.abs(x).max() == 0.0 else np.inf
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -281,9 +280,8 @@ class IndicatorAffine(ProxFn):
             raise InfeasibleConstraintError(
                 "no point satisfies L x = b (b outside range of L)")
 
-    def __call__(self, x: np.ndarray) -> float:
-        return np.inf if _off_affine(self.L, self.b,
-                                     self._check_point(x)) else 0.0
+    def _value(self, x: np.ndarray) -> float:
+        return np.inf if _off_affine(self.L, self.b, x) else 0.0
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda z: z - self._pinv @ (self.L @ z - self.b)
@@ -303,8 +301,7 @@ class Box(ProxFn):
             raise ValueError("need lo <= hi elementwise, lo < inf, hi > -inf")
         self.lo, self.hi, self.dim = lo, hi, lo.shape[0]
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
         return 0.0 if inside else np.inf
 
@@ -334,11 +331,12 @@ class WeightedL1(ProxFn):
             raise ValueError("weights must be finite and nonnegative")
         self.w, self.dim = w, w.shape[0]
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.w @ np.abs(self._check_point(x)))
+    def _value(self, x: np.ndarray) -> float:
+        return float(self.w @ np.abs(x))
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        thresh = gamma * self.w
+        with np.errstate(over="ignore", invalid="ignore"):  # inf thresh -> 0
+            thresh = gamma * self.w
         return lambda z: np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
@@ -386,16 +384,17 @@ class PwlPenalty(ProxFn):
         self.lo, self.hi, self.slope = lo, hi, slope
         self.dim = sizes.pop() if sizes else None
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
+    def _value(self, x: np.ndarray) -> float:
         over = np.maximum(x - self.hi, 0.0)
         under = np.maximum(self.lo - x, 0.0)
         return float(np.sum(self.slope * (over + under)))
 
     def _edges(self, gamma: float) -> tuple:
-        """``_band_select``'s constants after z."""
-        t = gamma * self.slope
-        return t, self.lo - t, self.lo, self.lo, self.hi, self.hi, self.hi + t
+        """``_band_select``'s constants after z; t = inf selects the box."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = gamma * self.slope
+            return (t, self.lo - t, self.lo, self.lo, self.hi, self.hi,
+                    self.hi + t)
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         edges = self._edges(gamma)
@@ -433,9 +432,8 @@ class Separable(ProxFn):
         self._bands = all(type(fn) in (PwlPenalty, Box)
                           for _, _, fn in members)
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = self._check_point(x)
-        return float(sum(fn(x[a:b]) for a, b, fn in self.members))
+    def _value(self, x: np.ndarray) -> float:
+        return float(sum(fn._value(x[a:b]) for a, b, fn in self.members))
 
     def _edges(self, gamma: float) -> tuple:
         """``_band_select``'s constants over all coordinates."""
@@ -468,7 +466,7 @@ class ConjugateOf(ProxFn):
     def __init__(self, inner: ProxFn):
         self.inner, self.dim = inner, inner.dim
 
-    def __call__(self, x: np.ndarray) -> float:
+    def _value(self, x: np.ndarray) -> float:
         raise CapabilityError(
             "conjugate values are not evaluable in closed form in general")
 
@@ -527,28 +525,30 @@ def diag_scale(f: ProxFn, s: np.ndarray) -> ProxFn:
         raise ValueError("diagonal entries must be nonzero")
     if f.dim is not None and f.dim != s.shape[0]:
         raise DimensionMismatchError("diagonal length does not match f")
-    sinv = 1.0 / s
-    if isinstance(f, (Zero, IndicatorZero)):
-        return type(f)(s.shape[0])
-    if isinstance(f, WeightedL1):
-        return WeightedL1(f.w / np.abs(s))
-    if isinstance(f, Box):
-        return Box(*_band(f.lo, f.hi, s))
-    if isinstance(f, PwlPenalty):
-        return PwlPenalty(*_band(f.lo, f.hi, s), f.slope / np.abs(s),
-                          s.shape[0])
-    if isinstance(f, Quadratic):
-        return Quadratic(f.Q * np.outer(sinv, sinv), f.q * sinv)
-    if isinstance(f, QuadraticAffine):
-        return QuadraticAffine(f.Q * np.outer(sinv, sinv), f.q * sinv,
-                               f.L * sinv[None, :], f.b)
-    if isinstance(f, IndicatorAffine):
-        return IndicatorAffine(f.L / s[None, :], f.b)
     if isinstance(f, Separable):
         return Separable([(a, b, diag_scale(fn, s[a:b]))
                           for a, b, fn in f.members])
-    raise CapabilityError(
-        f"no diagonal scaling rule for catalog kind {f.kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinv, n = 1.0 / s, s.shape[0]
+        if isinstance(f, (Zero, IndicatorZero)):
+            args = (n,)
+        elif isinstance(f, WeightedL1):
+            args = (f.w / np.abs(s),)
+        elif isinstance(f, Box):
+            args = _band(f.lo, f.hi, s)
+        elif isinstance(f, PwlPenalty):
+            args = (*_band(f.lo, f.hi, s), f.slope / np.abs(s), n)
+        elif isinstance(f, Quadratic):
+            args = (f.Q * np.outer(sinv, sinv), f.q * sinv)
+        elif isinstance(f, QuadraticAffine):
+            args = (f.Q * np.outer(sinv, sinv), f.q * sinv,
+                    f.L * sinv[None, :], f.b)
+        elif isinstance(f, IndicatorAffine):
+            args = (f.L / s[None, :], f.b)
+        else:
+            raise CapabilityError(
+                f"no diagonal scaling rule for catalog kind {f.kind!r}")
+    return type(f)(*args)  # the constructor refuses an overflow by name
 
 
 #: the JSON wire format of every kind but "separable": its class and the

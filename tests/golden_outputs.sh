@@ -10,12 +10,7 @@
 # so it can come from either tree.  The three problem-file reports print
 # eigenvalues at full precision, on the exact 2x2 path (the dual extremal
 # instance), on the KKT-block heuristic path (the desk MPC problem) and on
-# the lasso path with a weighted l1 term (a small lasso problem).  The dual
-# extremal instance is written out as the EqConstrainedProblem it is, not
-# through worstcase.build, whose signature changed (the `setting` argument
-# went), so the script runs in trees on both sides of that change; it has
-# the bytes of build(Regularity(1.0, 4.0), "g1", theta=0.5, zeta=3.0), and
-# admm-dual-tightness.csv still pins build's dual path.  Six v1
+# the lasso path with a weighted l1 term (a small lasso problem).  Six v1
 # trace CSVs cover the solves no CLI command reaches: DR with a quadratic on
 # an affine set (its saddle-system prox), DR with a quadratic whose q is
 # nonzero (its prox map forms z - gamma*q) and a weighted l1 g, DR with a
@@ -67,7 +62,7 @@ python -m proxsplit metric-report --out "$out/metric-report.json"
 python -m proxsplit metric-report --full --out "$out/metric-report-full.json"
 python -m proxsplit metric-report --full --seed 3 --out "$out/metric-report-full-seed3.json"
 python -m proxsplit rates-table --out "$out/rates-table.json"
-python -c 'import json, sys, numpy as np; from proxsplit.admm import EqConstrainedProblem; from proxsplit.prox import IndicatorZero, Quadratic; json.dump(EqConstrainedProblem(Quadratic(np.diag([4.0, 1.0])), IndicatorZero(2), np.diag([0.5, 3.0]), -np.eye(2), np.zeros(2)).to_json(), open(sys.argv[1], "w"))' "$out/extremal-problem.json"
+python -c 'import json, sys; from proxsplit.rates import Regularity; from proxsplit.worstcase import build; json.dump(build(Regularity(1.0, 4.0), "g1", theta=0.5, zeta=3.0).problem.to_json(), open(sys.argv[1], "w"))' "$out/extremal-problem.json"
 python -m proxsplit metric-report --problem "$out/extremal-problem.json" --out "$out/metric-report-extremal.json"
 python -c 'import json, sys, numpy as np; from proxsplit import bench; json.dump(bench.gen_mpc(bench.MpcSpec(), np.zeros(4), np.array([0.0, 0.0, 0.0, 10.0])).to_json(), open(sys.argv[1], "w"))' "$out/mpc-problem.json"
 python -m proxsplit metric-report --problem "$out/mpc-problem.json" --out "$out/metric-report-mpc.json"

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     golden_prox_1d,
@@ -27,6 +29,7 @@ from proxsplit.errors import (
     DimensionMismatchError,
     InfeasibleConstraintError,
     NonSymmetricError,
+    ProxsplitError,
     SingularKktError,
 )
 from proxsplit import linmetric, prox
@@ -257,6 +260,14 @@ class TestConjugateProx:
                     "gamma must be positive and normal, got inf")):
                 dr_solve(Quadratic(np.eye(2)), Zero(2), np.inf, 1.0,
                          np.ones(2))
+
+    def test_value_refuses_a_misshapen_point_by_shape_first(self):
+        f = ConjugateOf(WeightedL1(np.ones(2)))
+        with pytest.raises(DimensionMismatchError) as err:
+            f(np.ones(3))
+        assert str(err.value) == "conjugate expects dimension 2, got 3"
+        with pytest.raises(CapabilityError):
+            f(np.ones(2))
 
 
 class TestDualProx:
@@ -560,6 +571,69 @@ class TestFactorOverflow:
         with warnings_as_errors(), pytest.raises(error) as err:
             call()
         assert type(err.value) is error and str(err.value) == message
+
+
+def _scalable_kinds(n: int) -> list:
+    """One member of each JSON kind at dimension n, both ``PwlPenalty``
+    forms, and two ``Separable``s of one-coordinate members: soft-thresholds,
+    bands and boxes (member maps), and bands and boxes (one select)."""
+    w, lo = np.linspace(0.0, 3.0, n), -np.linspace(0.5, 2.0, n)
+    q, one = np.eye(n) + 0.5, np.ones((1, n))
+    l1 = [WeightedL1([wi]) for wi in w]
+    band = [PwlPenalty(a, -a, wi) for a, wi in zip(lo, w)]
+    box = [Box([a], [-a]) for a in lo]
+    return [Quadratic(q, w), QuadraticAffine(q, w, one, [1.0]), Zero(n),
+            IndicatorZero(n), IndicatorAffine(one, [1.0]), Box(lo, -lo),
+            WeightedL1(w), PwlPenalty(-1.0, 1.0, 2.0, n),
+            PwlPenalty(lo, -lo, w, n),
+            Separable([(i, i + 1, (l1, band, box)[i % 3][i])
+                       for i in range(n)]),
+            Separable([(i, i + 1, (band, box)[i % 2][i]) for i in range(n)])]
+
+
+class TestParameterOverflow:
+    """A parameter formed from a diagonal scale or a step size may overflow:
+    the result, or the constructor's named refusal, is the one signal."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-320.0, 300.0), st.booleans()),
+                    min_size=1, max_size=8),
+           st.floats(-1022.0, 300.0 * np.log2(10.0)))
+    def test_scaling_and_binding_warn_nothing(self, diagonal, log2_gamma):
+        # |s_i| from 1e-320 to 1e300, gamma from 2^-1022 to 1e300
+        s = np.array([(-1.0) ** neg * 10.0 ** e for e, neg in diagonal])
+        gamma, z = 2.0 ** log2_gamma, np.linspace(-3.0, 3.0, s.size)
+        with warnings_as_errors():
+            for f in _scalable_kinds(s.size):
+                try:
+                    scaled = diag_scale(f, s)
+                except (ValueError, ProxsplitError):
+                    continue
+                if isinstance(scaled, (WeightedL1, PwlPenalty, Box,
+                                       Separable)):
+                    assert np.isfinite(scaled.prox_map(gamma)(z)).all()
+
+    @pytest.mark.parametrize("f, gamma, z, want", [
+        (WeightedL1([1e308]), 1e10, [1.0], [0.0]),
+        (PwlPenalty([0.0, 0.0], 1.0, [1e308, 1.0]), 1e10, [5.0, 5.0],
+         [1.0, 1.0]),
+        (PwlPenalty([-1e308, -1e308], 1.0, 1.0), 1e308, [5.0, -5.0],
+         [1.0, -5.0])],
+        ids=["weighted_l1", "pwl_penalty", "pwl_penalty_edges"])
+    def test_an_infinite_threshold_proxes_to_its_limit(self, f, gamma, z,
+                                                       want):
+        with warnings_as_errors():
+            assert np.array_equal(f.prox(gamma, np.array(z)), want)
+
+    def test_scaled_weights_are_refused_by_name_alone(self):
+        problem = EqConstrainedProblem(
+            Quadratic(np.eye(1)), WeightedL1([1e200]), np.eye(1),
+            -np.array([[1e-200]]), [0.0])
+        with warnings_as_errors(), pytest.raises(
+                ValueError, match="weights must be finite and nonnegative"):
+            admm_solve(problem, 1.0, 0.5)
+        with warnings_as_errors():
+            assert diag_scale(Zero(1), np.array([1e-320])).dim == 1
 
 
 class TestRewrittenVectors:
@@ -911,6 +985,15 @@ class TestSeparable:
             Separable([(start, stop, Zero())])
         assert str(err.value) == message
         assert Separable([(np.int64(0), 2.0, Zero())]).dim == 2
+
+    def test_evaluation_checks_its_point_once(self, monkeypatch):
+        seen, check = [], prox.ProxFn._check_point
+        monkeypatch.setattr(prox.ProxFn, "_check_point", lambda self, z: (
+            seen.append(self.kind) or check(self, z)))
+        f = Separable([(0, 2, WeightedL1([1.0, 2.0])), (2, 3, Zero(1)),
+                       (3, 5, Box([-1.0, -1.0], [1.0, 1.0]))])
+        assert f(np.array([1.0, -1.0, 7.0, 0.5, -0.5])) == 3.0
+        assert seen == ["separable"]
 
 
 class TestJsonRoundtrip:
