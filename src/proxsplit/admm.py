@@ -101,10 +101,13 @@ class EqConstrainedProblem:
         """The equivalent problem with rows of the constraint scaled by E."""
         if metric.dim != self.p:
             raise DimensionMismatchError("metric must match constraint rows")
-        e = metric.diag
-        with np.errstate(over="ignore"):  # __post_init__ refuses an inf
-            return EqConstrainedProblem(self.f, self.g, e[:, None] * self.A,
-                                        e[:, None] * self.B, e * self.c)
+        e = metric.diag[:, None]
+        try:  # A, B, c and E are finite: only a product can leave the doubles
+            with np.errstate(over="ignore"):
+                return EqConstrainedProblem(self.f, self.g, e * self.A,
+                                            e * self.B, metric.diag * self.c)
+        except ValueError:
+            raise ValueError("E A, E B or E c overflows") from None
 
     def to_json(self) -> dict:
         return {"f": self.f.to_json(), "g": self.g.to_json(),

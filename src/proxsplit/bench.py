@@ -303,10 +303,11 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
     iteration bound speaks about.  The bound column is populated whenever
     the (scaled) problem admits a rate certificate and the bound rate is
     below one.  Capability errors are recorded per point, never raised.
-    The run keeps its z-history, so ``max_iters`` is lowered to
-    ``HISTORY_SCALAR_BUDGET // p - 1``.  A point that did not converge says
-    why in its ``note``: a non-finite residual, ``max_iters``, or that lower
-    cap.  ``tol`` must lie in (0, 1).
+    Each point's z-history is freed before the next point solves, so the
+    sweep holds one history at a time, within one ``HISTORY_SCALAR_BUDGET``,
+    and ``max_iters`` is lowered to ``HISTORY_SCALAR_BUDGET // p - 1``.  A
+    point that did not converge says why in its ``note``: a non-finite
+    residual, ``max_iters``, or that lower cap.  ``tol`` must lie in (0, 1).
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -315,10 +316,7 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
         dual = problem_dual_regularity(problem, metric)
     except (CapabilityError, RankDeficiencyError):
         dual = None
-    hist_cap = HISTORY_SCALAR_BUDGET // max(scaled.p, 1) - 1
-    max_iters_eff = min(max_iters, hist_cap)
     result = SweepResult(alpha=alpha, tol=tol, metric=metric)
-    z_start = np.zeros(scaled.p)
     for gamma in np.asarray(gamma_grid, dtype=float):
         bound = None
         if dual is not None:
@@ -326,33 +324,34 @@ def run_sweep(problem: EqConstrainedProblem, alpha: float, gamma_grid,
                 contraction_factor(dual.as_regularity(), gamma), alpha)
             if rate < 1.0:
                 bound = iteration_bound(rate, tol)
-        try:
-            _, _, _, trace = admm_solve(scaled, gamma, alpha,
-                                        tol=1e-12,
-                                        max_iters=max_iters_eff, z0=z_start)
-        except ProxsplitError as exc:
-            result.entries.append(SweepEntry(
-                gamma=float(gamma), iterations_actual=None,
-                iterations_bound=bound, converged=False, note=str(exc)))
-            continue
-        actual = None
-        note = ""
-        if not math.isfinite(trace.residuals[-1]):
-            note = f"non-finite residual at iteration {trace.iterations}"
-        elif not trace.converged:
-            note = (f"stopped at {max_iters_eff} iterations, the z-history "
-                    f"cap below max_iters={max_iters}"
-                    if max_iters_eff < max_iters else
-                    f"stopped at the max_iters={max_iters} cap")
-        if trace.converged and trace.z_history:
-            # the last z is z_final, so every run crosses; stop at the first
-            bar = tol * _norm(trace.z_history[0] - trace.z_final)
-            actual = next(k for k, z in enumerate(trace.z_history)
-                          if _norm(z - trace.z_final) <= bar)
-        result.entries.append(SweepEntry(
-            gamma=float(gamma), iterations_actual=actual,
-            iterations_bound=bound, converged=trace.converged, note=note))
+        actual, ok, note = _sweep_point(scaled, gamma, alpha, tol, max_iters)
+        result.entries.append(
+            SweepEntry(float(gamma), actual, bound, ok, note))
     return result
+
+
+def _sweep_point(scaled, gamma, alpha, tol, max_iters) -> tuple:
+    """(iterations_actual, converged, note) of one :func:`run_sweep` point;
+    the trace dies with this frame: a sweep holds one z-history at a time."""
+    cap = min(max_iters, HISTORY_SCALAR_BUDGET // max(scaled.p, 1) - 1)
+    try:
+        _, _, _, trace = admm_solve(scaled, gamma, alpha, tol=1e-12,
+                                    max_iters=cap, z0=np.zeros(scaled.p))
+    except ProxsplitError as exc:
+        return None, False, str(exc)
+    note = ""
+    if not math.isfinite(trace.residuals[-1]):
+        note = f"non-finite residual at iteration {trace.iterations}"
+    elif not trace.converged:
+        note = (f"stopped at {cap} iterations, the z-history cap below "
+                f"max_iters={max_iters}" if cap < max_iters else
+                f"stopped at the max_iters={max_iters} cap")
+    if not (trace.converged and trace.z_history):
+        return None, trace.converged, note
+    # the last z is z_final, so every run crosses; stop at the first
+    bar = tol * _norm(trace.z_history[0] - trace.z_final)
+    return next(k for k, z in enumerate(trace.z_history)
+                if _norm(z - trace.z_final) <= bar), True, note
 
 
 # ------------------------------------------------------------ mpc harnesses

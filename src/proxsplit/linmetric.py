@@ -172,8 +172,12 @@ class DiagonalMetric:
         s = _as_dense(s)
         if s.shape != (self.dim, self.dim):
             raise DimensionMismatchError("metric dimension does not match S")
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses
-            return _finite(s * np.outer(self.diag, self.diag))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _finite(s * np.outer(self.diag, self.diag))
+        except ValueError:
+            _finite(s)  # a NaN or inf in S itself is refused as one
+            raise ValueError("E S E^T overflows") from None
 
     @classmethod
     def identity(cls, dim: int) -> "DiagonalMetric":

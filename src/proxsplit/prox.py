@@ -263,7 +263,8 @@ class IndicatorAffine(ProxFn):
     """Indicator of {x : L x = b}; prox is Euclidean projection onto it.
 
     Raises InfeasibleConstraintError at construction when the set is empty
-    (b outside the range of L), and ValueError on NaN/inf in L or b.
+    (b outside the range of L), and ValueError on NaN/inf in L or b or when
+    L is so small that its pseudo-inverse overflows.
     """
 
     kind = "indicator_affine"
@@ -274,7 +275,10 @@ class IndicatorAffine(ProxFn):
         if lm.ndim != 2 or bv.shape[0] != lm.shape[0]:
             raise DimensionMismatchError("L and b shapes are inconsistent")
         self.L, self.b, self.dim = _finite(lm), _finite(bv), lm.shape[1]
-        self._pinv = np.linalg.pinv(lm)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self._pinv = np.linalg.pinv(lm)
+        if not np.isfinite(self._pinv).all():
+            raise ValueError("the pseudo-inverse of L overflows")
         if np.linalg.norm(lm @ (self._pinv @ bv) - bv) > 1e-8 * max(
                 1.0, float(np.linalg.norm(bv))):
             raise InfeasibleConstraintError(

@@ -25,7 +25,8 @@ from .errors import DimensionMismatchError
 from .linmetric import _count, _positive, _step
 from .prox import ProxFn
 
-#: scalars of full z-history kept before thinning to residuals only
+#: scalars of full z-history kept before thinning to residuals only; a
+#: sweep holds one solve's history at a time, so one budget bounds it too
 HISTORY_SCALAR_BUDGET = 10**7
 
 CSV_SCHEMA_TAG = "# proxsplit-csv v1"

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Write every CLI output, the 6 --help texts and the stdout of the demos of
-# the proxsplit tree in the current directory into OUTDIR.
+# the proxsplit tree in the current directory into OUTDIR: 47 files.
 #
 #   cd TREE && bash /path/to/golden_outputs.sh OUTDIR
 #
 # The rule that CLI outputs and v1 CSVs keep their bits is checked by running
 # this script in two trees (say a base commit and a change) and comparing the
 # two directories with `diff -r`.  The script only reads the tree it runs in,
-# so it can come from either tree.  The three problem-file reports print
+# so it can come from either tree.  The full lasso sweep runs with the
+# identity metric too: its solves keep the longest z-histories of any sweep,
+# and the grid point after each one must still count the same iterations
+# once the history before it is freed.  The three problem-file reports print
 # eigenvalues at full precision, on the exact 2x2 path (the dual extremal
 # instance), on the KKT-block heuristic path (the desk MPC problem) and on
 # the lasso path with a weighted l1 term (a small lasso problem).  Six v1
@@ -44,6 +47,7 @@ for cmd in lasso mpc worstcase-verify rates-table metric-report; do
 done
 python -m proxsplit lasso --out "$out/lasso.csv"
 python -m proxsplit lasso --metric auto --out "$out/lasso-auto.csv"
+python -m proxsplit lasso --full --out "$out/lasso-full.csv"
 python -m proxsplit lasso --full --metric auto --out "$out/lasso-full-auto.csv"
 python -m proxsplit lasso --seed 7 --out "$out/lasso-seed7.csv"
 python -m proxsplit lasso --metric auto --alpha 0.8 --out "$out/lasso-auto-alpha0.8.csv"

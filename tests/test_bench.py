@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ class TestSweep:
             assert entry.converged
             d = np.array([_norm(z - trace.z_final) for z in trace.z_history])
             assert entry.iterations_actual == int(np.argmax(d <= tol * d[0]))
+
+    def test_a_sweep_holds_one_trace_at_a_time(self, monkeypatch):
+        # every solve starts after each earlier trace, z-history and all, is
+        # freed, so a sweep's peak holds one history, within one budget
+        freed, solve = [], bench.admm_solve
+
+        def spy(*args, **kwargs):
+            assert sum(ref() is not None for ref in freed) == 0
+            out = solve(*args, **kwargs)
+            freed.append(weakref.ref(out[-1]))
+            return out
+
+        monkeypatch.setattr(bench, "admm_solve", spy)
+        problem = gen_lasso(LassoSpec(n=20, m=30, nnz_per_row=3, seed=0))
+        gamma = sweep_gamma_star(problem)
+        sweep = run_sweep(problem, 1.0,
+                          log_gamma_grid(gamma / 3, 3 * gamma, 3))
+        assert [e.converged for e in sweep.entries] == [True] * 3
+        assert len(freed) == 3 and freed[-1]() is None
 
     def test_log_grid(self):
         grid = log_gamma_grid(0.01, 100.0, 5)

@@ -225,7 +225,7 @@ class TestHeuristicAffineCase:
 
 
 _BIG_E = DiagonalMetric([1e200, 1.0])  # E_11^2 = 1e400 overflows
-_NAN_FREE = "array must not contain infs or NaNs"
+_ESE = "E S E^T overflows"
 
 
 def _problem(q_scale: float, a_scale: float) -> EqConstrainedProblem:
@@ -243,11 +243,15 @@ class TestOverflowRefusals:
         # H^-1 A^T is inf, so A @ it meets 0 * inf: "invalid value"
         (lambda: problem_dual_regularity(_problem(1e-300, 1e10)),
          "S = A H^-1 A^T overflows"),
-        (lambda: _BIG_E.scale_spectrum_matrix(np.eye(2)), _NAN_FREE),
-        (lambda: MetricSpectra(np.eye(2)).summary(_BIG_E, 1e-10), _NAN_FREE),
-        (lambda: pseudo_condition_of(_BIG_E, np.eye(2)), _NAN_FREE),
+        (lambda: _BIG_E.scale_spectrum_matrix(np.eye(2)), _ESE),
+        (lambda: MetricSpectra(np.eye(2)).summary(_BIG_E, 1e-10), _ESE),
+        (lambda: pseudo_condition_of(_BIG_E, np.eye(2)), _ESE),
+        # a NaN in S itself is no overflow, and is refused as before
+        (lambda: DiagonalMetric.identity(2).scale_spectrum_matrix(
+            [[np.nan, 0.0], [0.0, 1.0]]),
+         "array must not contain infs or NaNs"),
         (lambda: _problem(1.0, 1e10).scaled(DiagonalMetric([1e300, 1.0])),
-         _NAN_FREE),
+         "E A, E B or E c overflows"),
         # a subnormal row: its scale E_11 ~ 1e160 squares past the doubles,
         # which the parent blamed on the metric ("entries must be finite")
         (lambda: select_diagonal_metric(np.diag([1e-320, 1.0])),
@@ -257,8 +261,8 @@ class TestOverflowRefusals:
          "S has a row too small to equilibrate")],
         ids=["dual_curvature", "problem_dual_regularity",
              "scale_spectrum_matrix", "MetricSpectra.summary",
-             "pseudo_condition_of", "scaled", "select-exact",
-             "select-heuristic"])
+             "pseudo_condition_of", "scale_spectrum_matrix-nan", "scaled",
+             "select-exact", "select-heuristic"])
     def test_is_one_value_error(self, call, message):
         with warnings_as_errors(), pytest.raises(ValueError) as info:
             call()

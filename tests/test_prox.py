@@ -635,6 +635,19 @@ class TestParameterOverflow:
         with warnings_as_errors():
             assert diag_scale(Zero(1), np.array([1e-320])).dim == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda: IndicatorAffine([[1e-320, 0.0]], [1.0]),
+        # L / s = [[1e-310, 1e-312]]: the set is not empty, but no double
+        # reaches it, and the overflow is named instead of "no point"
+        lambda: diag_scale(IndicatorAffine([[1e-10, 1e-12]], [1.0]),
+                           np.array([1e300, 1e300]))],
+        ids=["subnormal", "scaled"])
+    def test_an_overflowing_pseudo_inverse_is_refused_by_name(self, make):
+        with warnings_as_errors(), pytest.raises(ValueError) as info:
+            make()
+        assert type(info.value) is ValueError
+        assert str(info.value) == "the pseudo-inverse of L overflows"
+
 
 class TestRewrittenVectors:
     """q and b may change in place between solves, as in the MPC closed
